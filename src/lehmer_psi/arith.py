@@ -1,8 +1,8 @@
 """Exact integer arithmetic: factorization, primality, multiplicative functions.
 
 Everything here is pure and deterministic. All rational values in the package
-are `fractions.Fraction` (re-exported as ExactRational), which keeps every
-threshold comparison exact; decimals appear only at the display boundary.
+are `fractions.Fraction`, which keeps every threshold comparison exact;
+decimals appear only at the display boundary.
 """
 
 from __future__ import annotations
@@ -18,15 +18,13 @@ from math import gcd
 if sys.get_int_max_str_digits() < 100_000:
     sys.set_int_max_str_digits(100_000)
 
-ExactRational = Fraction
-
 # Miller-Rabin with the first 12 prime bases is a proven primality test below
 # this bound (far above 2**64); beyond it extra bases make the error < 2**-128.
 _MR_PROVEN_LIMIT = 318_665_857_834_031_151_167_461
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXTRA_ROUNDS = 52  # 12 + 52 = 64 rounds, error < 4**-64
 
-_TRIAL_DIVISION_LIMIT = 10_000_000
+_TRIAL_DIVISION_LIMIT = 10_000
 
 
 class DomainError(ValueError):
@@ -154,22 +152,6 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         # cycle degenerated; retry with new parameters
 
 
-def _factor_trial(n: int, out: dict[int, int]) -> None:
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):  # 6k-1, 6k+1 wheel
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-
-
 def _factor_large(n: int, out: dict[int, int]) -> None:
     if n == 1:
         return
@@ -182,31 +164,27 @@ def _factor_large(n: int, out: dict[int, int]) -> None:
 
 
 def factor(n: int) -> Factorization:
-    """Factor a positive integer: trial division at desk scale, Brent rho above."""
+    """Factor a positive integer: a 6k+-1 trial-division wheel up to
+    min(sqrt(n), 10**4), then Brent rho on a composite cofactor."""
     if n < 1:
         raise DomainError(f"cannot factor {n}")
-    if n == 1:
-        return Factorization(1, ())
     out: dict[int, int] = {}
-    if n < _TRIAL_DIVISION_LIMIT:
-        _factor_trial(n, out)
-    else:
-        rem = n
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+    rem = n
+    for p in (2, 3):
+        while rem % p == 0:
+            out[p] = out.get(p, 0) + 1
+            rem //= p
+    d = 5
+    while d * d <= rem and d < _TRIAL_DIVISION_LIMIT:
+        for p in (d, d + 2):
             while rem % p == 0:
                 out[p] = out.get(p, 0) + 1
                 rem //= p
-        d = 53
-        while d * d <= rem and d < 10_000:
-            while rem % d == 0:
-                out[d] = out.get(d, 0) + 1
-                rem //= d
-            d += 2
-        if rem > 1:
-            if d * d > rem:
-                out[rem] = out.get(rem, 0) + 1
-            else:
-                _factor_large(rem, out)
+        d += 6
+    if d * d <= rem:  # stopped at the limit: Brent rho takes the cofactor
+        _factor_large(rem, out)
+    elif rem > 1:  # no factor below d remains, so rem is prime
+        out[rem] = 1
     return Factorization(n, tuple(sorted(out.items())))
 
 

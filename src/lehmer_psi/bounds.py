@@ -20,7 +20,6 @@ from .groups import (
     Dihedral,
     GroupSpec,
     Quaternion8,
-    format_group_spec,
     is_cyclic,
     is_nilpotent,
     order,
@@ -283,7 +282,3 @@ def check_bounds(g: GroupSpec) -> list[BoundReport]:
         reports.append(not_applicable("witness-floor-provable"))
 
     return reports
-
-
-def describe_group(g: GroupSpec) -> str:
-    return format_group_spec(g)

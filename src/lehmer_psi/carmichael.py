@@ -6,10 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import DomainError, factor, is_prime, is_squarefree
+from .arith import DomainError, Factorization, factor, is_prime, is_squarefree
 from .sieve import korselt_range
 
 FERMAT_ORACLE_LIMIT = 10**6
+RANGE_LIMIT = 10**7  # korselt_range holds the whole range in memory
 
 
 @dataclass(frozen=True)
@@ -28,13 +29,15 @@ class CarmichaelCertificate:
             raise DomainError(f"{self.n} certified Carmichael but even")
 
 
-def korselt_check(n: int) -> CarmichaelCertificate:
-    """Certificate for n >= 2; korselt_failures lists every prime p | n with
-    (p - 1) not dividing (n - 1), not just the first.
+def korselt_check(n: Factorization | int) -> CarmichaelCertificate:
+    """Certificate for n >= 2, given as an integer or its factorization;
+    korselt_failures lists every prime p | n with (p - 1) not dividing
+    (n - 1), not just the first.
     """
+    f = n if isinstance(n, Factorization) else factor(n)
+    n = f.value
     if n < 2:
         raise DomainError(f"korselt_check needs n >= 2, got {n}")
-    f = factor(n)
     composite = f.omega > 1 or f.factors[0][1] > 1
     squarefree = is_squarefree(f)
     failures = tuple(p for p, _ in f if (n - 1) % (p - 1) != 0)
@@ -61,6 +64,6 @@ def fermat_oracle(n: int) -> bool:
 
 def carmichael_in_range(lo: int, hi: int) -> list[int]:
     """Exactly the Carmichael numbers in [lo, hi], ascending."""
-    if not 2 <= lo <= hi:
-        raise DomainError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
+    if not 2 <= lo <= hi <= RANGE_LIMIT:
+        raise DomainError(f"need 2 <= lo <= hi <= {RANGE_LIMIT}, got [{lo}, {hi}]")
     return korselt_range(lo, hi)

@@ -195,7 +195,10 @@ def cmd_lehmer_check(args) -> int:
         _emit(f"n = {verdict.n}" + (" (prime)" if verdict.prime else ""))
         _emit(f"carmichael: {verdict.is_carmichael}")
         _emit(f"phi = {verdict.phi}, divides n-1: {verdict.phi_divides}, exact k: {verdict.exact_k}")
-        if verdict.uses_stated_floor():
+        if verdict.min_k is None:
+            why = "even" if verdict.n % 2 == 0 else "not squarefree"
+            _emit(f"no k floor derived: n is {why}, but any counterexample is odd and squarefree")
+        elif verdict.uses_stated_floor():
             _emit(f"k floor (assumes stated witness floor phi(n)/(2n)): {verdict.min_k}")
         else:
             _emit(f"proven k floor: {verdict.min_k}")
@@ -227,13 +230,7 @@ def cmd_min_k(args) -> int:
                     "min_k": result.k,
                     "n_floor": str(result.n_floor_used),
                     "rules": list(result.applied_rules),
-                    "excluded": [
-                        {
-                            "k": res.k,
-                            "justifications": [j.as_dict() for j in res.justifications],
-                        }
-                        for res in result.exclusions
-                    ],
+                    "excluded": [res.as_dict() for res in result.exclusions],
                 }
             )
         )
@@ -249,7 +246,13 @@ def cmd_scan(args) -> int:
     checkpoint = None
     if args.checkpoint and os.path.exists(args.checkpoint):
         checkpoint = read_checkpoint(args.checkpoint)
-    jobs = args.jobs if args.jobs else int(os.environ.get("LEHMER_PSI_JOBS", "1"))
+    jobs = args.jobs
+    if not jobs:
+        env = os.environ.get("LEHMER_PSI_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise DomainError(f"LEHMER_PSI_JOBS must be an integer, got {env!r}") from None
     try:
         cp = scan_totient_divisibility(
             args.start,

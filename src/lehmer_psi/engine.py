@@ -333,6 +333,9 @@ class ExclusionResult:
         chains = [j for j in self.justifications if j.rule.startswith("order-sum") and j.excluded]
         return max(chains, key=lambda j: j.rhs, default=None)
 
+    def as_dict(self) -> dict:
+        return {"k": self.k, "justifications": [j.as_dict() for j in self.justifications]}
+
 
 def _lower_bound(profile: LehmerProfile, k: int) -> Fraction:
     if profile.n is not None:
@@ -383,9 +386,6 @@ class MinKResult:
     exclusions: tuple[ExclusionResult, ...]
     applied_rules: tuple[str, ...]
     n_floor_used: int
-
-    def rule_ids(self) -> list[str]:
-        return list(self.applied_rules)
 
 
 def _sweep(profile: LehmerProfile, n_floor: int) -> tuple[int, list[ExclusionResult]]:
@@ -596,13 +596,7 @@ class LehmerVerdict:
             "exact_k": self.exact_k,
             "counterexample": self.counterexample,
             "min_k": self.min_k,
-            "excluded_k": [
-                {
-                    "k": res.k,
-                    "justifications": [j.as_dict() for j in res.justifications],
-                }
-                for res in self.excluded_k
-            ],
+            "excluded_k": [res.as_dict() for res in self.excluded_k],
             "abundancy_coefficient": (
                 None
                 if self.abundancy_coefficient is None
@@ -627,71 +621,45 @@ def lehmer_check(n: int) -> LehmerVerdict:
         raise DomainError(f"lehmer_check needs n >= 2, got {n}")
     f = factor(n)
     phi = euler_phi(f)
-    if is_prime(n):
-        return LehmerVerdict(
-            n=n,
-            prime=True,
-            factors=f.factors,
-            certificate=None,
-            is_carmichael=None,
-            phi=phi,
-            phi_divides=True,
-            exact_k=1,
-            counterexample=False,
-            min_k=1,
-            excluded_k=(),
-            abundancy_coefficient=None,
-            witness=None,
-            applied_rules=("prime: phi(n) = n - 1 with k = 1",),
-            notes=(),
-        )
-    cert = korselt_check(n)
     phi_divides = (n - 1) % phi == 0
     exact_k = (n - 1) // phi if phi_divides else None
-    notes: list[str] = []
-    if n % 2 == 0 or not is_squarefree(f):
-        notes.append(
+    prime = f.factors == ((n, 1),)
+    cert = None if prime else korselt_check(f)
+    floor_k = abundancy = witness = None
+    excluded: tuple[ExclusionResult, ...] = ()
+    rules: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
+    if prime:
+        floor_k, rules = 1, ("prime: phi(n) = n - 1 with k = 1",)
+    elif n % 2 == 0 or not cert.squarefree:
+        notes = (
             "exclusion machinery applies to odd squarefree candidates only; "
-            "any actual counterexample is Carmichael, hence odd and squarefree"
+            "any actual counterexample is Carmichael, hence odd and squarefree",
         )
-        return LehmerVerdict(
-            n=n,
-            prime=False,
-            factors=f.factors,
-            certificate=cert,
-            is_carmichael=cert.is_carmichael,
-            phi=phi,
-            phi_divides=phi_divides,
-            exact_k=exact_k,
-            counterexample=phi_divides,
-            min_k=None,
-            excluded_k=(),
-            abundancy_coefficient=None,
-            witness=None,
-            applied_rules=(),
-            notes=tuple(notes),
-        )
-    profile = profile_from_factorization(f)
-    result = min_k(profile)
-    counterexample = phi_divides
-    if counterexample and exact_k is not None and exact_k < result.k:
-        raise AssertionError(
-            f"n={n}: exact multiplier {exact_k} violates the k floor {result.k}"
-        )
+    else:
+        profile = profile_from_factorization(f)
+        result = min_k(profile)
+        floor_k, excluded, rules = result.k, result.exclusions, result.applied_rules
+        if phi_divides and exact_k < floor_k:
+            raise AssertionError(
+                f"n={n}: exact multiplier {exact_k} violates the k floor {floor_k}"
+            )
+        abundancy = abundancy_bound(profile, floor_k)
+        witness = format_group_spec(witness_group(f))
     return LehmerVerdict(
         n=n,
-        prime=False,
+        prime=prime,
         factors=f.factors,
         certificate=cert,
-        is_carmichael=cert.is_carmichael,
+        is_carmichael=cert.is_carmichael if cert else None,
         phi=phi,
         phi_divides=phi_divides,
         exact_k=exact_k,
-        counterexample=counterexample,
-        min_k=result.k,
-        excluded_k=result.exclusions,
-        abundancy_coefficient=abundancy_bound(profile, result.k),
-        witness=format_group_spec(witness_group(f)),
-        applied_rules=result.applied_rules,
-        notes=tuple(notes),
+        counterexample=phi_divides and not prime,
+        min_k=floor_k,
+        excluded_k=excluded,
+        abundancy_coefficient=abundancy,
+        witness=witness,
+        applied_rules=rules,
+        notes=notes,
     )

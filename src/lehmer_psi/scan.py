@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import DomainError
 from .bounds import upper_coefficient
-from .carmichael import carmichael_in_range
+from .carmichael import RANGE_LIMIT, carmichael_in_range
 from .engine import (
     N_FLOOR_BASE,
     certified_close,
@@ -34,7 +34,6 @@ from .groups import parse_group_spec, psi, psi_cyclic
 from .sieve import primes_upto, totient_range
 
 SCAN_LIMIT = 10**8
-BATCH_LIMIT = 10**7
 SCHEMA_VERSION = 1
 DEFAULT_SEGMENT = 1 << 16
 
@@ -98,14 +97,18 @@ class ScanCheckpoint:
         blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
         if zlib.crc32(blob.encode("ascii")) != crc:
             raise CheckpointError("checkpoint CRC mismatch")
+        if not isinstance(payload, dict):
+            raise CheckpointError("checkpoint payload is not an object")
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise CheckpointError(f"unsupported schema_version {payload.get('schema_version')}")
-        return cls(
-            lo=payload["lo"],
-            hi=payload["hi"],
-            next=payload["next"],
-            hits=tuple((int(n), int(k), bool(c)) for n, k, c in payload["hits"]),
-        )
+        try:
+            lo, hi, next_ = (payload[key] for key in ("lo", "hi", "next"))
+            hits = tuple((int(n), int(k), bool(c)) for n, k, c in payload["hits"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed checkpoint payload: {exc!r}") from exc
+        if not all(type(v) is int for v in (lo, hi, next_)):
+            raise CheckpointError(f"checkpoint bounds must be integers: {lo}, {hi}, {next_}")
+        return cls(lo=lo, hi=hi, next=next_, hits=hits)
 
 
 def write_checkpoint(cp: ScanCheckpoint, path: str) -> None:
@@ -281,7 +284,7 @@ def write_report(rows: list[dict], path: str, fmt: str = "jsonl") -> None:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
-def batch_verdicts(bound: int, path: str | None = None, limit: int = BATCH_LIMIT):
+def batch_verdicts(bound: int, path: str | None = None, limit: int = RANGE_LIMIT):
     """lehmer_check for every Carmichael number <= bound; returns the verdicts
     and the min_k distribution, optionally writing one JSONL row per verdict."""
     if not 2 <= bound <= limit:
@@ -454,9 +457,3 @@ def verify_constants() -> list[ConstantCheck]:
         )
     )
     return checks
-
-
-def constants_all_pass(checks: list[ConstantCheck] | None = None) -> bool:
-    if checks is None:
-        checks = verify_constants()
-    return all(c.passed for c in checks)

@@ -5,6 +5,8 @@ All arrays are int64 and all arithmetic is exact; floats never appear.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
 from .arith import DomainError
@@ -22,29 +24,37 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
+def _strip_primes(lo: int, hi: int, rem: np.ndarray):
+    """For each prime p <= sqrt(hi) with a multiple in [lo, hi], divide every
+    power of p out of rem (indexed from lo) at those multiples and yield
+    (p, idx, square): idx indexes the multiples, square marks those p**2 divides.
+    Afterwards rem holds 1 or the single prime factor above sqrt(hi).
+    """
+    size = hi - lo + 1
+    for p in primes_upto(isqrt(hi)).tolist():
+        first = -lo % p
+        if first >= size:
+            continue
+        idx = np.arange(first, size, p)
+        sub = rem[idx] // p
+        square = sub % p == 0
+        div = square
+        while div.any():
+            sub[div] //= p
+            div = sub % p == 0
+        rem[idx] = sub
+        yield p, idx, square
+
+
 def totient_range(lo: int, hi: int) -> np.ndarray:
     """phi(n) for n in [lo, hi], computed segment-wise from prime marks."""
     if lo < 1 or lo > hi:
         raise DomainError(f"bad range [{lo}, {hi}]")
-    size = hi - lo + 1
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    rem = ns.copy()
-    phi = ns.copy()
-    for p in primes_upto(int(hi**0.5)):
-        p = int(p)
-        first = ((lo + p - 1) // p) * p
-        if first > hi:
-            continue
-        idx = np.arange(first - lo, size, p)
+    phi = np.arange(lo, hi + 1, dtype=np.int64)
+    rem = phi.copy()
+    for p, idx, _ in _strip_primes(lo, hi, rem):
         phi[idx] = phi[idx] // p * (p - 1)
-        sub = rem[idx]
-        while True:
-            div = sub % p == 0
-            if not div.any():
-                break
-            sub[div] //= p
-        rem[idx] = sub
-    left = rem > 1  # a single prime factor > sqrt(hi) remains
+    left = rem > 1
     phi[left] = phi[left] // rem[left] * (rem[left] - 1)
     return phi
 
@@ -56,39 +66,18 @@ def korselt_range(lo: int, hi: int) -> list[int]:
     """
     if lo < 2 or lo > hi:
         raise DomainError(f"bad range [{lo}, {hi}]")
-    size = hi - lo + 1
     ns = np.arange(lo, hi + 1, dtype=np.int64)
     rem = ns.copy()
-    ok = np.ones(size, dtype=bool)
-    ok[ns < 3] = False
-    nfac = np.zeros(size, dtype=np.int8)  # distinct prime factors seen
-    for p in primes_upto(int(hi**0.5)):
-        p = int(p)
-        first = ((lo + p - 1) // p) * p
-        if first > hi:
-            continue
-        idx = np.arange(first - lo, size, p)
+    ok = ns > 2
+    nfac = np.zeros(ns.size, dtype=np.int8)  # distinct prime factors seen
+    for p, idx, square in _strip_primes(lo, hi, rem):
         nfac[idx] += 1
-        rem[idx] //= p
-        again = rem[idx] % p == 0
-        if again.any():
-            ok[idx[again]] = False  # not squarefree
-            sub = rem[idx]
-            while True:
-                div = sub % p == 0
-                if not div.any():
-                    break
-                sub[div] //= p
-            rem[idx] = sub
+        ok[idx[square]] = False  # not squarefree
         if p > 2:
-            bad = (ns[idx] - 1) % (p - 1) != 0
-            if bad.any():
-                ok[idx[bad]] = False
-    left = rem > 1  # a single prime factor > sqrt(hi) remains
+            ok[idx[(ns[idx] - 1) % (p - 1) != 0]] = False
+    left = rem > 1
     nfac[left] += 1
     sel = np.nonzero(ok & left)[0]
-    if sel.size:
-        bad = (ns[sel] - 1) % (rem[sel] - 1) != 0
-        ok[sel[bad]] = False
+    ok[sel[(ns[sel] - 1) % (rem[sel] - 1) != 0]] = False
     ok &= nfac >= 2  # squarefree composites have at least two prime factors
-    return [int(v) for v in ns[ok]]
+    return ns[ok].tolist()

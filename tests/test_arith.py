@@ -21,6 +21,7 @@ from lehmer_psi.arith import (
     primality,
     sigma,
 )
+from lehmer_psi.scan import SCAN_LIMIT
 from lehmer_psi.sieve import totient_range
 
 
@@ -59,6 +60,24 @@ class TestFactor:
             for p, a in f:
                 prod *= p**a
             assert prod == n
+
+    def test_against_sympy_around_1e7(self):
+        # factor once switched trial-division loops at 10^7
+        for n in range(10**7 - 2000, 10**7 + 2001):
+            assert dict(factor(n).factors) == sympy.factorint(n), n
+
+    def test_cofactors_at_the_trial_limit(self):
+        # 9973 is the last prime below the 10^4 wheel limit, 10007 and 10009
+        # the first above it; beyond 10^8 the cofactor goes to Brent rho
+        for n in (
+            9973 * 10007,
+            10007**2,
+            10007 * 10009,
+            9973 * 10007 * 10009,
+            2**3 * 3 * 10007 * 10009,
+            10007**3,
+        ):
+            assert dict(factor(n).factors) == sympy.factorint(n), n
 
     def test_large_semiprime_uses_rho_path(self):
         p, q = 1_000_003, 1_000_033
@@ -179,6 +198,17 @@ class TestMultiplicativeFunctions:
         phis = totient_range(1, 5000)
         for n in range(1, 5001):
             assert int(phis[n - 1]) == euler_phi(factor(n))
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(999_000, 1_001_000), (SCAN_LIMIT - 5000, SCAN_LIMIT - 1)]
+    )
+    def test_sieve_totient_windows_off_one(self, lo, hi):
+        # windows that start past 1, so most primes first strike past index 0;
+        # both hold prime powers and numbers with a prime factor above sqrt(hi)
+        phis = totient_range(lo, hi)
+        assert phis.size == hi - lo + 1
+        for n in range(lo, hi + 1):
+            assert int(phis[n - lo]) == euler_phi(factor(n)), n
 
     def test_phi_multiplicative_all_coprime_pairs_to_1000(self):
         import numpy as np

@@ -2,12 +2,13 @@ import pytest
 
 from lehmer_psi.arith import DomainError, factor, is_prime
 from lehmer_psi.carmichael import (
+    RANGE_LIMIT,
     CarmichaelCertificate,
     carmichael_in_range,
     fermat_oracle,
     korselt_check,
 )
-from lehmer_psi.sieve import primes_upto
+from lehmer_psi.sieve import korselt_range, primes_upto
 
 
 class TestKorseltCheck:
@@ -39,6 +40,12 @@ class TestKorseltCheck:
     def test_rejects_below_two(self):
         with pytest.raises(DomainError):
             korselt_check(1)
+        with pytest.raises(DomainError):
+            korselt_check(factor(1))
+
+    def test_accepts_a_factorization(self):
+        for n in (9, 15, 35, 561, 1105, 1729, 13):
+            assert korselt_check(factor(n)) == korselt_check(n)
 
     def test_certificate_consistency_enforced(self):
         with pytest.raises(DomainError):
@@ -96,6 +103,17 @@ class TestRangeEnumeration:
             if korselt_check(n).is_carmichael
         ]
         assert carmichael_in_range(2, 10_000) == expected
+
+    @pytest.mark.parametrize("lo, hi", [(562, 20_000), (1105, 1729), (100_001, 130_000)])
+    def test_kernel_matches_scalar_korselt_off_561(self, lo, hi):
+        # windows that start past 561, so most primes first strike past index 0
+        expected = [n for n in range(lo, hi + 1) if korselt_check(n).is_carmichael]
+        assert korselt_range(lo, hi) == expected
+
+    def test_rejects_range_past_limit(self):
+        # checked just past the limit, where the kernel would still be cheap
+        with pytest.raises(DomainError):
+            carmichael_in_range(RANGE_LIMIT - 10, RANGE_LIMIT + 1)
 
     def test_partition_independent(self):
         whole = carmichael_in_range(2, 100_000)

@@ -43,6 +43,12 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "carmichael", "561")
         assert code == 0 and "carmichael" in out
 
+    def test_carmichael_range_past_limit_exits_2(self, capsys):
+        code, out, err = run(capsys, "carmichael", "--from", "9999990", "--to", "10000001")
+        assert code == 2
+        assert err.startswith("error:") and "10000000" in err
+        assert out == ""
+
     def test_carmichael_range(self, capsys):
         code, out, _ = run(capsys, "carmichael", "--from", "2", "--to", "2000")
         assert code == 0
@@ -78,6 +84,12 @@ class TestLehmerCommands:
         assert code == 0
         assert "proven" not in out
         assert "k floor (assumes stated witness floor phi(n)/(2n)): 3" in out
+        # no floor is derived for a composite that is not squarefree or even
+        for n, why in (("9", "not squarefree"), ("12", "even")):
+            code, out, _ = run(capsys, "lehmer-check", n, "--format", "text")
+            assert code == 0
+            assert "proven" not in out and "None" not in out.splitlines()[3]
+            assert f"no k floor derived: n is {why}" in out
 
     def test_min_k_profile(self, capsys):
         code, out, _ = run(capsys, "min-k", "--profile", "q=5, 7|n, 13|n")
@@ -139,6 +151,19 @@ class TestScanCommand:
                            "--checkpoint", str(tmp_path / "cp.json"))
         assert code == 3
         assert "COMPOSITE" in err
+
+    def test_scan_checkpoint_missing_key_exits_2(self, capsys, tmp_path):
+        import zlib
+
+        payload = {"schema_version": 1, "lo": 2, "hi": 100, "next": 50}  # no "hits"
+        blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        path = tmp_path / "cp.json"
+        path.write_text(json.dumps({"payload": payload, "crc32": zlib.crc32(blob.encode())}))
+        code, out, err = run(capsys, "scan", "--from", "2", "--to", "100",
+                             "--checkpoint", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
 
     def test_scan_bad_range(self, capsys):
         code, _, err = run(capsys, "scan", "--from", "50", "--to", "10")
@@ -203,3 +228,10 @@ class TestEnvironment:
                            "--segment-size", "512")
         assert code == 0
         assert out.splitlines()[0].startswith("scanned [2, 3000]:")
+
+    def test_jobs_environment_not_an_integer_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEHMER_PSI_JOBS", "abc")
+        code, out, err = run(capsys, "scan", "--from", "2", "--to", "10")
+        assert code == 2
+        assert err.startswith("error:") and "LEHMER_PSI_JOBS" in err
+        assert out == ""

@@ -383,6 +383,23 @@ class TestLehmerCheck:
         with pytest.raises(DomainError):
             lehmer_check(1)
 
+    def test_factors_once(self, monkeypatch):
+        import lehmer_psi.carmichael as carmichael_module
+        import lehmer_psi.engine as engine_module
+
+        calls = []
+
+        def counting_factor(n):
+            calls.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(engine_module, "factor", counting_factor)
+        monkeypatch.setattr(carmichael_module, "factor", counting_factor)
+        for n in (7, 9, 12, 561, 1105):
+            calls.clear()
+            lehmer_check(n)
+            assert calls == [n]
+
     def test_verdict_serialization(self):
         d = lehmer_check(561).as_dict()
         assert d["n"] == 561

@@ -22,6 +22,14 @@ from lehmer_psi.scan import (
 )
 
 
+def _with_crc(payload) -> str:
+    """A checkpoint document for payload with a CRC that matches it."""
+    import zlib
+
+    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    return json.dumps({"payload": payload, "crc32": zlib.crc32(blob.encode())})
+
+
 class TestScan:
     def test_primes_to_100(self):
         cp = scan_totient_divisibility(2, 100)
@@ -84,6 +92,28 @@ class TestCheckpoint:
     def test_unreadable_document(self):
         with pytest.raises(CheckpointError):
             ScanCheckpoint.from_json("{not json")
+
+    @pytest.mark.parametrize("key", ["lo", "hi", "next", "hits"])
+    def test_missing_key_with_valid_crc(self, key):
+        cp = ScanCheckpoint(lo=2, hi=100, next=50, hits=((2, 1, False),))
+        assert ScanCheckpoint.from_json(_with_crc(cp.payload())) == cp
+        payload = cp.payload()
+        del payload[key]
+        with pytest.raises(CheckpointError):
+            ScanCheckpoint.from_json(_with_crc(payload))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"schema_version": 1, "lo": 2, "hi": 9, "next": 2, "hits": [[2, 1]]},
+            {"schema_version": 1, "lo": 2, "hi": 100, "next": 50.5, "hits": []},
+            {"schema_version": 1, "lo": "2", "hi": 100, "next": 50, "hits": []},
+        ],
+    )
+    def test_malformed_payload_with_valid_crc(self, payload):
+        with pytest.raises(CheckpointError):
+            ScanCheckpoint.from_json(_with_crc(payload))
 
     def test_field_invariants(self):
         with pytest.raises(CheckpointError):
