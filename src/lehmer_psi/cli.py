@@ -247,7 +247,7 @@ def cmd_scan(args) -> int:
     if args.checkpoint and os.path.exists(args.checkpoint):
         checkpoint = read_checkpoint(args.checkpoint)
     jobs = args.jobs
-    if not jobs:
+    if jobs is None:
         env = os.environ.get("LEHMER_PSI_JOBS", "1")
         try:
             jobs = int(env)
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="scan a range for phi(n) | (n-1)")
     p.add_argument("--from", dest="start", type=_positive_int, required=True)
     p.add_argument("--to", dest="end", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=int, default=0, help="workers (default $LEHMER_PSI_JOBS or 1)")
+    p.add_argument("--jobs", type=int, help="workers (default $LEHMER_PSI_JOBS or 1)")
     p.add_argument("--checkpoint", help="checkpoint file; resumed when present")
     p.add_argument("--segment-size", type=_positive_int, default=1 << 16)
     add_format(p, choices=("text", "json", "csv"))

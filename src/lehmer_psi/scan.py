@@ -3,11 +3,13 @@ over Carmichael numbers, the constants regression suite, and persistence.
 
 Checkpoints are single JSON documents with a CRC32 over the canonical payload,
 written atomically (temp file, fsync, rename), so an interrupted scan resumes
-to byte-identical results.
+to byte-identical results. A checkpoint holds the range, the resume point and
+the composite hits; the prime hits are rebuilt from the sieve.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import tempfile
@@ -15,6 +17,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .groups import parse_group_spec, psi, psi_cyclic
 from .sieve import primes_upto, totient_range
 
 SCAN_LIMIT = 10**8
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_SEGMENT = 1 << 16
 
 REPORT_KEYS = ("type", "n", "exact_k", "min_k", "rules", "lhs", "rhs")
@@ -62,14 +65,22 @@ class ScanCheckpoint:
     lo: int
     hi: int
     next: int
-    hits: tuple[tuple[int, int, bool], ...]  # (n, exact_k, is_composite)
+    composites: tuple[tuple[int, int, bool], ...] = ()  # (n, exact_k, True)
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if not (self.lo <= self.next <= self.hi + 1):
             raise CheckpointError(f"next={self.next} outside [{self.lo}, {self.hi + 1}]")
-        if list(self.hits) != sorted(self.hits):
-            raise CheckpointError("hits not sorted")
+        if list(self.composites) != sorted(self.composites):
+            raise CheckpointError("composites not sorted")
+
+    @cached_property
+    def hits(self) -> tuple[tuple[int, int, bool], ...]:
+        """(n, exact_k, is_composite) for every n in [lo, next) with
+        phi(n) | (n - 1): each prime p as (p, 1, False), merged in ascending
+        order with the composite hits."""
+        primes = ((p, 1, False) for p in primes_upto(self.next - 1, self.lo).tolist())
+        return tuple(heapq.merge(primes, self.composites))
 
     def payload(self) -> dict:
         return {
@@ -77,7 +88,7 @@ class ScanCheckpoint:
             "lo": self.lo,
             "hi": self.hi,
             "next": self.next,
-            "hits": [[n, k, bool(c)] for n, k, c in self.hits],
+            "composites": [[n, k, bool(c)] for n, k, c in self.composites],
         }
 
     def to_json(self) -> str:
@@ -103,12 +114,12 @@ class ScanCheckpoint:
             raise CheckpointError(f"unsupported schema_version {payload.get('schema_version')}")
         try:
             lo, hi, next_ = (payload[key] for key in ("lo", "hi", "next"))
-            hits = tuple((int(n), int(k), bool(c)) for n, k, c in payload["hits"])
+            composites = tuple((int(n), int(k), bool(c)) for n, k, c in payload["composites"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint payload: {exc!r}") from exc
         if not all(type(v) is int for v in (lo, hi, next_)):
             raise CheckpointError(f"checkpoint bounds must be integers: {lo}, {hi}, {next_}")
-        return cls(lo=lo, hi=hi, next=next_, hits=hits)
+        return cls(lo=lo, hi=hi, next=next_, composites=composites)
 
 
 def write_checkpoint(cp: ScanCheckpoint, path: str) -> None:
@@ -136,16 +147,17 @@ def read_checkpoint(path: str) -> ScanCheckpoint:
 
 
 def _segment_hits(bounds: tuple[int, int]) -> list[tuple[int, int, bool]]:
+    """The composite n in [lo, hi] with phi(n) | (n - 1), as (n, k, True).
+    phi(n) = n - 1 holds exactly for primes, and the prime rows of
+    ScanCheckpoint.hits come from the sieve, so the two must agree here."""
     lo, hi = bounds
     phis = totient_range(lo, hi)
     ns = np.arange(lo, hi + 1, dtype=np.int64)
-    mask = (ns - 1) % phis == 0
-    hits = []
-    for n, phi in zip(ns[mask].tolist(), phis[mask].tolist()):
-        k = (n - 1) // phi
-        # phi(n) = n - 1 holds exactly for primes, so k = 1 tags a prime hit
-        hits.append((n, k, k != 1))
-    return hits
+    prime = phis == ns - 1
+    if not np.array_equal(ns[prime], primes_upto(hi, lo)):
+        raise RuntimeError(f"totient kernel and prime sieve disagree on [{lo}, {hi}]")
+    mask = ((ns - 1) % phis == 0) & ~prime
+    return [(n, (n - 1) // phi, True) for n, phi in zip(ns[mask].tolist(), phis[mask].tolist())]
 
 
 def scan_totient_divisibility(
@@ -165,6 +177,10 @@ def scan_totient_divisibility(
     """
     if not 2 <= lo <= hi <= limit:
         raise DomainError(f"need 2 <= lo <= hi <= {limit}, got [{lo}, {hi}]")
+    if jobs < 1 or segment_size < 1:
+        raise DomainError(
+            f"need jobs >= 1 and segment_size >= 1, got jobs={jobs}, segment_size={segment_size}"
+        )
     if checkpoint is not None:
         if (checkpoint.lo, checkpoint.hi) != (lo, hi):
             raise CheckpointError(
@@ -172,38 +188,30 @@ def scan_totient_divisibility(
             )
         cp = checkpoint
     else:
-        cp = ScanCheckpoint(lo=lo, hi=hi, next=lo, hits=())
+        cp = ScanCheckpoint(lo=lo, hi=hi, next=lo)
 
-    segments = []
-    start = cp.next
-    while start <= hi:
-        end = min(start + segment_size - 1, hi)
-        segments.append((start, end))
-        start = end + 1
+    segments = [(s, min(s + segment_size - 1, hi)) for s in range(cp.next, hi + 1, segment_size)]
 
-    def finish_segment(seg_end: int, seg_hits) -> None:
+    def finish_segment(seg_end: int, composites) -> None:
         nonlocal cp
-        cp = replace(cp, next=seg_end + 1, hits=cp.hits + tuple(seg_hits))
-        composites = [h for h in seg_hits if h[2]]
-        if composites:
-            if checkpoint_path:
-                write_checkpoint(cp, checkpoint_path)
-            n = composites[0][0]
-            raise CounterexampleFound(n, lehmer_check(n))
+        cp = replace(cp, next=seg_end + 1, composites=cp.composites + tuple(composites))
         if checkpoint_path:
             write_checkpoint(cp, checkpoint_path)
+        if composites:
+            n = composites[0][0]
+            raise CounterexampleFound(n, lehmer_check(n))
         if on_segment is not None:
             on_segment(cp)
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (seg_start, seg_end), seg_hits in zip(
-                segments, pool.map(_segment_hits, segments)
-            ):
-                finish_segment(seg_end, seg_hits)
+    # with fork, the pool starts every worker up front: never more than can run
+    workers = min(jobs, len(segments), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for (_, seg_end), composites in zip(segments, pool.map(_segment_hits, segments)):
+                finish_segment(seg_end, composites)
     else:
-        for seg_start, seg_end in segments:
-            finish_segment(seg_end, _segment_hits((seg_start, seg_end)))
+        for segment in segments:
+            finish_segment(segment[1], _segment_hits(segment))
     return cp
 
 

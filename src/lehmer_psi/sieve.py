@@ -12,16 +12,16 @@ import numpy as np
 from .arith import DomainError
 
 
-def primes_upto(n: int) -> np.ndarray:
-    """Ascending primes <= n."""
-    if n < 2:
+def primes_upto(n: int, lo: int = 2) -> np.ndarray:
+    """Ascending primes in [lo, n]: a segmented sieve of Eratosthenes over
+    that window, crossed off with the primes <= isqrt(n)."""
+    lo = max(lo, 2)
+    if n < lo:
         return np.array([], dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    sieve = np.ones(n - lo + 1, dtype=bool)
+    for p in primes_upto(isqrt(n)).tolist():
+        sieve[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return np.nonzero(sieve)[0].astype(np.int64) + lo
 
 
 def _strip_primes(lo: int, hi: int, rem: np.ndarray):

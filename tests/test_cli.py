@@ -152,17 +152,31 @@ class TestScanCommand:
         assert code == 3
         assert "COMPOSITE" in err
 
-    def test_scan_checkpoint_missing_key_exits_2(self, capsys, tmp_path):
+    @staticmethod
+    def _checkpoint_with_crc(path, payload):
         import zlib
 
-        payload = {"schema_version": 1, "lo": 2, "hi": 100, "next": 50}  # no "hits"
         blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-        path = tmp_path / "cp.json"
         path.write_text(json.dumps({"payload": payload, "crc32": zlib.crc32(blob.encode())}))
+
+    def test_scan_checkpoint_missing_key_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cp.json"
+        self._checkpoint_with_crc(path, {"schema_version": 2, "lo": 2, "hi": 100, "next": 50})
         code, out, err = run(capsys, "scan", "--from", "2", "--to", "100",
                              "--checkpoint", str(path))
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
+
+    def test_scan_checkpoint_version_1_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cp.json"
+        self._checkpoint_with_crc(
+            path, {"schema_version": 1, "lo": 2, "hi": 100, "next": 50, "hits": [[2, 1, False]]}
+        )
+        code, out, err = run(capsys, "scan", "--from", "2", "--to", "100",
+                             "--checkpoint", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "schema_version 1" in err and "Traceback" not in err
         assert out == ""
 
     def test_scan_bad_range(self, capsys):
@@ -234,4 +248,17 @@ class TestEnvironment:
         code, out, err = run(capsys, "scan", "--from", "2", "--to", "10")
         assert code == 2
         assert err.startswith("error:") and "LEHMER_PSI_JOBS" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "env, flags", [(None, ["--jobs", "-5"]), ("4", ["--jobs", "0"]), ("0", [])]
+    )
+    def test_job_count_below_one_exits_2(self, capsys, monkeypatch, env, flags):
+        if env is None:
+            monkeypatch.delenv("LEHMER_PSI_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("LEHMER_PSI_JOBS", env)
+        code, out, err = run(capsys, "scan", "--from", "2", "--to", "30", *flags)
+        assert code == 2
+        assert err.startswith("error:") and "jobs" in err and "Traceback" not in err
         assert out == ""

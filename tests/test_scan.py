@@ -1,7 +1,12 @@
 import json
+import os
+import tempfile
+from functools import cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import lehmer_psi.scan as scan_module
 from lehmer_psi.arith import DomainError, euler_phi, factor
 from lehmer_psi.scan import (
     CSV_HEADER,
@@ -30,6 +35,17 @@ def _with_crc(payload) -> str:
     return json.dumps({"payload": payload, "crc32": zlib.crc32(blob.encode())})
 
 
+@cache
+def _brute_force_hits(hi: int) -> tuple:
+    """(n, k, k != 1) for every n in [2, hi] with phi(n) | (n - 1), k = (n - 1) / phi(n)."""
+    hits = []
+    for n in range(2, hi + 1):
+        phi = euler_phi(factor(n))
+        if (n - 1) % phi == 0:
+            hits.append((n, (n - 1) // phi, (n - 1) // phi != 1))
+    return tuple(hits)
+
+
 class TestScan:
     def test_primes_to_100(self):
         cp = scan_totient_divisibility(2, 100)
@@ -44,12 +60,7 @@ class TestScan:
 
     def test_hits_match_direct_totient_divisibility(self):
         cp = scan_totient_divisibility(2, 3000, segment_size=257)
-        expected = []
-        for n in range(2, 3001):
-            phi = euler_phi(factor(n))
-            if (n - 1) % phi == 0:
-                expected.append((n, (n - 1) // phi, (n - 1) // phi != 1))
-        assert list(cp.hits) == expected
+        assert list(cp.hits) == list(_brute_force_hits(3000))
 
     def test_partition_and_job_independence(self):
         whole = scan_totient_divisibility(2, 20_000)
@@ -65,21 +76,105 @@ class TestScan:
         with pytest.raises(DomainError):
             scan_totient_divisibility(2, 100, limit=50)
 
+    @pytest.mark.parametrize("options", [{"segment_size": 0}, {"jobs": 0}, {"jobs": -5}])
+    def test_job_and_segment_counts_validated(self, options):
+        with pytest.raises(DomainError):
+            scan_totient_divisibility(2, 100, **options)
+
+    def test_pool_clamped_to_segments_and_cpus(self, monkeypatch):
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(scan_module, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 8)
+        whole = scan_totient_divisibility(2, 300)
+        assert scan_totient_divisibility(2, 300, segment_size=100, jobs=64).hits == whole.hits
+        assert scan_totient_divisibility(2, 300, segment_size=10, jobs=3).hits == whole.hits
+        assert pools == [3, 3]
+        scan_totient_divisibility(2, 300, segment_size=300, jobs=64)  # one segment
+        monkeypatch.setattr(scan_module.os, "cpu_count", lambda: None)
+        scan_totient_divisibility(2, 300, segment_size=10, jobs=64)
+        assert pools == [3, 3]
+
+    def test_prime_rows_cross_checked_against_the_totient_kernel(self, monkeypatch):
+        original = scan_module.totient_range
+
+        def corrupted(lo, hi):
+            phi = original(lo, hi)
+            if lo <= 97 <= hi:
+                phi[97 - lo] += 2  # the prime 97 is no longer a hit
+            return phi
+
+        monkeypatch.setattr(scan_module, "totient_range", corrupted)
+        assert scan_totient_divisibility(2, 96).hits == _brute_force_hits(96)
+        with pytest.raises(RuntimeError, match="disagree"):
+            scan_totient_divisibility(2, 200, segment_size=50)
+
+
+class TestScanProperties:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        bounds=st.lists(st.integers(2, 5000), min_size=2, max_size=2, unique=True).map(sorted),
+        segment_size=st.integers(1, 600),
+        cut=st.integers(1, 10**6),
+    )
+    def test_resume_at_any_segment_matches_brute_force(self, bounds, segment_size, cut):
+        lo, hi = bounds
+        whole = scan_totient_divisibility(lo, hi, segment_size=segment_size)
+        nseg = -(-(hi - lo + 1) // segment_size)
+        cut = cut % nseg + 1  # interrupt after this many segments, 1..nseg
+
+        class Stop(Exception):
+            pass
+
+        done = 0
+
+        def interrupt(cp):
+            nonlocal done
+            done += 1
+            if done == cut:
+                raise Stop
+
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "cp.json")
+            with pytest.raises(Stop):
+                scan_totient_divisibility(
+                    lo, hi, segment_size=segment_size, checkpoint_path=path, on_segment=interrupt
+                )
+            resumed = scan_totient_divisibility(
+                lo, hi, read_checkpoint(path), segment_size=segment_size, jobs=1
+            )
+        assert resumed.hits == whole.hits
+        assert resumed.to_json() == whole.to_json()
+        assert whole.hits == tuple(h for h in _brute_force_hits(hi) if h[0] >= lo)
+
 
 class TestCheckpoint:
     def test_roundtrip_identity(self):
-        cp = ScanCheckpoint(lo=2, hi=100, next=50, hits=((2, 1, False), (3, 1, False)))
+        cp = ScanCheckpoint(lo=2, hi=100, next=50, composites=((15, 7, True), (21, 5, True)))
         assert ScanCheckpoint.from_json(cp.to_json()) == cp
 
     def test_crc_corruption_detected(self):
-        cp = ScanCheckpoint(lo=2, hi=100, next=50, hits=((2, 1, False),))
+        cp = ScanCheckpoint(lo=2, hi=100, next=50, composites=((15, 7, True),))
         doc = json.loads(cp.to_json())
         doc["payload"]["next"] = 51
         with pytest.raises(CheckpointError):
             ScanCheckpoint.from_json(json.dumps(doc))
 
     def test_schema_version_checked(self):
-        cp = ScanCheckpoint(lo=2, hi=100, next=50, hits=())
+        cp = ScanCheckpoint(lo=2, hi=100, next=50)
         doc = json.loads(cp.to_json())
         doc["payload"]["schema_version"] = 99
         import zlib
@@ -93,9 +188,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             ScanCheckpoint.from_json("{not json")
 
-    @pytest.mark.parametrize("key", ["lo", "hi", "next", "hits"])
+    def test_version_1_document_rejected(self):
+        payload = {"schema_version": 1, "lo": 2, "hi": 10, "next": 11,
+                   "hits": [[2, 1, False], [3, 1, False], [5, 1, False], [7, 1, False]]}
+        with pytest.raises(CheckpointError, match="schema_version 1"):
+            ScanCheckpoint.from_json(_with_crc(payload))
+
+    @pytest.mark.parametrize("key", ["lo", "hi", "next", "composites"])
     def test_missing_key_with_valid_crc(self, key):
-        cp = ScanCheckpoint(lo=2, hi=100, next=50, hits=((2, 1, False),))
+        cp = ScanCheckpoint(lo=2, hi=100, next=50, composites=((15, 7, True),))
         assert ScanCheckpoint.from_json(_with_crc(cp.payload())) == cp
         payload = cp.payload()
         del payload[key]
@@ -106,9 +207,9 @@ class TestCheckpoint:
         "payload",
         [
             [1, 2],
-            {"schema_version": 1, "lo": 2, "hi": 9, "next": 2, "hits": [[2, 1]]},
-            {"schema_version": 1, "lo": 2, "hi": 100, "next": 50.5, "hits": []},
-            {"schema_version": 1, "lo": "2", "hi": 100, "next": 50, "hits": []},
+            {"schema_version": 2, "lo": 2, "hi": 9, "next": 2, "composites": [[4, 3]]},
+            {"schema_version": 2, "lo": 2, "hi": 100, "next": 50.5, "composites": []},
+            {"schema_version": 2, "lo": "2", "hi": 100, "next": 50, "composites": []},
         ],
     )
     def test_malformed_payload_with_valid_crc(self, payload):
@@ -117,18 +218,41 @@ class TestCheckpoint:
 
     def test_field_invariants(self):
         with pytest.raises(CheckpointError):
-            ScanCheckpoint(lo=10, hi=20, next=5, hits=())
+            ScanCheckpoint(lo=10, hi=20, next=5)
         with pytest.raises(CheckpointError):
-            ScanCheckpoint(lo=2, hi=20, next=2, hits=((5, 1, False), (3, 1, False)))
+            ScanCheckpoint(lo=2, hi=20, next=2, composites=((15, 7, True), (9, 4, True)))
 
     def test_file_roundtrip(self, tmp_path):
-        cp = ScanCheckpoint(lo=2, hi=10, next=11, hits=((2, 1, False),))
+        cp = ScanCheckpoint(lo=2, hi=10, next=11, composites=((4, 3, True),))
         path = str(tmp_path / "cp.json")
         write_checkpoint(cp, path)
         assert read_checkpoint(path) == cp
 
+    def test_composites_merged_into_hits_in_order(self, tmp_path):
+        cp = ScanCheckpoint(lo=2, hi=100, next=30, composites=((15, 7, True), (21, 5, True)))
+        path = str(tmp_path / "cp.json")
+        write_checkpoint(cp, path)
+        assert read_checkpoint(path).hits == (
+            (2, 1, False), (3, 1, False), (5, 1, False), (7, 1, False), (11, 1, False),
+            (13, 1, False), (15, 7, True), (17, 1, False), (19, 1, False), (21, 5, True),
+            (23, 1, False), (29, 1, False),
+        )
+        assert ScanCheckpoint(lo=2, hi=100, next=2).hits == ()
+
+    def test_finished_checkpoint_size_is_constant(self, tmp_path):
+        sizes = {}
+        for hi in (10**3, 10**6):
+            path = str(tmp_path / f"cp{hi}.json")
+            scan_totient_divisibility(2, hi, checkpoint_path=path)
+            cp = read_checkpoint(path)
+            assert (cp.next, cp.composites) == (hi + 1, ())
+            crc_digits = len(str(json.loads(open(path).read())["crc32"]))
+            sizes[hi] = os.path.getsize(path) - crc_digits
+        assert sizes[10**6] - sizes[10**3] == 6  # three more digits in each of hi and next
+        assert sizes[10**6] + 10 <= 200
+
     def test_resume_range_mismatch_rejected(self):
-        cp = ScanCheckpoint(lo=2, hi=100, next=50, hits=())
+        cp = ScanCheckpoint(lo=2, hi=100, next=50)
         with pytest.raises(CheckpointError):
             scan_totient_divisibility(2, 200, cp)
 
@@ -163,8 +287,6 @@ class TestCheckpoint:
 
 class TestCounterexampleAbort:
     def test_composite_hit_aborts_loudly(self, tmp_path, monkeypatch):
-        import lehmer_psi.scan as scan_module
-
         def fake_segment(bounds):
             lo, hi = bounds
             hits = []
