@@ -67,16 +67,11 @@ from .groups import (
     Quaternion8,
     abelian,
     abelian_specs,
-    format_group_spec,
-    is_cyclic,
-    is_nilpotent,
-    order,
     order_spectrum,
     parse_group_spec,
     product,
     psi,
     psi_cyclic,
-    psi_cyclic_divisor_sum,
     psi_double_prime,
     psi_prime,
 )

@@ -20,9 +20,6 @@ from .groups import (
     Dihedral,
     GroupSpec,
     Quaternion8,
-    is_cyclic,
-    is_nilpotent,
-    order,
     product,
     psi,
     psi_cyclic,
@@ -200,11 +197,11 @@ def check_bounds(g: GroupSpec) -> list[BoundReport]:
     bounds are still listed with applicable=False so nothing is skipped
     silently.
     """
-    n = order(g)
+    n = g.order
     f = factor(n)
     psi_g = psi(g)
     psi_cn = psi_cyclic(f)
-    cyclic = is_cyclic(g)
+    cyclic = g.is_cyclic
     v2 = next((a for p, a in f if p == 2), 0)
     m_odd = n >> v2
     reports: list[BoundReport] = []
@@ -252,7 +249,7 @@ def check_bounds(g: GroupSpec) -> list[BoundReport]:
         else:
             reports.append(not_applicable("upper-vi"))
 
-    if n >= 2 and is_nilpotent(g):
+    if n >= 2 and g.is_nilpotent:
         floor = nilpotent_lower_bound(f)
         reports.append(
             BoundReport("nilpotent-floor", True, psi_g, floor, psi_g >= floor, psi_g == floor)
@@ -264,7 +261,7 @@ def check_bounds(g: GroupSpec) -> list[BoundReport]:
         v2 == 2
         and m_odd >= 3
         and not cyclic
-        and is_nilpotent(g)
+        and g.is_nilpotent
         and is_squarefree(factor(m_odd))
     ):
         lhs = psi_double_prime(g)

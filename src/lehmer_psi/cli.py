@@ -24,8 +24,7 @@ from .engine import (
     lehmer_check,
 )
 from .groups import (
-    format_group_spec,
-    order,
+    DEFAULT_SPECTRUM_LIMIT,
     order_spectrum,
     parse_group_spec,
     psi,
@@ -36,6 +35,8 @@ from .scan import (
     CheckpointError,
     CounterexampleFound,
     CSV_HEADER,
+    DEFAULT_SEGMENT,
+    MAX_SEGMENT,
     ScanCheckpoint,
     csv_line,
     hit_row,
@@ -155,8 +156,8 @@ def cmd_psi(args) -> int:
         _emit(
             json.dumps(
                 {
-                    "group": format_group_spec(g),
-                    "order": order(g),
+                    "group": str(g),
+                    "order": g.order,
                     "psi": value,
                     "psi_prime": fraction_str(psi_prime(g, limit=args.limit)),
                     "psi_double_prime": fraction_str(psi_double_prime(g, limit=args.limit)),
@@ -175,11 +176,11 @@ def cmd_bounds(args) -> int:
     if args.format == "json":
         _emit(
             json.dumps(
-                {"group": format_group_spec(g), "bounds": [r.as_dict() for r in reports]}
+                {"group": str(g), "bounds": [r.as_dict() for r in reports]}
             )
         )
     else:
-        _emit(f"group {format_group_spec(g)} of order {order(g)}")
+        _emit(f"group {g} of order {g.order}")
         for r in reports:
             if not r.applicable:
                 _emit(f"{r.bound_id:16s} not applicable")
@@ -305,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_format(p, default="text", choices=("text", "json")):
         p.add_argument("--format", choices=choices, default=default)
-        p.add_argument("--precision", type=int, default=10, help="significant digits for decimals")
 
     p = sub.add_parser("factor", help="prime factorization")
     p.add_argument("n", type=_positive_int)
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="sum of element orders of a group spec")
     p.add_argument("--group", required=True, help='e.g. "C2 x C2 x C15", "Q8 x C3", "D6"')
-    p.add_argument("--limit", type=_positive_int, default=10_000_000,
+    p.add_argument("--limit", type=_positive_int, default=DEFAULT_SPECTRUM_LIMIT,
                    help="spectrum support size limit")
     add_format(p)
     p.set_defaults(func=cmd_psi)
@@ -344,6 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lehmer-check", help="full verdict for a candidate n")
     p.add_argument("n", type=_positive_int)
     add_format(p, default="json")
+    p.add_argument("--precision", type=_positive_int, default=10,
+                   help="significant digits for decimals in text output")
     p.set_defaults(func=cmd_lehmer_check)
 
     p = sub.add_parser("min-k", help="multiplier floor for a divisibility profile")
@@ -356,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="end", type=_positive_int, required=True)
     p.add_argument("--jobs", type=int, help="workers (default $LEHMER_PSI_JOBS or 1)")
     p.add_argument("--checkpoint", help="checkpoint file; resumed when present")
-    p.add_argument("--segment-size", type=_positive_int, default=1 << 16)
+    p.add_argument("--segment-size", type=_positive_int, default=DEFAULT_SEGMENT,
+                   help=f"integers per segment, at most {MAX_SEGMENT}")
     add_format(p, choices=("text", "json", "csv"))
     p.set_defaults(func=cmd_scan)
 

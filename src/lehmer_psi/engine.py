@@ -40,7 +40,7 @@ from .arith import (
     sigma,
 )
 from .carmichael import CarmichaelCertificate, korselt_check
-from .groups import Cyclic, GroupSpec, format_group_spec, product, psi_cyclic
+from .groups import Cyclic, GroupSpec, product, psi_cyclic
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)
 N_FLOOR_BASE = 10**30
@@ -398,7 +398,7 @@ def _sweep(profile: LehmerProfile, n_floor: int) -> tuple[int, list[ExclusionRes
             return k, exclusions
         exclusions.append(res)
         k += 1
-    raise AssertionError("exclusion sweep failed to terminate")
+    raise DomainError(f"exclusion sweep reached its guard of k < {_SWEEP_GUARD} without a floor")
 
 
 @lru_cache(maxsize=1)
@@ -645,7 +645,7 @@ def lehmer_check(n: int) -> LehmerVerdict:
                 f"n={n}: exact multiplier {exact_k} violates the k floor {floor_k}"
             )
         abundancy = abundancy_bound(profile, floor_k)
-        witness = format_group_spec(witness_group(f))
+        witness = str(witness_group(f))
     return LehmerVerdict(
         n=n,
         prime=prime,

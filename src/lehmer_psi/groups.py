@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .arith import (
     DomainError,
@@ -40,16 +40,37 @@ class GroupSpecSyntaxError(DomainError):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    pass
+    """A group family: each gives order, exponent, is_cyclic, is_nilpotent,
+    is_abelian, spectrum_map(limit) (element order -> count) and its DSL text
+    as str(g). Atoms carry a rank that orders equal-order atoms in products."""
 
 
 @dataclass(frozen=True)
 class Cyclic(GroupSpec):
     n: int
+    rank = 0
+    is_cyclic = is_nilpotent = is_abelian = True
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"cyclic group order must be positive, got {self.n}")
+
+    @property
+    def order(self) -> int:
+        return self.n
+
+    @property
+    def exponent(self) -> int:
+        return self.n
+
+    def spectrum_map(self, limit: int) -> dict[int, int]:
+        pairs = divisor_totient_pairs(factor(self.n))
+        if len(pairs) > limit:
+            raise SpectrumLimitError(f"spectrum support exceeds the limit of {limit} entries")
+        return dict(pairs)
+
+    def __str__(self) -> str:
+        return f"C{self.n}"
 
 
 @dataclass(frozen=True)
@@ -57,9 +78,12 @@ class Dihedral(GroupSpec):
     """Dihedral group of the given (even) order 2m, acting on an m-gon.
 
     Order 6 is the symmetric group on 3 letters; order 4 is the Klein group.
+    It is cyclic only at order 2, abelian up to order 4, and nilpotent iff it
+    is a 2-group.
     """
 
     order2m: int
+    rank = 1
 
     def __post_init__(self):
         if self.order2m < 2 or self.order2m % 2:
@@ -69,35 +93,95 @@ class Dihedral(GroupSpec):
     def m(self) -> int:
         return self.order2m // 2
 
+    @property
+    def order(self) -> int:
+        return self.order2m
+
+    @property
+    def exponent(self) -> int:
+        return lcm(2, self.m)
+
+    @property
+    def is_cyclic(self) -> bool:
+        return self.order2m == 2
+
+    @property
+    def is_nilpotent(self) -> bool:
+        return self.order2m & (self.order2m - 1) == 0
+
+    @property
+    def is_abelian(self) -> bool:
+        return self.order2m <= 4
+
+    def spectrum_map(self, limit: int) -> dict[int, int]:
+        spec = Cyclic(self.m).spectrum_map(limit)
+        spec[2] = spec.get(2, 0) + self.m  # the m reflections
+        return spec
+
+    def __str__(self) -> str:
+        return f"D{self.order2m}"
+
 
 @dataclass(frozen=True)
 class Quaternion8(GroupSpec):
-    pass
+    rank = 2
+    order = 8
+    exponent = 4
+    is_cyclic = False
+    is_nilpotent = True
+    is_abelian = False
+
+    def spectrum_map(self, limit: int) -> dict[int, int]:
+        return {1: 1, 2: 1, 4: 6}
+
+    def __str__(self) -> str:
+        return "Q8"
 
 
 @dataclass(frozen=True)
 class Product(GroupSpec):
+    """Direct product; nilpotent or abelian iff every factor is, and cyclic
+    iff every factor is and the exponent equals the order (pairwise coprime
+    factor orders).
+    """
+
     factors: tuple[GroupSpec, ...]
 
+    @property
+    def order(self) -> int:
+        return prod(f.order for f in self.factors)
 
-def _sort_key(g: GroupSpec) -> tuple[int, int, int]:
-    if isinstance(g, Cyclic):
-        return (g.n, 0, g.n)
-    if isinstance(g, Dihedral):
-        return (g.order2m, 1, g.order2m)
-    return (8, 2, 8)
+    @property
+    def exponent(self) -> int:
+        return lcm(*(f.exponent for f in self.factors))
+
+    @property
+    def is_cyclic(self) -> bool:
+        return all(f.is_cyclic for f in self.factors) and self.exponent == self.order
+
+    @property
+    def is_nilpotent(self) -> bool:
+        return all(f.is_nilpotent for f in self.factors)
+
+    @property
+    def is_abelian(self) -> bool:
+        return all(f.is_abelian for f in self.factors)
+
+    def spectrum_map(self, limit: int) -> dict[int, int]:
+        acc = {1: 1}
+        for f in self.factors:
+            acc = _convolve(acc, f.spectrum_map(limit), limit)
+        return acc
+
+    def __str__(self) -> str:
+        return " x ".join(map(str, self.factors))
 
 
 def product(factors) -> GroupSpec:
-    """Canonical direct product: flattens nested products, sorts factors."""
-    flat: list[GroupSpec] = []
-    for g in factors:
-        if isinstance(g, Product):
-            flat.extend(g.factors)
-        else:
-            flat.append(g)
-    flat = [g for g in flat if not (isinstance(g, Cyclic) and g.n == 1)]
-    flat.sort(key=_sort_key)
+    """Canonical direct product: flattens nested products, drops trivial
+    factors, sorts factors by (order, rank)."""
+    atoms = (a for g in factors for a in (g.factors if isinstance(g, Product) else (g,)))
+    flat = sorted((a for a in atoms if a.order > 1), key=lambda a: (a.order, a.rank))
     if not flat:
         return Cyclic(1)
     if len(flat) == 1:
@@ -114,67 +198,12 @@ def abelian(invariants) -> GroupSpec:
     return product(Cyclic(k) for k in invs)
 
 
-def order(g: GroupSpec) -> int:
-    if isinstance(g, Cyclic):
-        return g.n
-    if isinstance(g, Dihedral):
-        return g.order2m
-    if isinstance(g, Quaternion8):
-        return 8
-    r = 1
-    for f in g.factors:
-        r *= order(f)
-    return r
-
-
-def exponent(g: GroupSpec) -> int:
-    if isinstance(g, Cyclic):
-        return g.n
-    if isinstance(g, Dihedral):
-        return lcm(2, g.m)
-    if isinstance(g, Quaternion8):
-        return 4
-    return lcm(*(exponent(f) for f in g.factors))
-
-
-def is_cyclic(g: GroupSpec) -> bool:
-    """Cyclicity by structure: dihedral specs are cyclic only at order 2, the
-    quaternion group never is, and a product of cyclic factors is cyclic iff
-    the factor orders are pairwise coprime (exponent equals order).
-    """
-    if isinstance(g, Cyclic):
-        return True
-    if isinstance(g, Dihedral):
-        return g.order2m == 2
-    if isinstance(g, Quaternion8):
-        return False
-    return all(is_cyclic(f) for f in g.factors) and exponent(g) == order(g)
-
-
-def is_nilpotent(g: GroupSpec) -> bool:
-    """Nilpotency for the constructible families: cyclic and the quaternion
-    group are nilpotent; a dihedral group is nilpotent iff it is a 2-group;
-    direct products are nilpotent iff every factor is.
-    """
-    if isinstance(g, Cyclic) or isinstance(g, Quaternion8):
-        return True
-    if isinstance(g, Dihedral):
-        return g.order2m & (g.order2m - 1) == 0
-    return all(is_nilpotent(f) for f in g.factors)
-
-
-def is_abelian(g: GroupSpec) -> bool:
-    if isinstance(g, Cyclic):
-        return True
-    if isinstance(g, Dihedral):
-        return g.order2m <= 4
-    if isinstance(g, Quaternion8):
-        return False
-    return all(is_abelian(f) for f in g.factors)
-
-
 # ---------------------------------------------------------------------------
 # DSL: atoms C<n>, D<2m>, Q8; binary operator x; optional whitespace.
+# str(g) is the canonical printer; parse_group_spec(str(g)) == g.
+
+_FAMILIES = {"C": Cyclic, "D": Dihedral, "Q": Quaternion8}
+
 
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse the group DSL, e.g. "C2 x C2 x C15" or "Q8 x C3"."""
@@ -192,7 +221,7 @@ def parse_group_spec(text: str) -> GroupSpec:
         if pos >= n:
             raise GroupSpecSyntaxError("expected a group atom", pos)
         c = text[pos]
-        if c not in "CDQ":
+        if c not in _FAMILIES:
             raise GroupSpecSyntaxError(f"expected C<n>, D<2m> or Q8, found {c!r}", pos)
         start = pos
         pos += 1
@@ -203,17 +232,13 @@ def parse_group_spec(text: str) -> GroupSpec:
         if not digits:
             raise GroupSpecSyntaxError(f"missing order after {c!r}", pos)
         value = int(digits)
-        if c == "C":
-            if value < 1:
-                raise GroupSpecSyntaxError("C0 is not a group", start)
-            return Cyclic(value)
-        if c == "D":
-            if value < 2 or value % 2:
-                raise GroupSpecSyntaxError(f"dihedral order must be even, got D{value}", start)
-            return Dihedral(value)
-        if value != 8:
+        family = _FAMILIES[c]
+        if family is Quaternion8 and value != 8:
             raise GroupSpecSyntaxError(f"only Q8 is available, got Q{value}", start)
-        return Quaternion8()
+        try:
+            return family() if family is Quaternion8 else family(value)
+        except DomainError as exc:
+            raise GroupSpecSyntaxError(str(exc), start) from None
 
     factors = [parse_atom()]
     while True:
@@ -225,20 +250,6 @@ def parse_group_spec(text: str) -> GroupSpec:
         pos += 1
         factors.append(parse_atom())
     return product(factors)
-
-
-def format_group_spec(g: GroupSpec) -> str:
-    """Canonical printer; parse_group_spec(format_group_spec(g)) round-trips."""
-    def atom(a: GroupSpec) -> str:
-        if isinstance(a, Cyclic):
-            return f"C{a.n}"
-        if isinstance(a, Dihedral):
-            return f"D{a.order2m}"
-        return "Q8"
-
-    if isinstance(g, Product):
-        return " x ".join(atom(f) for f in g.factors)
-    return atom(g)
 
 
 # ---------------------------------------------------------------------------
@@ -277,30 +288,12 @@ def _convolve(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int, int
     return out
 
 
-def _spectrum_map(g: GroupSpec, limit: int) -> dict[int, int]:
-    if isinstance(g, Cyclic):
-        pairs = divisor_totient_pairs(factor(g.n))
-        if len(pairs) > limit:
-            raise SpectrumLimitError(f"spectrum support exceeds the limit of {limit} entries")
-        return {d: ph for d, ph in pairs}
-    if isinstance(g, Dihedral):
-        spec = _spectrum_map(Cyclic(g.m), limit)
-        spec[2] = spec.get(2, 0) + g.m  # the m reflections
-        return spec
-    if isinstance(g, Quaternion8):
-        return {1: 1, 2: 1, 4: 6}
-    acc = {1: 1}
-    for f in g.factors:
-        acc = _convolve(acc, _spectrum_map(f, limit), limit)
-    return acc
-
-
 def order_spectrum(g: GroupSpec, limit: int = DEFAULT_SPECTRUM_LIMIT) -> OrderSpectrum:
     """Exact element-order spectrum. Cyclic groups contribute phi(d) elements
     of order d per divisor d; a dihedral group adds m reflections of order 2;
     products convolve by "order of a tuple = lcm of component orders".
     """
-    return OrderSpectrum(tuple(sorted(_spectrum_map(g, limit).items())))
+    return OrderSpectrum(tuple(sorted(g.spectrum_map(limit).items())))
 
 
 def psi(g: GroupSpec, limit: int = DEFAULT_SPECTRUM_LIMIT) -> int:
@@ -319,23 +312,14 @@ def psi_cyclic(f: Factorization | int) -> int:
     return r
 
 
-def psi_cyclic_divisor_sum(f: Factorization | int) -> int:
-    """psi of the cyclic group as sum of d*phi(d) over divisors; agrees with
-    the closed form and serves as its cross-check.
-    """
-    f = f if isinstance(f, Factorization) else factor(f)
-    return sum(d * ph for d, ph in divisor_totient_pairs(f))
-
-
 def psi_prime(g: GroupSpec, limit: int = DEFAULT_SPECTRUM_LIMIT) -> Fraction:
     """psi(G) / psi(C_|G|), in lowest terms; equals 1 exactly for cyclic specs."""
-    return Fraction(psi(g, limit), psi_cyclic(factor(order(g))))
+    return Fraction(psi(g, limit), psi_cyclic(factor(g.order)))
 
 
 def psi_double_prime(g: GroupSpec, limit: int = DEFAULT_SPECTRUM_LIMIT) -> Fraction:
     """psi(G) / |G|**2, in lowest terms; always in (0, 1]."""
-    n = order(g)
-    return Fraction(psi(g, limit), n * n)
+    return Fraction(psi(g, limit), g.order**2)
 
 
 # ---------------------------------------------------------------------------

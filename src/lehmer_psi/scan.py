@@ -39,6 +39,7 @@ from .sieve import primes_upto, totient_range
 SCAN_LIMIT = 10**8
 SCHEMA_VERSION = 2
 DEFAULT_SEGMENT = 1 << 16
+MAX_SEGMENT = 1 << 22  # each segment holds several int64 arrays of this length
 
 REPORT_KEYS = ("type", "n", "exact_k", "min_k", "rules", "lhs", "rhs")
 
@@ -177,9 +178,10 @@ def scan_totient_divisibility(
     """
     if not 2 <= lo <= hi <= limit:
         raise DomainError(f"need 2 <= lo <= hi <= {limit}, got [{lo}, {hi}]")
-    if jobs < 1 or segment_size < 1:
+    if jobs < 1 or not 1 <= segment_size <= MAX_SEGMENT:
         raise DomainError(
-            f"need jobs >= 1 and segment_size >= 1, got jobs={jobs}, segment_size={segment_size}"
+            f"need jobs >= 1 and 1 <= segment_size <= {MAX_SEGMENT}, "
+            f"got jobs={jobs}, segment_size={segment_size}"
         )
     if checkpoint is not None:
         if (checkpoint.lo, checkpoint.hi) != (lo, hi):

@@ -37,9 +37,6 @@ from lehmer_psi.groups import (
     Dihedral,
     Quaternion8,
     abelian_specs,
-    format_group_spec,
-    is_cyclic,
-    order,
     parse_group_spec,
     product,
     psi,
@@ -162,18 +159,18 @@ def _structure_universe():
 def test_structure_property_suite():
     with criterion("structure-properties", 60.0):
         for g in _structure_universe():
-            n = order(g)
+            n = g.order
             value = psi(g)
             ceiling = psi_cyclic(factor(n))
-            assert value <= ceiling, format_group_spec(g)
-            assert (value == ceiling) == is_cyclic(g), format_group_spec(g)
-            assert value <= n * n, format_group_spec(g)
+            assert value <= ceiling, str(g)
+            assert (value == ceiling) == g.is_cyclic, str(g)
+            assert value <= n * n, str(g)
         rng = random.Random(97)
-        pool = [g for g in _structure_universe() if order(g) <= 500]
+        pool = [g for g in _structure_universe() if g.order <= 500]
         checked = 0
         while checked < 200:
             a, b = rng.choice(pool), rng.choice(pool)
-            if gcd(order(a), order(b)) != 1:
+            if gcd(a.order, b.order) != 1:
                 continue
             assert psi(product([a, b])) == psi(a) * psi(b)
             checked += 1
@@ -189,12 +186,12 @@ def test_nilpotent_floor_suite():
             floor = nilpotent_lower_bound(f)
             for g in abelian_specs(n):
                 value = psi(g)
-                assert value >= floor, format_group_spec(g)
+                assert value >= floor, str(g)
                 factors = [g] if isinstance(g, Cyclic) else list(g.factors)
                 elementary_p_group = f.omega == 1 and all(
                     factor(c.n).factors[0][1] == 1 for c in factors
                 )
-                assert (value == floor) == elementary_p_group, format_group_spec(g)
+                assert (value == floor) == elementary_p_group, str(g)
 
 
 def test_witness_floor_strictness_as_stated():

@@ -18,8 +18,6 @@ from lehmer_psi.groups import (
     Dihedral,
     Quaternion8,
     abelian_specs,
-    format_group_spec,
-    order,
     parse_group_spec,
     product,
     psi,
@@ -291,9 +289,9 @@ class TestCheckBounds:
                 if not r.applicable:
                     continue
                 if r.bound_id == "witness-floor":
-                    odd_part = order(g)
+                    odd_part = g.order
                     while odd_part % 2 == 0:
                         odd_part //= 2
-                    assert r.holds == (odd_part % 3 == 0), format_group_spec(g)
+                    assert r.holds == (odd_part % 3 == 0), str(g)
                     continue
-                assert r.holds, (format_group_spec(g), r.bound_id)
+                assert r.holds, (str(g), r.bound_id)

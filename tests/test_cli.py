@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lehmer_psi import cli
+from lehmer_psi import cli, engine
 from lehmer_psi.scan import ConstantCheck
 
 
@@ -91,6 +91,28 @@ class TestLehmerCommands:
             assert "proven" not in out and "None" not in out.splitlines()[3]
             assert f"no k floor derived: n is {why}" in out
 
+    def test_sweep_guard_exits_2(self, capsys, monkeypatch):
+        # 211 * 421 * 631 has min_k 32, past a guard of 5
+        monkeypatch.setattr(engine, "_SWEEP_GUARD", 5)
+        code, out, err = run(capsys, "lehmer-check", "56052361")
+        assert code == 2
+        assert err.startswith("error:") and "guard" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_precision_only_on_lehmer_check(self, capsys):
+        for argv in (
+            ["lehmer-check", "561", "--format", "text", "--precision", "0"],
+            ["lehmer-check", "561", "--format", "text", "--precision", "-3"],
+            ["psi", "--group", "C4", "--precision", "3"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+            assert err.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "lehmer-check", "561", "--format", "text", "--precision", "3")
+        assert code == 0
+        assert "/pi^2 ≈ 3.47\n" in out
+
     def test_min_k_profile(self, capsys):
         code, out, _ = run(capsys, "min-k", "--profile", "q=5, 7|n, 13|n")
         assert code == 0
@@ -177,6 +199,13 @@ class TestScanCommand:
                              "--checkpoint", str(path))
         assert code == 2
         assert err.startswith("error:") and "schema_version 1" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_scan_segment_size_above_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "scan", "--from", "2", "--to", "30",
+                             "--segment-size", str((1 << 22) + 1))
+        assert code == 2
+        assert err.startswith("error:") and "segment_size" in err
         assert out == ""
 
     def test_scan_bad_range(self, capsys):

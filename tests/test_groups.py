@@ -1,12 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_psi, brute_spectrum
-from lehmer_psi.arith import factor
+from conftest import brute_psi, brute_spectrum, element_order, group_table
+from lehmer_psi.arith import Factorization, divisor_totient_pairs, factor
 from lehmer_psi.groups import (
     Cyclic,
     Dihedral,
@@ -16,21 +17,20 @@ from lehmer_psi.groups import (
     SpectrumLimitError,
     abelian,
     abelian_specs,
-    exponent,
-    format_group_spec,
-    is_abelian,
-    is_cyclic,
-    is_nilpotent,
-    order,
     order_spectrum,
     parse_group_spec,
     product,
     psi,
     psi_cyclic,
-    psi_cyclic_divisor_sum,
     psi_double_prime,
     psi_prime,
 )
+
+
+def psi_cyclic_divisor_sum(f: Factorization) -> int:
+    """psi of the cyclic group as the sum of d*phi(d) over divisors: the
+    cross-check of the closed form psi_cyclic."""
+    return sum(d * ph for d, ph in divisor_totient_pairs(f))
 
 
 class TestParser:
@@ -71,7 +71,7 @@ class TestParser:
     def test_roundtrip_examples(self):
         for text in ("C1", "C15", "D6", "Q8", "C2 x C2 x C15", "C3 x D6 x Q8"):
             g = parse_group_spec(text)
-            assert parse_group_spec(format_group_spec(g)) == g
+            assert parse_group_spec(str(g)) == g
 
     @given(
         st.lists(
@@ -86,7 +86,7 @@ class TestParser:
     )
     def test_roundtrip_random_products(self, factors):
         g = product(factors)
-        assert parse_group_spec(format_group_spec(g)) == g
+        assert parse_group_spec(str(g)) == g
 
     def test_product_flattens(self):
         nested = product([Product((Cyclic(2), Cyclic(3))), Cyclic(5)])
@@ -133,18 +133,18 @@ class TestSpectra:
                 for _ in range(rng.randrange(1, 4))
             ]
             g = product(factors)
-            if order(g) <= 250:
+            if g.order <= 250:
                 specs.append(g)
         for g in specs:
-            assert order_spectrum(g).as_dict() == dict(brute_spectrum(g)), format_group_spec(g)
+            assert order_spectrum(g).as_dict() == dict(brute_spectrum(g)), str(g)
 
     def test_spectrum_invariants(self):
         for n in range(1, 65):
             for g in abelian_specs(n):
                 spec = order_spectrum(g)
-                assert spec.total == order(g)
+                assert spec.total == g.order
                 assert spec.as_dict()[1] == 1
-                e = exponent(g)
+                e = g.exponent
                 assert all(e % d == 0 for d, _ in spec.entries)
 
     def test_support_limit_enforced(self):
@@ -186,7 +186,7 @@ class TestPsi:
     def test_psi_prime_is_one_iff_cyclic(self):
         for n in range(1, 129):
             for g in abelian_specs(n):
-                assert (psi_prime(g) == 1) == is_cyclic(g)
+                assert (psi_prime(g) == 1) == g.is_cyclic
 
     def test_psi_double_prime_examples(self):
         assert psi_double_prime(Cyclic(1)) == 1
@@ -211,13 +211,13 @@ class TestPsi:
                     g = Dihedral(2 * rng.randrange(1, max_order // 2 + 1))
                 else:
                     g = product([Quaternion8(), Cyclic(rng.randrange(1, 8))])
-                if order(g) <= max_order:
+                if g.order <= max_order:
                     return g
 
         checked = 0
         while checked < 60:
             a, b = random_spec(500), random_spec(500)
-            if gcd(order(a), order(b)) != 1:
+            if gcd(a.order, b.order) != 1:
                 continue
             assert psi(product([a, b])) == psi(a) * psi(b)
             checked += 1
@@ -234,12 +234,12 @@ class TestPsi:
 
 class TestStructureFlags:
     def test_cyclic_detection(self):
-        assert is_cyclic(Cyclic(12))
-        assert is_cyclic(parse_group_spec("C3 x C4"))
-        assert not is_cyclic(parse_group_spec("C2 x C2"))
-        assert is_cyclic(Dihedral(2))
-        assert not is_cyclic(Dihedral(4))
-        assert not is_cyclic(Quaternion8())
+        assert Cyclic(12).is_cyclic
+        assert parse_group_spec("C3 x C4").is_cyclic
+        assert not parse_group_spec("C2 x C2").is_cyclic
+        assert Dihedral(2).is_cyclic
+        assert not Dihedral(4).is_cyclic
+        assert not Quaternion8().is_cyclic
 
 
     def test_cyclic_flag_matches_full_order_element(self):
@@ -255,24 +255,52 @@ class TestStructureFlags:
                                    Quaternion8()])
                        for _ in range(rng.randrange(1, 4))]
             g = product(factors)
-            if order(g) <= 300:
+            if g.order <= 300:
                 specs.append(g)
         for g in specs:
-            has_full_order = order(g) in order_spectrum(g).as_dict()
-            assert is_cyclic(g) == has_full_order, format_group_spec(g)
+            has_full_order = g.order in order_spectrum(g).as_dict()
+            assert g.is_cyclic == has_full_order, str(g)
 
     def test_nilpotent_detection(self):
-        assert is_nilpotent(Quaternion8())
-        assert is_nilpotent(Dihedral(8))
-        assert not is_nilpotent(Dihedral(6))
-        assert is_nilpotent(parse_group_spec("Q8 x C3"))
-        assert not is_nilpotent(parse_group_spec("D6 x C5"))
+        assert Quaternion8().is_nilpotent
+        assert Dihedral(8).is_nilpotent
+        assert not Dihedral(6).is_nilpotent
+        assert parse_group_spec("Q8 x C3").is_nilpotent
+        assert not parse_group_spec("D6 x C5").is_nilpotent
 
     def test_abelian_detection(self):
-        assert is_abelian(parse_group_spec("C2 x C2"))
-        assert is_abelian(Dihedral(4))
-        assert not is_abelian(Quaternion8())
-        assert not is_abelian(Dihedral(6))
+        assert parse_group_spec("C2 x C2").is_abelian
+        assert Dihedral(4).is_abelian
+        assert not Quaternion8().is_abelian
+        assert not Dihedral(6).is_abelian
+
+    def test_flags_and_exponent_match_multiplication_table(self):
+        # A finite group is nilpotent exactly when any two elements of
+        # coprime order commute.
+        rng = random.Random(43)
+        specs = set()
+        while len(specs) < 60:
+            factors = [
+                rng.choice([Cyclic(rng.randrange(1, 17)), Dihedral(2 * rng.randrange(1, 9)), Quaternion8()])
+                for _ in range(rng.randrange(1, 4))
+            ]
+            g = product(factors)
+            if g.order <= 64:
+                specs.add(g)
+        seen = set()
+        for g in sorted(specs, key=str):
+            elements, mul, identity = group_table(g)
+            orders = {x: element_order(x, mul, identity) for x in elements}
+            pairs = list(itertools.combinations(elements, 2))
+            abelian = all(mul(a, b) == mul(b, a) for a, b in pairs)
+            nilpotent = all(
+                mul(a, b) == mul(b, a) for a, b in pairs if gcd(orders[a], orders[b]) == 1
+            )
+            assert g.is_abelian == abelian, str(g)
+            assert g.is_nilpotent == nilpotent, str(g)
+            assert g.exponent == lcm(*orders.values()), str(g)
+            seen.add((abelian, nilpotent))
+        assert seen == {(True, True), (False, True), (False, False)}
 
 
 class TestAbelianEnumeration:
@@ -287,7 +315,7 @@ class TestAbelianEnumeration:
             specs = list(abelian_specs(n))
             assert len(set(specs)) == len(specs)
             for g in specs:
-                assert order(g) == n
+                assert g.order == n
 
     def test_abelian_constructor_validates(self):
         from lehmer_psi.arith import DomainError

@@ -76,7 +76,10 @@ class TestScan:
         with pytest.raises(DomainError):
             scan_totient_divisibility(2, 100, limit=50)
 
-    @pytest.mark.parametrize("options", [{"segment_size": 0}, {"jobs": 0}, {"jobs": -5}])
+    @pytest.mark.parametrize(
+        "options",
+        [{"segment_size": 0}, {"jobs": 0}, {"jobs": -5}, {"segment_size": (1 << 22) + 1}],
+    )
     def test_job_and_segment_counts_validated(self, options):
         with pytest.raises(DomainError):
             scan_totient_divisibility(2, 100, **options)
