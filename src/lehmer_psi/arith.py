@@ -107,6 +107,15 @@ class Factorization:
         if prod != self.value:
             raise DomainError(f"factors multiply to {prod}, not {self.value}")
 
+    @classmethod
+    def _proven(cls, value: int, factors: tuple[tuple[int, int], ...]) -> "Factorization":
+        """A factorization whose primes the caller has just proved; skips the
+        checks of __post_init__, which would run Miller-Rabin on them again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "value", value)
+        object.__setattr__(f, "factors", factors)
+        return f
+
     @property
     def omega(self) -> int:
         return len(self.factors)
@@ -185,7 +194,7 @@ def factor(n: int) -> Factorization:
         _factor_large(rem, out)
     elif rem > 1:  # no factor below d remains, so rem is prime
         out[rem] = 1
-    return Factorization(n, tuple(sorted(out.items())))
+    return Factorization._proven(n, tuple(sorted(out.items())))
 
 
 def _coerce(f: Factorization | int) -> Factorization:

@@ -7,10 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import DomainError, Factorization, factor, is_prime, is_squarefree
-from .sieve import korselt_range
+from .sieve import korselt_range, segments
 
 FERMAT_ORACLE_LIMIT = 10**6
-RANGE_LIMIT = 10**7  # korselt_range holds the whole range in memory
+RANGE_LIMIT = 10**7  # a runtime cap (about 0.3 s); memory is one segment
 
 
 @dataclass(frozen=True)
@@ -66,4 +66,4 @@ def carmichael_in_range(lo: int, hi: int) -> list[int]:
     """Exactly the Carmichael numbers in [lo, hi], ascending."""
     if not 2 <= lo <= hi <= RANGE_LIMIT:
         raise DomainError(f"need 2 <= lo <= hi <= {RANGE_LIMIT}, got [{lo}, {hi}]")
-    return korselt_range(lo, hi)
+    return [n for start, end in segments(lo, hi) for n in korselt_range(start, end)]

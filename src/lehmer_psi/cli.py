@@ -37,7 +37,6 @@ from .scan import (
     CSV_HEADER,
     DEFAULT_SEGMENT,
     MAX_SEGMENT,
-    ScanCheckpoint,
     csv_line,
     hit_row,
     jsonl_line,

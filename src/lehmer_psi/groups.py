@@ -64,10 +64,7 @@ class Cyclic(GroupSpec):
         return self.n
 
     def spectrum_map(self, limit: int) -> dict[int, int]:
-        pairs = divisor_totient_pairs(factor(self.n))
-        if len(pairs) > limit:
-            raise SpectrumLimitError(f"spectrum support exceeds the limit of {limit} entries")
-        return dict(pairs)
+        return _within(dict(divisor_totient_pairs(factor(self.n))), limit)
 
     def __str__(self) -> str:
         return f"C{self.n}"
@@ -116,7 +113,7 @@ class Dihedral(GroupSpec):
     def spectrum_map(self, limit: int) -> dict[int, int]:
         spec = Cyclic(self.m).spectrum_map(limit)
         spec[2] = spec.get(2, 0) + self.m  # the m reflections
-        return spec
+        return _within(spec, limit)
 
     def __str__(self) -> str:
         return f"D{self.order2m}"
@@ -272,6 +269,13 @@ class OrderSpectrum:
         return sum(d * c for d, c in self.entries)
 
 
+def _within(spec: dict[int, int], limit: int) -> dict[int, int]:
+    """spec, or SpectrumLimitError when its support exceeds limit entries."""
+    if len(spec) > limit:
+        raise SpectrumLimitError(f"spectrum support exceeds the limit of {limit} entries")
+    return spec
+
+
 def _convolve(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for d1, c1 in a.items():
@@ -281,10 +285,7 @@ def _convolve(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int, int
                 out[d] += c1 * c2
             else:
                 out[d] = c1 * c2
-                if len(out) > limit:
-                    raise SpectrumLimitError(
-                        f"spectrum support exceeds the limit of {limit} entries"
-                    )
+                _within(out, limit)
     return out
 
 

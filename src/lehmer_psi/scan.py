@@ -34,14 +34,14 @@ from .engine import (
     two_power_threshold,
 )
 from .groups import parse_group_spec, psi, psi_cyclic
-from .sieve import primes_upto, totient_range
+from .sieve import DEFAULT_SEGMENT, primes_upto, segments, totient_range
 
 SCAN_LIMIT = 10**8
 SCHEMA_VERSION = 2
-DEFAULT_SEGMENT = 1 << 16
 MAX_SEGMENT = 1 << 22  # each segment holds several int64 arrays of this length
 
 REPORT_KEYS = ("type", "n", "exact_k", "min_k", "rules", "lhs", "rhs")
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class CheckpointError(DomainError):
@@ -192,7 +192,7 @@ def scan_totient_divisibility(
     else:
         cp = ScanCheckpoint(lo=lo, hi=hi, next=lo)
 
-    segments = [(s, min(s + segment_size - 1, hi)) for s in range(cp.next, hi + 1, segment_size)]
+    windows = segments(cp.next, hi, segment_size)
 
     def finish_segment(seg_end: int, composites) -> None:
         nonlocal cp
@@ -206,14 +206,14 @@ def scan_totient_divisibility(
             on_segment(cp)
 
     # with fork, the pool starts every worker up front: never more than can run
-    workers = min(jobs, len(segments), os.cpu_count() or 1)
+    workers = min(jobs, len(windows), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (_, seg_end), composites in zip(segments, pool.map(_segment_hits, segments)):
+            for (_, seg_end), composites in zip(windows, pool.map(_segment_hits, windows)):
                 finish_segment(seg_end, composites)
     else:
-        for segment in segments:
-            finish_segment(segment[1], _segment_hits(segment))
+        for window in windows:
+            finish_segment(window[1], _segment_hits(window))
     return cp
 
 
@@ -259,7 +259,7 @@ def verdict_row(verdict) -> dict:
 
 
 def jsonl_line(row: dict) -> str:
-    return json.dumps({key: row.get(key) for key in REPORT_KEYS}, separators=(",", ":"))
+    return _ROW_ENCODER.encode({key: row.get(key) for key in REPORT_KEYS})
 
 
 def csv_line(row: dict) -> str:

@@ -99,6 +99,10 @@ class TestFactor:
             Factorization(12, ((2, 2), (3, 0)))
         with pytest.raises(DomainError):
             Factorization(8, ((2, 2),))  # product mismatch
+        with pytest.raises(DomainError):
+            Factorization(15, ((15, 1),))  # 15 is not prime
+        for n in (1, 561, 2**5 * 3**2 * 999_999_937):
+            assert Factorization(n, factor(n).factors) == factor(n)
 
 
 class TestPrimality:
@@ -200,11 +204,21 @@ class TestMultiplicativeFunctions:
             assert int(phis[n - 1]) == euler_phi(factor(n))
 
     @pytest.mark.parametrize(
-        "lo, hi", [(999_000, 1_001_000), (SCAN_LIMIT - 5000, SCAN_LIMIT - 1)]
+        "lo, hi",
+        [
+            (999_000, 1_001_000),
+            (SCAN_LIMIT - 5000, SCAN_LIMIT - 1),
+            (3**9, 3**9 + 3000),
+            (3**9 - 3000, 3**9),
+            (2**20 - 3000, 2**20 - 1),
+            (2**20 + 1, 2**20 + 3000),
+            (2**20, 2**20),
+        ],
     )
     def test_sieve_totient_windows_off_one(self, lo, hi):
-        # windows that start past 1, so most primes first strike past index 0;
-        # both hold prime powers and numbers with a prime factor above sqrt(hi)
+        # windows that start past 1, so most primes first strike past index 0,
+        # some starting or ending at a prime power; all hold prime powers and
+        # numbers with a prime factor above sqrt(hi)
         phis = totient_range(lo, hi)
         assert phis.size == hi - lo + 1
         for n in range(lo, hi + 1):

@@ -1,4 +1,8 @@
+import tracemalloc
+from functools import cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lehmer_psi.arith import DomainError, factor, is_prime
 from lehmer_psi.carmichael import (
@@ -8,7 +12,19 @@ from lehmer_psi.carmichael import (
     fermat_oracle,
     korselt_check,
 )
-from lehmer_psi.sieve import korselt_range, primes_upto
+from lehmer_psi.sieve import DEFAULT_SEGMENT, korselt_range, primes_upto
+
+ORACLE_HI = 2 * DEFAULT_SEGMENT + 5000
+
+
+@cache
+def _scalar_carmichael() -> frozenset:
+    """Every n in [2, ORACLE_HI] that the scalar korselt_check certifies."""
+    return frozenset(n for n in range(2, ORACLE_HI + 1) if korselt_check(n).is_carmichael)
+
+
+def _oracle(lo: int, hi: int) -> list[int]:
+    return sorted(n for n in _scalar_carmichael() if lo <= n <= hi)
 
 
 class TestKorseltCheck:
@@ -109,6 +125,27 @@ class TestRangeEnumeration:
         # windows that start past 561, so most primes first strike past index 0
         expected = [n for n in range(lo, hi + 1) if korselt_check(n).is_carmichael]
         assert korselt_range(lo, hi) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 30_000), st.integers(0, 30_000))
+    def test_matches_scalar_korselt_on_random_windows(self, lo, width):
+        hi = min(lo + width, 30_000)
+        assert carmichael_in_range(lo, hi) == _oracle(lo, hi)
+
+    def test_window_across_two_segment_boundaries(self):
+        lo, hi = 1000, ORACLE_HI
+        assert hi - lo + 1 > 2 * DEFAULT_SEGMENT
+        assert carmichael_in_range(lo, hi) == _oracle(lo, hi)
+
+    def test_memory_flat_in_the_range_length(self):
+        # one segment at a time; an unsegmented sieve of 2*10^6 held ~62 MiB
+        tracemalloc.start()
+        try:
+            carmichael_in_range(2, 2 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
 
     def test_rejects_range_past_limit(self):
         # checked just past the limit, where the kernel would still be cheap

@@ -257,6 +257,14 @@ class TestCliContract:
         assert code == 2
         assert "D5" in message or "dihedral" in message
 
+    @pytest.mark.parametrize("spec", ["C14", "D14"])
+    def test_spectrum_past_limit_exits_2(self, capsys, spec):
+        # C14 has 4 orders and D14 has 3 (1, 2, 7): both exceed a limit of 2
+        code, out, err = run(capsys, "psi", "--group", spec, "--limit", "2")
+        assert code == 2
+        assert err.startswith("error:") and "limit" in err
+        assert out == ""
+
     def test_machine_output_is_deterministic(self, capsys):
         runs = [run(capsys, "lehmer-check", "2465")[1] for _ in range(2)]
         assert runs[0] == runs[1]
