@@ -70,14 +70,17 @@ def parse_profile_spec(text: str) -> LehmerProfile:
             token = raw.strip().replace("∤", "!|")
             if not token or token == "generic":
                 continue
-            if token.startswith("q="):
-                q = int(token[2:])
-            elif token.endswith("!|n"):
-                not_divides.append(int(token[:-3]))
-            elif token.endswith("|n"):
-                divides.append(int(token[:-2]))
-            else:
-                raise DomainError(f"bad profile token {raw.strip()!r}")
+            try:
+                if token.startswith("q="):
+                    q = int(token[2:])
+                elif token.endswith("!|n"):
+                    not_divides.append(int(token[:-3]))
+                elif token.endswith("|n"):
+                    divides.append(int(token[:-2]))
+                else:
+                    raise ValueError
+            except ValueError:
+                raise DomainError(f"bad profile token {raw.strip()!r}") from None
     return make_profile(q=q, divides=divides, not_divides=not_divides)
 
 

@@ -7,7 +7,11 @@ whose psi'' is at most 7/16 * (S*(1 - 1/P)/k + 1/P) for a divisor-split chain
 psi'' above phi(n)/(2n) = (n-1)/(2kn). Whenever the floor meets or exceeds
 the chain bound, that k is excluded. Together with the classical congruence
 "3 | n forces k = 1 (mod 3)", sweeping k from 2 upward yields the floor
-min_k per divisibility profile.
+min_k per divisibility profile. Each divisibility world justifies its own
+verdict for a k (_World.justify); a profile builds its worlds once. A
+symbolic profile is swept once, at the escalated floor n > 10**8171 once the
+universal floor k >= 3 holds. For q >= 17 the k ladder's top rung is taken
+in closed form, R = ceil(q/c - q) for the ladder coefficient c.
 
 Caveat, surfaced in every trace that leans on a chain: the stated witness
 floor is an overstatement (psi'' of the Klein group is 7/16, not >= 1/2) and
@@ -25,9 +29,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import (
     DomainError,
@@ -168,6 +173,11 @@ class LehmerProfile:
                 parts.append(f"{p}!|n")
         return ", ".join(parts) if parts else "generic"
 
+    @cached_property
+    def worlds(self) -> tuple[_World, ...]:
+        """The divisibility worlds of enumerate_worlds, built once per profile."""
+        return tuple(enumerate_worlds(self))
+
 
 def make_profile(
     q: int | None = None,
@@ -244,7 +254,6 @@ class _World:
     divides: tuple[int, ...]
     q_eval: int            # smallest admissible prime factor
     q_exact: bool          # False: chain evaluated at the worst case q >= q_eval
-    split: tuple[int, ...]
     tail: int
 
     def describe(self) -> str:
@@ -255,34 +264,47 @@ class _World:
         qs = f"q={self.q_eval}" if self.q_exact else f"q>={self.q_eval}"
         return f"{qs}; " + ", ".join(bits)
 
+    def justify(self, k: int, lower: Fraction) -> Justification:
+        """Why this world does or does not exclude k: the congruence rule when
+        3 | n and k is not 1 mod 3, otherwise the witness floor `lower`
+        against the divisor-split chain bound at k."""
+        if 3 in self.divides and k % 3 != 1:
+            return Justification(
+                self.describe(),
+                f"k-congruence-3: k={k} is {k % 3} (mod 3), 1 required",
+                Fraction(k % 3),
+                Fraction(1),
+                True,
+            )
+        upper = chain_upper(self.divides, self.tail, k)
+        rule = (
+            f"order-sum-chain split={list(self.divides)} tail={self.tail} k={k}"
+            + ("" if self.q_exact else f" (covers all q >= {self.q_eval})")
+        )
+        return Justification(self.describe(), rule, lower, upper, lower >= upper)
 
-def _world_chain(divides: set[int], non_split_floor: int) -> tuple[tuple[int, ...], int]:
+
+def _make_world(
+    divides: set[int] | frozenset[int], q_eval: int, q_exact: bool, non_split_floor: int | None
+) -> _World:
     """Split every known small divisor; bound the remaining proper divisors by
     n/tail where tail is the least factor a remaining divisor can have: either
-    a prime not in the split (>= non_split_floor) or a product of two split
-    primes. Monotone in q for an empty split, so evaluating at the least
-    admissible prime covers the whole symbolic tail.
+    a prime not in the split (>= non_split_floor, None when there is none) or
+    a product of two split primes. Monotone in q for an empty split, so
+    evaluating at the least admissible prime covers the whole symbolic tail.
     """
     split = tuple(sorted(divides))
-    candidates = [non_split_floor]
+    candidates = [] if non_split_floor is None else [non_split_floor]
     if len(split) >= 2:
         candidates.append(split[0] * split[1])
-    return split, min(candidates)
+    return _World(split, q_eval, q_exact, min(candidates))
 
 
 def enumerate_worlds(profile: LehmerProfile) -> list[_World]:
     if profile.n is not None:
         f = profile.factorization
-        split = tuple(sorted(profile.divides))
-        non_split = [p for p in f.primes if p not in profile.divides]
-        candidates = [p for p in non_split]
-        if len(split) >= 2:
-            candidates.append(split[0] * split[1])
-        if not candidates:
-            raise AssertionError("squarefree composite always has a second divisor")
-        return [
-            _World(split, f.factors[0][0], True, split, min(candidates))
-        ]
+        non_split = min((p for p in f.primes if p not in profile.divides), default=None)
+        return [_make_world(profile.divides, f.factors[0][0], True, non_split)]
     worlds = []
     unknown = [p for p in SMALL_PRIMES if p not in profile.divides | profile.not_divides]
     for picks in itertools.product((True, False), repeat=len(unknown)):
@@ -296,8 +318,7 @@ def enumerate_worlds(profile: LehmerProfile) -> list[_World]:
             q_eval, q_exact = profile.q, True
         else:
             q_eval, q_exact = 17, False
-        split, tail = _world_chain(div, 17 if div else q_eval)
-        worlds.append(_World(tuple(sorted(div)), q_eval, q_exact, split, tail))
+        worlds.append(_make_world(div, q_eval, q_exact, 17 if div else q_eval))
     return worlds
 
 
@@ -337,47 +358,20 @@ class ExclusionResult:
         return {"k": self.k, "justifications": [j.as_dict() for j in self.justifications]}
 
 
-def _lower_bound(profile: LehmerProfile, k: int) -> Fraction:
-    if profile.n is not None:
-        n = profile.n
-        return Fraction(n - 1, 2 * k * n)
-    return Fraction(1, 2 * k) * (1 - Fraction(1, profile.n_floor))
-
-
 def exclude_k(profile: LehmerProfile, k: int) -> ExclusionResult:
     """Decide whether k*phi(n) = n - 1 is impossible for every candidate
-    matching the profile. A world excludes k when the witness lower bound
-    (n-1)/(2kn), or (1/(2k))(1 - 1/n_floor) symbolically, meets or exceeds
-    the world's divisor-split upper bound at k, or when 3 | n and
-    k is not 1 mod 3. The profile excludes k only if every world does.
+    matching the profile. Each world justifies its own verdict against the
+    witness lower bound (n-1)/(2kn), or (1/(2k))(1 - 1/n_floor) symbolically
+    (see _World.justify). The profile excludes k only if every world does.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    justs = []
-    all_excluded = True
-    for world in enumerate_worlds(profile):
-        if 3 in world.divides and k % 3 != 1:
-            justs.append(
-                Justification(
-                    world.describe(),
-                    f"k-congruence-3: k={k} is {k % 3} (mod 3), 1 required",
-                    Fraction(k % 3),
-                    Fraction(1),
-                    True,
-                )
-            )
-            continue
-        lower = _lower_bound(profile, k)
-        upper = chain_upper(world.split, world.tail, k)
-        excluded = lower >= upper
-        rule = (
-            f"order-sum-chain split={list(world.split)} tail={world.tail} k={k}"
-            + ("" if world.q_exact else f" (covers all q >= {world.q_eval})")
-        )
-        justs.append(Justification(world.describe(), rule, lower, upper, excluded))
-        if not excluded:
-            all_excluded = False
-    return ExclusionResult(k, all_excluded, tuple(justs))
+    if profile.n is not None:
+        lower = Fraction(profile.n - 1, 2 * k * profile.n)
+    else:
+        lower = Fraction(1, 2 * k) * (1 - Fraction(1, profile.n_floor))
+    justs = tuple(world.justify(k, lower) for world in profile.worlds)
+    return ExclusionResult(k, all(j.excluded for j in justs), justs)
 
 
 @dataclass(frozen=True)
@@ -388,12 +382,11 @@ class MinKResult:
     n_floor_used: int
 
 
-def _sweep(profile: LehmerProfile, n_floor: int) -> tuple[int, list[ExclusionResult]]:
-    probe = dataclasses.replace(profile, n_floor=n_floor)
+def _sweep(profile: LehmerProfile) -> tuple[int, list[ExclusionResult]]:
     exclusions = []
     k = 2
     while k < _SWEEP_GUARD:
-        res = exclude_k(probe, k)
+        res = exclude_k(profile, k)
         if not res.excluded:
             return k, exclusions
         exclusions.append(res)
@@ -404,33 +397,29 @@ def _sweep(profile: LehmerProfile, n_floor: int) -> tuple[int, list[ExclusionRes
 @lru_cache(maxsize=1)
 def universal_k_floor() -> int:
     """The floor provable with no divisibility knowledge at the base n-floor."""
-    return _sweep(GENERIC_PROFILE, N_FLOOR_BASE)[0]
+    return _sweep(GENERIC_PROFILE)[0]
 
 
 def min_k(profile: LehmerProfile) -> MinKResult:
     """Smallest k >= 2 not excluded for the profile, with the rule trace.
 
     Once the universal floor reaches 3 the divisor bound n > 10**8171 applies
-    to every candidate, so symbolic sweeps rerun at the raised floor.
+    to every candidate, so a symbolic profile is swept once, at the raised
+    floor. That sweep alone suffices: raising n_floor only raises the witness
+    floor (1/(2k))(1 - 1/n_floor), so it excludes every k the base floor does.
     """
-    floor_k, exclusions = _sweep(profile, profile.n_floor)
     rules = []
-    n_floor_used = profile.n_floor
     if profile.n is None and profile.n_floor < N_FLOOR_RAISED and universal_k_floor() >= 3:
-        raised_k, raised_ex = _sweep(profile, N_FLOOR_RAISED)
+        profile = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
+        # the "swept again" wording is kept: the min-k reference digests pin it
         rules.append(
             "n-floor-escalation: universal k >= 3 implies n > 10^8171; swept again"
         )
-        if raised_k >= floor_k:
-            floor_k, exclusions = raised_k, raised_ex
-            n_floor_used = N_FLOOR_RAISED
-    chain_used = False
+    floor_k, exclusions = _sweep(profile)
     for res in exclusions:
         kinds = sorted({j.rule.split(":")[0].split(" ")[0] for j in res.justifications if j.excluded})
         rules.append(f"k={res.k} excluded in all {len(res.justifications)} worlds via {', '.join(kinds)}")
-        if any(j.excluded and j.rule.startswith("order-sum") for j in res.justifications):
-            chain_used = True
-    if chain_used:
+    if any(res.chain_justification() is not None for res in exclusions):
         rules.append(
             "caveat: chain exclusions assume the stated witness floor phi(n)/(2n); "
             "the independently provable floor is 7*phi(n)/(16n), which does not "
@@ -446,7 +435,7 @@ def min_k(profile: LehmerProfile) -> MinKResult:
             rules.append(
                 f"ladder(as-printed, R=4) would claim k >= {printed.k_floor}; not applied"
             )
-    return MinKResult(floor_k, tuple(exclusions), tuple(rules), n_floor_used)
+    return MinKResult(floor_k, tuple(exclusions), tuple(rules), profile.n_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -461,41 +450,41 @@ class LadderResult:
     k_floor: int | None
 
 
-def ladder_condition(q: int, R: int, mode: str = "strict") -> Fraction:
-    """Condition value whose being < 1 yields k >= R + 1. Strict mode uses the
-    7/8 coefficient that actually follows from the witness bounds; as-printed
-    mode uses the weaker 1/2 coefficient and is kept only for comparison.
-    """
+def _ladder_coefficient(mode: str) -> Fraction:
+    """7/8 in strict mode, which is what actually follows from the witness
+    bounds; 1/2 as printed, which is weaker and kept only for comparison."""
     if mode not in ("strict", "as-printed"):
         raise DomainError(f"unknown ladder mode {mode!r}")
+    return Fraction(7, 8) if mode == "strict" else Fraction(1, 2)
+
+
+def ladder_condition(q: int, R: int, mode: str = "strict") -> Fraction:
+    """Condition value c*(q - 1 + R)/q, with c the mode's coefficient, whose
+    being < 1 yields k >= R + 1."""
+    coefficient = _ladder_coefficient(mode)
     if R < 2:
         raise DomainError(f"R must be >= 2, got {R}")
-    coefficient = Fraction(7, 8) if mode == "strict" else Fraction(1, 2)
     return coefficient * R * (Fraction(q - 1, R * q) + Fraction(1, q))
 
 
 def k_ladder(q: int, mode: str = "strict", R: int | None = None) -> LadderResult:
     """Largest floor k >= R + 1 derivable for smallest prime factor q >= 17.
 
-    With R given, evaluates that rung only (k_floor None when inconclusive);
-    otherwise climbs R = 2, 3, ... while the condition stays below 1.
+    With R given, evaluates that rung only (k_floor None when inconclusive).
+    Otherwise takes the top rung: the condition c*(q - 1 + R)/q rises with R,
+    so the last R with condition < 1 is ceil(q/c - q), that is (q + 6)//7 in
+    strict mode and q as printed.
     """
     if q < 17 or not is_prime(q):
         raise DomainError(f"the ladder needs a prime q >= 17, got {q}")
     if R is not None:
         cond = ladder_condition(q, R, mode)
         return LadderResult(q, mode, R, cond, R + 1 if cond < 1 else None)
-    best = None
-    r = 2
-    while True:
-        cond = ladder_condition(q, r, mode)
-        if cond >= 1:
-            break
-        best = LadderResult(q, mode, r, cond, r + 1)
-        r += 1
-    if best is None:
-        raise AssertionError(f"ladder base rung failed for q={q}")
-    return best
+    top = math.ceil(q / _ladder_coefficient(mode) - q)
+    cond = ladder_condition(q, top, mode)
+    if not cond < 1 <= ladder_condition(q, top + 1, mode):
+        raise AssertionError(f"ladder top rung R={top} is not the last for q={q}")
+    return LadderResult(q, mode, top, cond, top + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -169,15 +169,14 @@ def scan_totient_divisibility(
     segment_size: int = DEFAULT_SEGMENT,
     checkpoint_path: str | None = None,
     jobs: int = 1,
-    limit: int = SCAN_LIMIT,
     on_segment=None,
 ) -> ScanCheckpoint:
     """Scan [lo, hi] for n with phi(n) | (n - 1). Every prime appears as a hit
     with exact_k = 1; a composite hit runs lehmer_check and aborts loudly.
     Results are independent of segmentation, job count, and interruptions.
     """
-    if not 2 <= lo <= hi <= limit:
-        raise DomainError(f"need 2 <= lo <= hi <= {limit}, got [{lo}, {hi}]")
+    if not 2 <= lo <= hi <= SCAN_LIMIT:
+        raise DomainError(f"need 2 <= lo <= hi <= {SCAN_LIMIT}, got [{lo}, {hi}]")
     if jobs < 1 or not 1 <= segment_size <= MAX_SEGMENT:
         raise DomainError(
             f"need jobs >= 1 and 1 <= segment_size <= {MAX_SEGMENT}, "
@@ -278,33 +277,27 @@ def csv_line(row: dict) -> str:
 CSV_HEADER = ",".join(REPORT_KEYS)
 
 
-def write_report(rows: list[dict], path: str, fmt: str = "jsonl") -> None:
+def write_report(rows: list[dict], path: str) -> None:
+    """One JSON Lines row per entry of rows."""
     try:
         with open(path, "w") as handle:
-            if fmt == "jsonl":
-                for row in rows:
-                    handle.write(jsonl_line(row) + "\n")
-            elif fmt == "csv":
-                handle.write(CSV_HEADER + "\n")
-                for row in rows:
-                    handle.write(csv_line(row) + "\n")
-            else:
-                raise DomainError(f"unknown report format {fmt!r}")
+            for row in rows:
+                handle.write(jsonl_line(row) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
-def batch_verdicts(bound: int, path: str | None = None, limit: int = RANGE_LIMIT):
+def batch_verdicts(bound: int, path: str | None = None):
     """lehmer_check for every Carmichael number <= bound; returns the verdicts
     and the min_k distribution, optionally writing one JSONL row per verdict."""
-    if not 2 <= bound <= limit:
-        raise DomainError(f"need 2 <= bound <= {limit}, got {bound}")
+    if not 2 <= bound <= RANGE_LIMIT:
+        raise DomainError(f"need 2 <= bound <= {RANGE_LIMIT}, got {bound}")
     verdicts = [lehmer_check(n) for n in carmichael_in_range(2, bound)]
     distribution: dict[int, int] = {}
     for verdict in verdicts:
         distribution[verdict.min_k] = distribution.get(verdict.min_k, 0) + 1
     if path is not None:
-        write_report([verdict_row(v) for v in verdicts], path, "jsonl")
+        write_report([verdict_row(v) for v in verdicts], path)
     return verdicts, dict(sorted(distribution.items()))
 
 

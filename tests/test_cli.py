@@ -134,6 +134,12 @@ class TestLehmerCommands:
         assert code == 2
         assert "wat" in err
 
+    @pytest.mark.parametrize("spec", ["q=abc", "x|n", "q="])
+    def test_min_k_non_numeric_profile_token_exits_2(self, capsys, spec):
+        code, out, err = run(capsys, "min-k", "--profile", f"3!|n, {spec}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and repr(spec) in err and "Traceback" not in err
+
 
 class TestScanCommand:
     def test_scan_text(self, capsys):

@@ -1,9 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from lehmer_psi.arith import DomainError, factor
+import lehmer_psi.engine as engine_module
+from lehmer_psi.arith import DomainError, factor, is_prime
 from lehmer_psi.bounds import witness_lower_bound
 from lehmer_psi.engine import (
     GENERIC_PROFILE,
@@ -207,6 +209,60 @@ class TestMinK:
         result = min_k(make_profile(q=5, not_divides=[7]))
         assert any("caveat" in rule for rule in result.applied_rules)
 
+    def test_raised_floor_excludes_whatever_the_base_floor_does(self):
+        # min_k sweeps a symbolic profile only at the raised floor; that is
+        # sound because a higher n_floor can only exclude more k
+        states = ("divides", "not_divides", None)
+        profiles = set()
+        for q in (None, 17, 101):
+            for assignment in itertools.product(states, repeat=5):
+                sets = {
+                    state: [p for p, s in zip((3, 5, 7, 11, 13), assignment) if s == state]
+                    for state in states[:2]
+                }
+                try:
+                    profiles.add(make_profile(q=q, **sets))
+                except DomainError:
+                    continue
+        assert len(profiles) > 100
+        for profile in profiles:
+            raised = make_profile(
+                q=profile.q,
+                divides=profile.divides,
+                not_divides=profile.not_divides,
+                n_floor=N_FLOOR_RAISED,
+            )
+            for k in range(2, 21):
+                if exclude_k(profile, k).excluded:
+                    assert exclude_k(raised, k).excluded, (profile.describe(), k)
+
+    def test_worlds_built_and_swept_once_per_call(self, monkeypatch):
+        universal_k_floor()  # cached; its own sweep is not counted
+        builds, sweeps = [], []
+        enumerate_original, sweep_original = engine_module.enumerate_worlds, engine_module._sweep
+
+        def counting_enumerate(profile):
+            builds.append(profile)
+            return enumerate_original(profile)
+
+        def counting_sweep(profile):
+            sweeps.append(profile)
+            return sweep_original(profile)
+
+        monkeypatch.setattr(engine_module, "enumerate_worlds", counting_enumerate)
+        monkeypatch.setattr(engine_module, "_sweep", counting_sweep)
+        for n in (561, 2465, 29341, 41041):
+            builds.clear()
+            sweeps.clear()
+            result = min_k(profile_from_factorization(factor(n)))
+            assert len(result.exclusions) >= 1
+            assert (len(builds), len(sweeps)) == (1, 1), n
+        for profile in (GENERIC_PROFILE, make_profile(q=5), make_profile(q=101)):
+            builds.clear()
+            sweeps.clear()
+            assert min_k(profile).n_floor_used == N_FLOOR_RAISED
+            assert (len(builds), len(sweeps)) == (1, 1), profile.describe()
+
 
 class TestLadder:
     def test_strict_q17(self):
@@ -244,6 +300,27 @@ class TestLadder:
         for q in (17, 19, 97, 101):
             expected = (q + 6) // 7
             assert k_ladder(q, mode="strict").R == expected
+
+    @staticmethod
+    def _climbed_ladder(q, mode):
+        """The rung-by-rung climb: R = 2, 3, ... while the condition stays
+        below 1; the last such rung gives the floor."""
+        best = None
+        r = 2
+        while (cond := ladder_condition(q, r, mode)) < 1:
+            best = (r, cond, r + 1)
+            r += 1
+        return best
+
+    @pytest.mark.parametrize("mode", ["strict", "as-printed"])
+    def test_closed_form_matches_climb(self, mode):
+        for q in range(17, 1001):
+            if not is_prime(q):
+                continue
+            res = k_ladder(q, mode=mode)
+            assert (res.q, res.mode) == (q, mode)
+            assert (res.R, res.condition, res.k_floor) == self._climbed_ladder(q, mode), q
+        assert k_ladder(997, mode="as-printed").R == 997
 
 
 class TestPiSquaredSandwich:

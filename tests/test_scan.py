@@ -2,6 +2,7 @@ import json
 import os
 import tempfile
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,6 +15,7 @@ from lehmer_psi.scan import (
     ConstantCheck,
     CounterexampleFound,
     REPORT_KEYS,
+    SCAN_LIMIT,
     ScanCheckpoint,
     batch_verdicts,
     csv_line,
@@ -74,7 +76,7 @@ class TestScan:
         with pytest.raises(DomainError):
             scan_totient_divisibility(50, 10)
         with pytest.raises(DomainError):
-            scan_totient_divisibility(2, 100, limit=50)
+            scan_totient_divisibility(SCAN_LIMIT, SCAN_LIMIT + 1)
 
     @pytest.mark.parametrize(
         "options",
@@ -249,7 +251,7 @@ class TestCheckpoint:
             scan_totient_divisibility(2, hi, checkpoint_path=path)
             cp = read_checkpoint(path)
             assert (cp.next, cp.composites) == (hi + 1, ())
-            crc_digits = len(str(json.loads(open(path).read())["crc32"]))
+            crc_digits = len(str(json.loads(Path(path).read_text())["crc32"]))
             sizes[hi] = os.path.getsize(path) - crc_digits
         assert sizes[10**6] - sizes[10**3] == 6  # three more digits in each of hi and next
         assert sizes[10**6] + 10 <= 200
@@ -337,7 +339,7 @@ class TestBatchVerdicts:
         verdicts, distribution = batch_verdicts(561, path=path)
         assert [v.n for v in verdicts] == [561]
         assert distribution == {4: 1}
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["n"] == 561
 
@@ -355,7 +357,7 @@ class TestBatchVerdicts:
         # exclusions for 29341 = 13*37*61 reproduce by hand with split {13}
         # and tail 37); frozen from the engine after that hand check
         assert distribution == {3: 2, 4: 8, 5: 2, 6: 1, 7: 2, 10: 1}
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == 16
         assert json.loads(lines[0])["n"] == 561
         assert json.loads(lines[0])["min_k"] == 4
