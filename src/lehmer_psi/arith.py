@@ -254,7 +254,8 @@ def is_squarefree(f: Factorization | int) -> bool:
 
 def fraction_str(x: Fraction | int) -> str:
     """Canonical "p/q" rendering used by the report schema."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -61,8 +61,9 @@ def _positive_int(text: str) -> int:
 
 def parse_profile_spec(text: str) -> LehmerProfile:
     """Parse constraint lists like "q=5, 7|n, 13!|n" ("!|" or a unicode
-    not-divides both accepted); empty input means the generic profile."""
-    q = None
+    not-divides both accepted); empty input means the generic profile. A q
+    may be repeated, but not with two values."""
+    qs: set[int] = set()
     divides: list[int] = []
     not_divides: list[int] = []
     if text.strip():
@@ -72,7 +73,7 @@ def parse_profile_spec(text: str) -> LehmerProfile:
                 continue
             try:
                 if token.startswith("q="):
-                    q = int(token[2:])
+                    qs.add(int(token[2:]))
                 elif token.endswith("!|n"):
                     not_divides.append(int(token[:-3]))
                 elif token.endswith("|n"):
@@ -81,7 +82,9 @@ def parse_profile_spec(text: str) -> LehmerProfile:
                     raise ValueError
             except ValueError:
                 raise DomainError(f"bad profile token {raw.strip()!r}") from None
-    return make_profile(q=q, divides=divides, not_divides=not_divides)
+    if len(qs) > 1:
+        raise DomainError(f"conflicting q values {sorted(qs)} in profile {text!r}")
+    return make_profile(q=next(iter(qs), None), divides=divides, not_divides=not_divides)
 
 
 def _emit(line: str = "") -> None:

@@ -4,19 +4,17 @@ Any composite solution must be Carmichael, so odd and squarefree. For odd n
 there is a noncyclic nilpotent group of order 4n (the witness C2 x C2 x C_n)
 whose psi'' is at most 7/16 * (S*(1 - 1/P)/k + 1/P) for a divisor-split chain
 (S, P) valid for n's divisibility pattern, and the stated witness floor puts
-psi'' above phi(n)/(2n) = (n-1)/(2kn). Whenever the floor meets or exceeds
-the chain bound, that k is excluded. Together with the classical congruence
-"3 | n forces k = 1 (mod 3)", sweeping k from 2 upward yields the floor
-min_k per divisibility profile. Each divisibility world justifies its own
-verdict for a k (_World.justify); a profile builds its worlds once. A
-symbolic profile is swept once, at the escalated floor n > 10**8171 once the
-universal floor k >= 3 holds. For q >= 17 the k ladder's top rung is taken
-in closed form, R = ceil(q/c - q) for the ladder coefficient c.
+psi'' above phi(n)/(2n) = (n-1)/(2kn). Whenever the floor L/k meets or
+exceeds the chain bound A/k + B, that k is excluded: exactly k <= K* =
+floor((L - A)/B). With the classical congruence "3 | n forces k = 1 (mod 3)"
+each world solves for its floor, and min_k is the least of them, taken at
+n > 10**8171 for a symbolic profile once the universal floor k >= 3 holds.
+For q >= 17 the k ladder's top rung is R = ceil(q/c - q) for its coefficient c.
 
 Caveat, surfaced in every trace that leans on a chain: the stated witness
 floor is an overstatement (psi'' of the Klein group is 7/16, not >= 1/2) and
 actually holds iff 3 | n; the independently provable floor 7*phi(n)/(16n) is
-too weak to drive any chain exclusion. The sweep reproduces the stated
+too weak to drive any chain exclusion. The exclusions reproduce the stated
 results; bounds.witness_lower_bound documents both constants.
 
 Every comparison is an exact rational; the only irrational constant, pi**2,
@@ -178,6 +176,13 @@ class LehmerProfile:
         """The divisibility worlds of enumerate_worlds, built once per profile."""
         return tuple(enumerate_worlds(self))
 
+    @cached_property
+    def witness_floor(self) -> Fraction:
+        """L such that the stated witness floor at multiplier k is L/k."""
+        if self.n is not None:
+            return Fraction(self.n - 1, 2 * self.n)
+        return (1 - Fraction(1, self.n_floor)) / 2
+
 
 def make_profile(
     q: int | None = None,
@@ -256,32 +261,41 @@ class _World:
     q_exact: bool          # False: chain evaluated at the worst case q >= q_eval
     tail: int
 
-    def describe(self) -> str:
+    @cached_property
+    def _chain(self) -> tuple[str, str, str, int, int]:
+        """The world's label, the chain rule's text before and after k, and
+        S*(tail - 1) = a/d for S = 1 + sum 1/(p(p - 1)) over the split."""
         bits = [f"{p}|n" for p in self.divides]
-        bits.extend(
-            f"{p}!|n" for p in SMALL_PRIMES if p not in self.divides
-        )
+        bits += [f"{p}!|n" for p in SMALL_PRIMES if p not in self.divides]
         qs = f"q={self.q_eval}" if self.q_exact else f"q>={self.q_eval}"
-        return f"{qs}; " + ", ".join(bits)
+        rule = f"order-sum-chain split={list(self.divides)} tail={self.tail} k="
+        covers = "" if self.q_exact else f" (covers all q >= {self.q_eval})"
+        s = (1 + sum(Fraction(1, p * (p - 1)) for p in self.divides)) * (self.tail - 1)
+        return f"{qs}; " + ", ".join(bits), rule, covers, s.numerator, s.denominator
+
+    def upper(self, k: int) -> Fraction:
+        """chain_upper(divides, tail, k) = 7(a + d*k)/(16*d*tail*k)."""
+        a, d = self._chain[3:]
+        return Fraction(7 * (a + d * k), 16 * d * self.tail * k)
+
+    def k_floor(self, lower: Fraction) -> int:
+        """Least k >= 2 not excluded under the witness floor lower/k: the chain
+        excludes k <= K* = floor((16*d*tail*lower - 7a)/(7d)), the congruence
+        every k that is not 1 mod 3 when 3 | n."""
+        a, d = self._chain[3:]
+        num, den = lower.numerator, lower.denominator
+        k = max(2, (16 * d * self.tail * num - 7 * a * den) // (7 * d * den) + 1)
+        return k + (1 - k) % 3 if 3 in self.divides else k
 
     def justify(self, k: int, lower: Fraction) -> Justification:
-        """Why this world does or does not exclude k: the congruence rule when
-        3 | n and k is not 1 mod 3, otherwise the witness floor `lower`
-        against the divisor-split chain bound at k."""
+        """Why this world does or does not exclude k: the congruence rule when 3 | n
+        and k is not 1 mod 3, else the witness floor `lower` against upper(k)."""
+        label, prefix, suffix = self._chain[:3]
         if 3 in self.divides and k % 3 != 1:
-            return Justification(
-                self.describe(),
-                f"k-congruence-3: k={k} is {k % 3} (mod 3), 1 required",
-                Fraction(k % 3),
-                Fraction(1),
-                True,
-            )
-        upper = chain_upper(self.divides, self.tail, k)
-        rule = (
-            f"order-sum-chain split={list(self.divides)} tail={self.tail} k={k}"
-            + ("" if self.q_exact else f" (covers all q >= {self.q_eval})")
-        )
-        return Justification(self.describe(), rule, lower, upper, lower >= upper)
+            rule = f"k-congruence-3: k={k} is {k % 3} (mod 3), 1 required"
+            return Justification(label, rule, Fraction(k % 3), Fraction(1), True)
+        upper = self.upper(k)
+        return Justification(label, f"{prefix}{k}{suffix}", lower, upper, lower >= upper)
 
 
 def _make_world(
@@ -333,12 +347,12 @@ class Justification:
     rhs: Fraction
     excluded: bool
 
-    def as_dict(self) -> dict:
+    def as_dict(self, render=fraction_str) -> dict:
         return {
             "world": self.world,
             "rule": self.rule,
-            "lhs": fraction_str(self.lhs),
-            "rhs": fraction_str(self.rhs),
+            "lhs": render(self.lhs),
+            "rhs": render(self.rhs),
             "excluded": self.excluded,
         }
 
@@ -355,21 +369,21 @@ class ExclusionResult:
         return max(chains, key=lambda j: j.rhs, default=None)
 
     def as_dict(self) -> dict:
-        return {"k": self.k, "justifications": [j.as_dict() for j in self.justifications]}
+        texts: dict[int, str] = {}  # the worlds share one witness floor object: render it once
+
+        def render(x: Fraction) -> str:
+            return texts.get(id(x)) or texts.setdefault(id(x), fraction_str(x))
+
+        return {"k": self.k, "justifications": [j.as_dict(render) for j in self.justifications]}
 
 
 def exclude_k(profile: LehmerProfile, k: int) -> ExclusionResult:
     """Decide whether k*phi(n) = n - 1 is impossible for every candidate
-    matching the profile. Each world justifies its own verdict against the
-    witness lower bound (n-1)/(2kn), or (1/(2k))(1 - 1/n_floor) symbolically
-    (see _World.justify). The profile excludes k only if every world does.
-    """
+    matching the profile: each world justifies its own verdict against the
+    witness floor at k (_World.justify), and k is excluded if every world does."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    if profile.n is not None:
-        lower = Fraction(profile.n - 1, 2 * k * profile.n)
-    else:
-        lower = Fraction(1, 2 * k) * (1 - Fraction(1, profile.n_floor))
+    lower = profile.witness_floor / k
     justs = tuple(world.justify(k, lower) for world in profile.worlds)
     return ExclusionResult(k, all(j.excluded for j in justs), justs)
 
@@ -382,40 +396,33 @@ class MinKResult:
     n_floor_used: int
 
 
-def _sweep(profile: LehmerProfile) -> tuple[int, list[ExclusionResult]]:
-    exclusions = []
-    k = 2
-    while k < _SWEEP_GUARD:
-        res = exclude_k(profile, k)
-        if not res.excluded:
-            return k, exclusions
-        exclusions.append(res)
-        k += 1
-    raise DomainError(f"exclusion sweep reached its guard of k < {_SWEEP_GUARD} without a floor")
+def _k_floor(profile: LehmerProfile) -> int:
+    """Smallest k >= 2 that some world of the profile does not exclude."""
+    return min(world.k_floor(profile.witness_floor) for world in profile.worlds)
 
 
 @lru_cache(maxsize=1)
 def universal_k_floor() -> int:
     """The floor provable with no divisibility knowledge at the base n-floor."""
-    return _sweep(GENERIC_PROFILE)[0]
+    return _k_floor(GENERIC_PROFILE)
 
 
 def min_k(profile: LehmerProfile) -> MinKResult:
-    """Smallest k >= 2 not excluded for the profile, with the rule trace.
-
-    Once the universal floor reaches 3 the divisor bound n > 10**8171 applies
-    to every candidate, so a symbolic profile is swept once, at the raised
-    floor. That sweep alone suffices: raising n_floor only raises the witness
-    floor (1/(2k))(1 - 1/n_floor), so it excludes every k the base floor does.
-    """
+    """Smallest k >= 2 not excluded for the profile, with the rule trace:
+    exclude_k must exclude each k below the closed-form floor, and not the
+    floor. A symbolic profile is solved at n > 10**8171 alone once the
+    universal floor reaches 3; a higher n_floor only excludes more k."""
     rules = []
     if profile.n is None and profile.n_floor < N_FLOOR_RAISED and universal_k_floor() >= 3:
         profile = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
         # the "swept again" wording is kept: the min-k reference digests pin it
-        rules.append(
-            "n-floor-escalation: universal k >= 3 implies n > 10^8171; swept again"
-        )
-    floor_k, exclusions = _sweep(profile)
+        rules.append("n-floor-escalation: universal k >= 3 implies n > 10^8171; swept again")
+    floor_k = _k_floor(profile)
+    if floor_k >= _SWEEP_GUARD:
+        raise DomainError(f"exclusion sweep reached its guard of k < {_SWEEP_GUARD} without a floor")
+    exclusions = [exclude_k(profile, k) for k in range(2, floor_k)]
+    if not all(res.excluded for res in exclusions) or exclude_k(profile, floor_k).excluded:
+        raise AssertionError(f"closed-form k floor {floor_k} is wrong for {profile.describe()}")
     for res in exclusions:
         kinds = sorted({j.rule.split(":")[0].split(" ")[0] for j in res.justifications if j.excluded})
         rules.append(f"k={res.k} excluded in all {len(res.justifications)} worlds via {', '.join(kinds)}")
@@ -427,14 +434,10 @@ def min_k(profile: LehmerProfile) -> MinKResult:
         )
     if profile.q is not None and profile.q >= 17:
         ladder = k_ladder(profile.q, mode="strict")
-        rules.append(
-            f"ladder(strict) at q={profile.q}: k >= {ladder.k_floor} (R={ladder.R})"
-        )
+        rules.append(f"ladder(strict) at q={profile.q}: k >= {ladder.k_floor} (R={ladder.R})")
         printed = k_ladder(profile.q, mode="as-printed", R=4)
         if printed.k_floor is not None and printed.k_floor != ladder.k_floor:
-            rules.append(
-                f"ladder(as-printed, R=4) would claim k >= {printed.k_floor}; not applied"
-            )
+            rules.append(f"ladder(as-printed, R=4) would claim k >= {printed.k_floor}; not applied")
     return MinKResult(floor_k, tuple(exclusions), tuple(rules), profile.n_floor)
 
 
@@ -575,6 +578,7 @@ class LehmerVerdict:
         return None
 
     def as_dict(self) -> dict:
+        c = self.abundancy_coefficient
         return {
             "n": self.n,
             "prime": self.prime,
@@ -586,11 +590,7 @@ class LehmerVerdict:
             "counterexample": self.counterexample,
             "min_k": self.min_k,
             "excluded_k": [res.as_dict() for res in self.excluded_k],
-            "abundancy_coefficient": (
-                None
-                if self.abundancy_coefficient is None
-                else fraction_str(self.abundancy_coefficient)
-            ),
+            "abundancy_coefficient": None if c is None else fraction_str(c),
             "witness": self.witness,
             "applied_rules": list(self.applied_rules),
             "notes": list(self.notes),

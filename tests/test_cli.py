@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,16 @@ class TestLehmerCommands:
         assert err.startswith("error:") and "guard" in err and "Traceback" not in err
         assert out == ""
 
+    def test_floor_past_guard_exits_2_fast(self, capsys):
+        # 702067 * 1404133 * 2106199: its k floor (100297) lies past the
+        # guard, which the closed form sees without sweeping up to it
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lehmer-check", "2076281376063705289")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        guard = engine._SWEEP_GUARD
+        assert err == f"error: exclusion sweep reached its guard of k < {guard} without a floor\n"
+
     def test_precision_only_on_lehmer_check(self, capsys):
         for argv in (
             ["lehmer-check", "561", "--format", "text", "--precision", "0"],
@@ -133,6 +144,14 @@ class TestLehmerCommands:
         code, _, err = run(capsys, "min-k", "--profile", "wat")
         assert code == 2
         assert "wat" in err
+
+    def test_min_k_conflicting_q_exits_2(self, capsys):
+        code, out, err = run(capsys, "min-k", "--profile", "q=19, q=23")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: conflicting q") and "Traceback" not in err
+        repeated = run(capsys, "min-k", "--profile", "q=19, q=19")
+        assert repeated == run(capsys, "min-k", "--profile", "q=19")
+        assert repeated[0] == 0
 
     @pytest.mark.parametrize("spec", ["q=abc", "x|n", "q="])
     def test_min_k_non_numeric_profile_token_exits_2(self, capsys, spec):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -5,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import lehmer_psi.engine as engine_module
-from lehmer_psi.arith import DomainError, factor, is_prime
+from lehmer_psi.arith import DomainError, factor, fraction_str, is_prime
 from lehmer_psi.bounds import witness_lower_bound
+from lehmer_psi.carmichael import carmichael_in_range
 from lehmer_psi.engine import (
     GENERIC_PROFILE,
     N_FLOOR_BASE,
@@ -35,6 +38,64 @@ from lehmer_psi.engine import (
     witness_group,
 )
 from lehmer_psi.groups import psi_double_prime
+
+
+def _sweep(profile):
+    """The k-by-k sweep that min_k used before its closed-form floor, kept as
+    the oracle: exclude_k for k = 2, 3, ... until some world survives."""
+    exclusions = []
+    k = 2
+    while (res := exclude_k(profile, k)).excluded:
+        exclusions.append(res)
+        k += 1
+    return k, exclusions
+
+
+def _swept_min_k(profile):
+    """min_k built on the sweep: (k, applied_rules, n_floor_used, exclusions)."""
+    rules = []
+    if profile.n is None and profile.n_floor < N_FLOOR_RAISED and _sweep(GENERIC_PROFILE)[0] >= 3:
+        profile = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
+        rules.append("n-floor-escalation: universal k >= 3 implies n > 10^8171; swept again")
+    floor_k, exclusions = _sweep(profile)
+    for res in exclusions:
+        kinds = sorted({j.rule.split(":")[0].split(" ")[0] for j in res.justifications if j.excluded})
+        rules.append(f"k={res.k} excluded in all {len(res.justifications)} worlds via {', '.join(kinds)}")
+    if any(res.chain_justification() is not None for res in exclusions):
+        rules.append(
+            "caveat: chain exclusions assume the stated witness floor phi(n)/(2n); "
+            "the independently provable floor is 7*phi(n)/(16n), which does not "
+            "support these exclusions (see witness-floor checks)"
+        )
+    if profile.q is not None and profile.q >= 17:
+        ladder = k_ladder(profile.q, mode="strict")
+        rules.append(f"ladder(strict) at q={profile.q}: k >= {ladder.k_floor} (R={ladder.R})")
+        printed = k_ladder(profile.q, mode="as-printed", R=4)
+        if printed.k_floor is not None and printed.k_floor != ladder.k_floor:
+            rules.append(f"ladder(as-printed, R=4) would claim k >= {printed.k_floor}; not applied")
+    return floor_k, tuple(rules), profile.n_floor, [res.as_dict() for res in exclusions]
+
+
+def _symbolic_profiles(qs, n_floor=N_FLOOR_BASE):
+    """Every consistent profile over the states of 3, 5, 7, 11 and 13 (divides,
+    does not divide, unknown) for each q in qs."""
+    states = ("divides", "not_divides", None)
+    profiles = set()
+    for q in qs:
+        for assignment in itertools.product(states, repeat=5):
+            sets = {
+                state: [p for p, s in zip((3, 5, 7, 11, 13), assignment) if s == state]
+                for state in states[:2]
+            }
+            try:
+                profiles.add(make_profile(q=q, n_floor=n_floor, **sets))
+            except DomainError:
+                continue
+    return profiles
+
+
+def _carmichael_profiles(limit):
+    return [profile_from_factorization(factor(n)) for n in carmichael_in_range(2, limit)]
 
 
 class TestThresholds:
@@ -210,20 +271,9 @@ class TestMinK:
         assert any("caveat" in rule for rule in result.applied_rules)
 
     def test_raised_floor_excludes_whatever_the_base_floor_does(self):
-        # min_k sweeps a symbolic profile only at the raised floor; that is
+        # min_k solves a symbolic profile only at the raised floor; that is
         # sound because a higher n_floor can only exclude more k
-        states = ("divides", "not_divides", None)
-        profiles = set()
-        for q in (None, 17, 101):
-            for assignment in itertools.product(states, repeat=5):
-                sets = {
-                    state: [p for p, s in zip((3, 5, 7, 11, 13), assignment) if s == state]
-                    for state in states[:2]
-                }
-                try:
-                    profiles.add(make_profile(q=q, **sets))
-                except DomainError:
-                    continue
+        profiles = _symbolic_profiles((None, 17, 101))
         assert len(profiles) > 100
         for profile in profiles:
             raised = make_profile(
@@ -237,31 +287,76 @@ class TestMinK:
                     assert exclude_k(raised, k).excluded, (profile.describe(), k)
 
     def test_worlds_built_and_swept_once_per_call(self, monkeypatch):
-        universal_k_floor()  # cached; its own sweep is not counted
-        builds, sweeps = [], []
-        enumerate_original, sweep_original = engine_module.enumerate_worlds, engine_module._sweep
+        # one world build, one closed-form floor, and exclude_k once for each
+        # k from 2 up to the floor (the floor itself is the surviving check)
+        universal_k_floor()  # cached; its own floor is not counted
+        builds, floors, swept = [], [], []
+        enumerate_original = engine_module.enumerate_worlds
+        floor_original, exclude_original = engine_module._k_floor, engine_module.exclude_k
 
         def counting_enumerate(profile):
             builds.append(profile)
             return enumerate_original(profile)
 
-        def counting_sweep(profile):
-            sweeps.append(profile)
-            return sweep_original(profile)
+        def counting_floor(profile):
+            floors.append(profile)
+            return floor_original(profile)
+
+        def counting_exclude(profile, k):
+            swept.append(k)
+            return exclude_original(profile, k)
 
         monkeypatch.setattr(engine_module, "enumerate_worlds", counting_enumerate)
-        monkeypatch.setattr(engine_module, "_sweep", counting_sweep)
-        for n in (561, 2465, 29341, 41041):
+        monkeypatch.setattr(engine_module, "_k_floor", counting_floor)
+        monkeypatch.setattr(engine_module, "exclude_k", counting_exclude)
+        profiles = [profile_from_factorization(factor(n)) for n in (561, 2465, 29341, 41041)]
+        for profile in profiles + [GENERIC_PROFILE, make_profile(q=5), make_profile(q=101)]:
             builds.clear()
-            sweeps.clear()
-            result = min_k(profile_from_factorization(factor(n)))
+            floors.clear()
+            swept.clear()
+            result = min_k(profile)
             assert len(result.exclusions) >= 1
-            assert (len(builds), len(sweeps)) == (1, 1), n
-        for profile in (GENERIC_PROFILE, make_profile(q=5), make_profile(q=101)):
-            builds.clear()
-            sweeps.clear()
-            assert min_k(profile).n_floor_used == N_FLOOR_RAISED
-            assert (len(builds), len(sweeps)) == (1, 1), profile.describe()
+            assert (len(builds), len(floors)) == (1, 1), profile.describe()
+            assert swept == list(range(2, result.k + 1)), profile.describe()
+            if profile.n is None:
+                assert result.n_floor_used == N_FLOOR_RAISED
+
+    def test_carmichael_floors_match_the_sweep(self):
+        profiles = _carmichael_profiles(10**7)
+        assert len(profiles) == 105
+        for profile in profiles:
+            result = min_k(profile)
+            got = (result.k, result.applied_rules, result.n_floor_used,
+                   [res.as_dict() for res in result.exclusions])
+            assert got == _swept_min_k(profile), profile.n
+
+    @pytest.mark.parametrize("n_floor", [N_FLOOR_BASE, N_FLOOR_RAISED], ids=["base", "raised"])
+    def test_symbolic_floors_match_the_sweep(self, monkeypatch, n_floor):
+        # at 10^8171 each k's witness floor takes ~2.5 ms to render; min_k and
+        # the oracle render the same values, so render each value once
+        monkeypatch.setattr(engine_module, "fraction_str", functools.cache(fraction_str))
+        profiles = _symbolic_profiles((None, 17, 101, 10007), n_floor)
+        assert len(profiles) > 100
+        for profile in profiles:
+            result = min_k(profile)
+            got = (result.k, result.applied_rules, result.n_floor_used,
+                   [res.as_dict() for res in result.exclusions])
+            assert got == _swept_min_k(profile), profile.describe()
+
+    def test_world_constants_give_the_chain_bound(self):
+        profiles = _carmichael_profiles(10**7) + list(_symbolic_profiles((None, 17, 101, 10007)))
+        worlds = {world for profile in profiles for world in profile.worlds}
+        assert len(worlds) > 50
+        for world in worlds:
+            for k in range(2, 301):
+                assert world.upper(k) == chain_upper(world.divides, world.tail, k), (world, k)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_wrong_floor_is_caught(self, monkeypatch, shift):
+        floor_original = engine_module._k_floor
+        monkeypatch.setattr(engine_module, "_k_floor", lambda p: floor_original(p) + shift)
+        with pytest.raises(AssertionError, match="closed-form k floor"):
+            min_k(profile_from_factorization(factor(2465)))
 
 
 class TestLadder:

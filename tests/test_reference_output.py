@@ -37,8 +37,9 @@ def test_json_stdout_matches_recorded_digest(capsys, command, key, digest):
 
 # sha256 of `lehmer-check N --format json` stdout: the Carmichael numbers
 # 561, 1105, 2465, 29341 = 13*37*61 (min_k 7), 41041 = 7*11*13*41 (min_k 6)
-# and 62745 = 3*5*47*89, and the Chernick numbers with q = 1171 and q = 10177,
-# whose sweeps stop at k = 169 and k = 1455.
+# and 62745 = 3*5*47*89, and the Chernick numbers with q = 1171, q = 10177 and
+# q = 100981, whose floors are k = 169, 1455 and 14427. The last is the
+# largest verdict the benchmark draws (4.18 MB of JSON).
 LEHMER_CHECK_DIGESTS = {
     561: "3b5dc46ce7b35561413d7b8b473746f3be764d026653da745085a18845d5a205",
     1105: "ab2b9a20b1b174b07d2de731cf4596eaf37530fef87e1b8e149106e21149592c",
@@ -48,6 +49,7 @@ LEHMER_CHECK_DIGESTS = {
     62745: "2b96233f2640e8de3dfba1db7118e9f00ad684b8c66fa51113b29cc2e221a0f3",
     9624742921: "cc4555fdf071b845812e471f27b892b0ebb14ea2a0104d64cc902de6ca961723",
     6323547512449: "700de0eacfb003078b7021dc2ae09c0e411c55f4d811433348dba9328995a820",
+    6178246534322281: "be6391eb3e24d3882e0ca6b508a3fd5daf3783743f25fbb3e793c88b72020ddf",
 }
 BATCH_1E5_DIGEST = "d85dd3cadd76304c5f8791b5fd07b008788e059801f4f9bb5ffa74080e50acf3"
 
