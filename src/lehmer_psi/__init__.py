@@ -53,7 +53,6 @@ from .engine import (
     min_k,
     phi_sigma_ratio,
     profile_from_factorization,
-    refined_threshold,
     two_power_threshold,
     witness_double_prime,
     witness_group,

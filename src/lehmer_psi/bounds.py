@@ -23,7 +23,6 @@ from .groups import (
     product,
     psi,
     psi_cyclic,
-    psi_double_prime,
 )
 
 VARIANTS = ("i", "ii", "iii", "iv", "v", "vi")
@@ -187,11 +186,6 @@ class BoundReport:
         }
 
 
-def _upper_report(bound_id: str, psi_g: int, coeff: Fraction, psi_cn: int) -> BoundReport:
-    rhs = coeff * psi_cn
-    return BoundReport(bound_id, True, psi_g, rhs, psi_g <= rhs, psi_g == rhs)
-
-
 def check_bounds(g: GroupSpec) -> list[BoundReport]:
     """Evaluate every applicable catalog bound for the spec; inapplicable
     bounds are still listed with applicable=False so nothing is skipped
@@ -204,50 +198,30 @@ def check_bounds(g: GroupSpec) -> list[BoundReport]:
     cyclic = g.is_cyclic
     v2 = next((a for p, a in f if p == 2), 0)
     m_odd = n >> v2
-    reports: list[BoundReport] = []
-
-    reports.append(
-        BoundReport("cyclic-maximum", True, psi_g, psi_cn, psi_g <= psi_cn, psi_g == psi_cn)
-    )
-    reports.append(
-        BoundReport("order-square", True, psi_g, n * n, psi_g <= n * n, psi_g == n * n)
-    )
+    reports = [
+        BoundReport("cyclic-maximum", True, psi_g, psi_cn, psi_g <= psi_cn, psi_g == psi_cn),
+        BoundReport("order-square", True, psi_g, n * n, psi_g <= n * n, psi_g == n * n),
+    ]
 
     def not_applicable(bound_id: str) -> BoundReport:
         return BoundReport(bound_id, False, None, None, None, None)
 
-    if cyclic or n == 1:
-        for v in VARIANTS:
+    # upper_coefficient keyword arguments for each variant that applies
+    upper_kwargs = {} if cyclic or n == 1 else {
+        "i": {} if v2 == 2 else None,
+        "ii": {"q": f.factors[0][0]},
+        "iii": {} if v2 == 1 else None,
+        "iv": {} if v2 == 3 else None,
+        "v": {"alpha": v2} if v2 >= 4 else None,
+        "vi": {"l": _min_sylow_part(factor(m_odd))} if v2 == 1 and m_odd > 1 else None,
+    }
+    for v in VARIANTS:
+        kwargs = upper_kwargs.get(v)
+        if kwargs is None:
             reports.append(not_applicable(f"upper-{v}"))
-    else:
-        reports.append(
-            _upper_report("upper-i", psi_g, upper_coefficient("i"), psi_cn)
-            if v2 == 2
-            else not_applicable("upper-i")
-        )
-        q = f.factors[0][0]
-        reports.append(_upper_report("upper-ii", psi_g, upper_coefficient("ii", q=q), psi_cn))
-        reports.append(
-            _upper_report("upper-iii", psi_g, upper_coefficient("iii"), psi_cn)
-            if v2 == 1
-            else not_applicable("upper-iii")
-        )
-        reports.append(
-            _upper_report("upper-iv", psi_g, upper_coefficient("iv"), psi_cn)
-            if v2 == 3
-            else not_applicable("upper-iv")
-        )
-        reports.append(
-            _upper_report("upper-v", psi_g, upper_coefficient("v", alpha=v2), psi_cn)
-            if v2 >= 4
-            else not_applicable("upper-v")
-        )
-        if v2 == 1 and m_odd > 1:
-            l = _min_sylow_part(factor(m_odd))
-            coeff = upper_coefficient("vi", l=l)
-            reports.append(_upper_report("upper-vi", psi_g, coeff, psi_cn))
-        else:
-            reports.append(not_applicable("upper-vi"))
+            continue
+        rhs = upper_coefficient(v, **kwargs) * psi_cn
+        reports.append(BoundReport(f"upper-{v}", True, psi_g, rhs, psi_g <= rhs, psi_g == rhs))
 
     if n >= 2 and g.is_nilpotent:
         floor = nilpotent_lower_bound(f)
@@ -264,7 +238,7 @@ def check_bounds(g: GroupSpec) -> list[BoundReport]:
         and g.is_nilpotent
         and is_squarefree(factor(m_odd))
     ):
-        lhs = psi_double_prime(g)
+        lhs = Fraction(psi_g, n * n)
         f_odd = factor(m_odd)
         rhs = witness_lower_bound(f_odd)
         # the as-stated floor is an overstatement and fails whenever 3 does

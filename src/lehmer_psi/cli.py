@@ -28,8 +28,7 @@ from .groups import (
     order_spectrum,
     parse_group_spec,
     psi,
-    psi_double_prime,
-    psi_prime,
+    psi_cyclic,
 )
 from .scan import (
     CheckpointError,
@@ -155,23 +154,23 @@ def cmd_carmichael(args) -> int:
 
 def cmd_psi(args) -> int:
     g = parse_group_spec(args.group)
-    value = psi(g, limit=args.limit)
     if args.format == "json":
         spectrum = order_spectrum(g, limit=args.limit)
+        value = spectrum.order_sum()
         _emit(
             json.dumps(
                 {
                     "group": str(g),
                     "order": g.order,
                     "psi": value,
-                    "psi_prime": fraction_str(psi_prime(g, limit=args.limit)),
-                    "psi_double_prime": fraction_str(psi_double_prime(g, limit=args.limit)),
+                    "psi_prime": fraction_str(Fraction(value, psi_cyclic(g.order))),
+                    "psi_double_prime": fraction_str(Fraction(value, g.order**2)),
                     "spectrum": {str(d): c for d, c in spectrum.entries},
                 }
             )
         )
     else:
-        _emit(str(value))
+        _emit(str(psi(g, limit=args.limit)))
     return 0
 
 
@@ -271,14 +270,13 @@ def cmd_scan(args) -> int:
     except CounterexampleFound as exc:
         sys.stderr.write(str(exc) + "\n")
         return VERIFICATION_ERROR
-    rows = [hit_row(h) for h in cp.hits]
     if args.format == "json":
-        for row in rows:
-            _emit(jsonl_line(row))
+        for h in cp.hits:
+            _emit(jsonl_line(hit_row(h)))
     elif args.format == "csv":
         _emit(CSV_HEADER)
-        for row in rows:
-            _emit(csv_line(row))
+        for h in cp.hits:
+            _emit(csv_line(hit_row(h)))
     else:
         composites = sum(1 for h in cp.hits if h[2])
         _emit(f"scanned [{cp.lo}, {cp.hi}]: {len(cp.hits)} hits, {composites} composite")

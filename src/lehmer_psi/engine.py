@@ -42,7 +42,7 @@ from .arith import (
     is_squarefree,
     sigma,
 )
-from .carmichael import CarmichaelCertificate, korselt_check
+from .carmichael import korselt_check
 from .groups import Cyclic, GroupSpec, product, psi_cyclic
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)
@@ -120,24 +120,6 @@ def chain_upper(split: tuple[int, ...], tail: int, k: int) -> Fraction:
         raise DomainError(f"tail bound must be >= 3, got {tail}")
     s = 1 + sum(Fraction(1, p * (p - 1)) for p in split)
     return Fraction(7, 16) * (s * (1 - Fraction(1, tail)) / k + Fraction(1, tail))
-
-
-REFINED_CASES = {
-    # divisor split, tail bound, and the pinned k=2 threshold
-    "q5-no7": ((5,), 11, Fraction(175, 704)),
-    "q5-7-no13": ((5, 7), 17, Fraction(1007, 4080)),
-}
-
-
-def refined_threshold(case: str) -> Fraction:
-    """The pinned refined k=2 thresholds, recomputed from their chains."""
-    if case not in REFINED_CASES:
-        raise DomainError(f"unknown refined case {case!r}")
-    split, tail, printed = REFINED_CASES[case]
-    value = chain_upper(split, tail, 2)
-    if value != printed:
-        raise AssertionError(f"refined chain for {case} drifted: {value} != {printed}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +496,11 @@ def eq_lower_constant(profile: LehmerProfile) -> Fraction:
     return c
 
 
-def abundancy_bound(profile: LehmerProfile, k_floor: int | None = None) -> Fraction:
+def abundancy_bound(profile: LehmerProfile, k_floor: int) -> Fraction:
     """Coefficient c such that sigma(n)/n > c/pi**2 for any solution matching
-    the profile; the generic profile gives 24 and the 3,5,7,11,13-free
-    profile gives 715715/18432.
+    the profile with multiplier at least k_floor; at its min_k the generic
+    profile gives 24 and the 3,5,7,11,13-free profile gives 715715/18432.
     """
-    if k_floor is None:
-        k_floor = min_k(profile).k
     return eq_lower_constant(profile) * k_floor
 
 
@@ -550,7 +530,6 @@ class LehmerVerdict:
     n: int
     prime: bool
     factors: tuple[tuple[int, int], ...]
-    certificate: CarmichaelCertificate | None
     is_carmichael: bool | None
     phi: int
     phi_divides: bool
@@ -639,7 +618,6 @@ def lehmer_check(n: int) -> LehmerVerdict:
         n=n,
         prime=prime,
         factors=f.factors,
-        certificate=cert,
         is_carmichael=cert.is_carmichael if cert else None,
         phi=phi,
         phi_divides=phi_divides,

@@ -9,6 +9,7 @@ the composite hits; the prime hits are rebuilt from the sieve.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
 import os
@@ -27,11 +28,12 @@ from .carmichael import RANGE_LIMIT, carmichael_in_range
 from .engine import (
     N_FLOOR_BASE,
     certified_close,
+    chain_upper,
     exclusion_threshold,
     k_ladder,
     lehmer_check,
-    refined_threshold,
     two_power_threshold,
+    witness_double_prime,
 )
 from .groups import parse_group_spec, psi, psi_cyclic
 from .sieve import DEFAULT_SEGMENT, primes_upto, segments, totient_range
@@ -67,7 +69,6 @@ class ScanCheckpoint:
     hi: int
     next: int
     composites: tuple[tuple[int, int, bool], ...] = ()  # (n, exact_k, True)
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if not (self.lo <= self.next <= self.hi + 1):
@@ -85,7 +86,7 @@ class ScanCheckpoint:
 
     def payload(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "lo": self.lo,
             "hi": self.hi,
             "next": self.next,
@@ -192,27 +193,20 @@ def scan_totient_divisibility(
         cp = ScanCheckpoint(lo=lo, hi=hi, next=lo)
 
     windows = segments(cp.next, hi, segment_size)
-
-    def finish_segment(seg_end: int, composites) -> None:
-        nonlocal cp
-        cp = replace(cp, next=seg_end + 1, composites=cp.composites + tuple(composites))
-        if checkpoint_path:
-            write_checkpoint(cp, checkpoint_path)
-        if composites:
-            n = composites[0][0]
-            raise CounterexampleFound(n, lehmer_check(n))
-        if on_segment is not None:
-            on_segment(cp)
-
     # with fork, the pool starts every worker up front: never more than can run
     workers = min(jobs, len(windows), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (_, seg_end), composites in zip(windows, pool.map(_segment_hits, windows)):
-                finish_segment(seg_end, composites)
-    else:
-        for window in windows:
-            finish_segment(window[1], _segment_hits(window))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with pool:
+        mapper = pool.map if workers > 1 else map
+        for (_, seg_end), composites in zip(windows, mapper(_segment_hits, windows)):
+            cp = replace(cp, next=seg_end + 1, composites=cp.composites + tuple(composites))
+            if checkpoint_path:
+                write_checkpoint(cp, checkpoint_path)
+            if composites:
+                n = composites[0][0]
+                raise CounterexampleFound(n, lehmer_check(n))
+            if on_segment is not None:
+                on_segment(cp)
     return cp
 
 
@@ -381,13 +375,13 @@ def verify_constants() -> list[ConstantCheck]:
     exact(
         "refined-5",
         "divisor-split chain {5}, tail 11, k=2",
-        refined_threshold("q5-no7"),
+        chain_upper((5,), 11, 2),
         Fraction(175, 704),
     )
     exact(
         "refined-5-7",
         "divisor-split chain {5,7}, tail 17, k=2",
-        refined_threshold("q5-7-no13"),
+        chain_upper((5, 7), 17, 2),
         Fraction(1007, 4080),
     )
     checks.append(
@@ -420,7 +414,7 @@ def verify_constants() -> list[ConstantCheck]:
             expected_failure=True,
         )
     )
-    witness5 = Fraction(7 * psi_cyclic(5), 16 * 25)
+    witness5 = witness_double_prime(5)
     checks.append(
         ConstantCheck(
             "witness-floor-as-stated-5",

@@ -23,11 +23,11 @@ from lehmer_psi.bounds import (
 from lehmer_psi.carmichael import fermat_oracle, korselt_check
 from lehmer_psi.engine import (
     certified_close,
+    chain_upper,
     exclusion_threshold,
     k_ladder,
     make_profile,
     min_k,
-    refined_threshold,
     two_power_threshold,
     witness_double_prime,
     GENERIC_PROFILE,
@@ -75,12 +75,12 @@ def test_constant_reproduction_exact():
         assert two_power_threshold(4) == Fraction(2055, 8064)
         assert exclusion_threshold(3, 2) == Fraction(7, 24)
         # the refined thresholds must come out of their derivation chains
-        assert refined_threshold("q5-no7") == Fraction(175, 704)
-        assert refined_threshold("q5-no7") == Fraction(7, 16) * (
+        assert chain_upper((5,), 11, 2) == Fraction(175, 704)
+        assert chain_upper((5,), 11, 2) == Fraction(7, 16) * (
             Fraction(21, 22 * 2) + Fraction(1, 11)
         )
-        assert refined_threshold("q5-7-no13") == Fraction(1007, 4080)
-        assert refined_threshold("q5-7-no13") == Fraction(7, 16) * (
+        assert chain_upper((5, 7), 17, 2) == Fraction(1007, 4080)
+        assert chain_upper((5, 7), 17, 2) == Fraction(7, 16) * (
             Fraction(1804, 3570) + Fraction(1, 17)
         )
 

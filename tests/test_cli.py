@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from lehmer_psi import cli, engine
+from lehmer_psi import cli, engine, groups
 from lehmer_psi.scan import ConstantCheck
 
 
@@ -65,6 +65,20 @@ class TestBasicCommands:
         doc = json.loads(out)
         by_id = {b["bound_id"]: b for b in doc["bounds"]}
         assert by_id["upper-iv"]["equality"] is True
+
+    @pytest.mark.parametrize("command", ["psi", "bounds"])
+    def test_json_query_walks_the_spectrum_once(self, capsys, monkeypatch, command):
+        walks = []
+        walk = groups.Product.spectrum_map
+
+        def counted(self, limit):
+            walks.append(limit)
+            return walk(self, limit)
+
+        monkeypatch.setattr(groups.Product, "spectrum_map", counted)
+        code, _, _ = run(capsys, command, "--group", "C2 x C2 x C15", "--format", "json")
+        assert code == 0
+        assert len(walks) == 1
 
 
 class TestLehmerCommands:
@@ -178,6 +192,18 @@ class TestScanCommand:
         lines = out.splitlines()
         assert lines[0] == "type,n,exact_k,min_k,rules,lhs,rhs"
         assert len(lines) == 5  # header + 2,3,5,7
+
+    @pytest.mark.parametrize(
+        "fmt, header", [("json", []), ("csv", ["emit"])], ids=["json", "csv"]
+    )
+    def test_scan_rows_are_rendered_as_printed(self, capsys, monkeypatch, fmt, header):
+        events = []
+        hit_row, emit = cli.hit_row, cli._emit
+        monkeypatch.setattr(cli, "hit_row", lambda hit: events.append("row") or hit_row(hit))
+        monkeypatch.setattr(cli, "_emit", lambda line="": events.append("emit") or emit(line))
+        code, _, _ = run(capsys, "scan", "--from", "2", "--to", "30", "--format", fmt)
+        assert code == 0
+        assert events == header + ["row", "emit"] * 10
 
     def test_scan_checkpoint_resume(self, capsys, tmp_path):
         path = str(tmp_path / "cp.json")

@@ -31,7 +31,6 @@ from lehmer_psi.engine import (
     min_k,
     phi_sigma_ratio,
     profile_from_factorization,
-    refined_threshold,
     two_power_threshold,
     universal_k_floor,
     witness_double_prime,
@@ -131,14 +130,14 @@ class TestThresholds:
             two_power_threshold(0)
 
     def test_refined_thresholds_reproduce_from_chains(self):
-        assert refined_threshold("q5-no7") == Fraction(175, 704)
-        assert refined_threshold("q5-7-no13") == Fraction(1007, 4080)
+        assert chain_upper((5,), 11, 2) == Fraction(175, 704)
+        assert chain_upper((5, 7), 17, 2) == Fraction(1007, 4080)
         assert chain_upper((5,), 11, 2) == Fraction(7, 16) * (Fraction(21, 44) + Fraction(1, 11))
         assert chain_upper((5, 7), 17, 2) == Fraction(7, 16) * (
             Fraction(1804, 3570) + Fraction(1, 17)
         )
         with pytest.raises(DomainError):
-            refined_threshold("bogus")
+            chain_upper((5,), 2, 2)
 
     def test_chain_with_empty_split_is_the_generic_threshold(self):
         for q in (3, 5, 7, 11, 13, 17, 97):
@@ -458,18 +457,19 @@ class TestAbundancy:
             assert certified_above(ratio, 6), n
 
     def test_generic_coefficient(self):
-        assert abundancy_bound(GENERIC_PROFILE) == 24
+        assert abundancy_bound(GENERIC_PROFILE, min_k(GENERIC_PROFILE).k) == 24
 
     def test_five_free_coefficient(self):
         profile = make_profile(not_divides=[3, 5, 7, 11, 13])
-        assert abundancy_bound(profile) == Fraction(715715, 18432)
+        assert abundancy_bound(profile, min_k(profile).k) == Fraction(715715, 18432)
 
     def test_lower_constant_correction(self):
         assert eq_lower_constant(GENERIC_PROFILE) == 8
         assert eq_lower_constant(make_profile(not_divides=[3])) == 9
 
     def test_three_divides_coefficient(self):
-        assert abundancy_bound(make_profile(divides=[3])) == 32  # 8 * min_k 4
+        profile = make_profile(divides=[3])
+        assert abundancy_bound(profile, min_k(profile).k) == 32  # 8 * min_k 4
 
 
 class TestWitness:

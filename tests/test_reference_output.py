@@ -4,8 +4,9 @@ them here catches a change to that output without a benchmark run. Regenerate
 the file with bench/record_reference.py only when the change is intended.
 
 The lehmer-check verdicts and the batch_verdicts report carry every excluded
-k with its per-world rules, so they are pinned here as well; their digests
-are the sha256 of the output and change only with an intended change to it."""
+k with its per-world rules, so they are pinned here as well, as is the
+verify-constants table; their digests are the sha256 of the output and change
+only with an intended change to it."""
 
 import hashlib
 import json
@@ -64,3 +65,16 @@ def test_batch_verdicts_report_matches_recorded_digest(tmp_path):
     path = tmp_path / "verdicts.jsonl"
     batch_verdicts(10**5, path=str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BATCH_1E5_DIGEST
+
+
+# sha256 of `verify-constants` stdout in each format.
+VERIFY_CONSTANTS_DIGESTS = {
+    "text": "422b9f73877fc0215a0bbda7f192437a35580f528d8f7f70a06b50a60239d0c7",
+    "json": "6785275e359793c45ab30aeab5bbcc7130218a5169503abeed0b951a14f57d7a",
+}
+
+
+@pytest.mark.parametrize("fmt, digest", sorted(VERIFY_CONSTANTS_DIGESTS.items()))
+def test_verify_constants_matches_recorded_digest(capsys, fmt, digest):
+    assert cli.main(["verify-constants", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
