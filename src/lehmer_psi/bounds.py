@@ -198,6 +198,7 @@ def check_bounds(g: GroupSpec) -> list[BoundReport]:
     cyclic = g.is_cyclic
     v2 = next((a for p, a in f if p == 2), 0)
     m_odd = n >> v2
+    f_odd = Factorization._proven(m_odd, f.factors[1:] if v2 else f.factors)
     reports = [
         BoundReport("cyclic-maximum", True, psi_g, psi_cn, psi_g <= psi_cn, psi_g == psi_cn),
         BoundReport("order-square", True, psi_g, n * n, psi_g <= n * n, psi_g == n * n),
@@ -213,7 +214,7 @@ def check_bounds(g: GroupSpec) -> list[BoundReport]:
         "iii": {} if v2 == 1 else None,
         "iv": {} if v2 == 3 else None,
         "v": {"alpha": v2} if v2 >= 4 else None,
-        "vi": {"l": _min_sylow_part(factor(m_odd))} if v2 == 1 and m_odd > 1 else None,
+        "vi": {"l": _min_sylow_part(f_odd)} if v2 == 1 and m_odd > 1 else None,
     }
     for v in VARIANTS:
         kwargs = upper_kwargs.get(v)
@@ -236,10 +237,9 @@ def check_bounds(g: GroupSpec) -> list[BoundReport]:
         and m_odd >= 3
         and not cyclic
         and g.is_nilpotent
-        and is_squarefree(factor(m_odd))
+        and is_squarefree(f_odd)
     ):
         lhs = Fraction(psi_g, n * n)
-        f_odd = factor(m_odd)
         rhs = witness_lower_bound(f_odd)
         # the as-stated floor is an overstatement and fails whenever 3 does
         # not divide the odd part; the report says so rather than hiding it

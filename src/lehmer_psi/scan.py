@@ -40,7 +40,7 @@ from .sieve import DEFAULT_SEGMENT, primes_upto, segments, totient_range
 
 SCAN_LIMIT = 10**8
 SCHEMA_VERSION = 2
-MAX_SEGMENT = 1 << 22  # each segment holds several int64 arrays of this length
+MAX_SEGMENT = 1 << 22  # each segment holds three int32 arrays of this length
 
 REPORT_KEYS = ("type", "n", "exact_k", "min_k", "rules", "lhs", "rhs")
 _ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -154,12 +154,13 @@ def _segment_hits(bounds: tuple[int, int]) -> list[tuple[int, int, bool]]:
     ScanCheckpoint.hits come from the sieve, so the two must agree here."""
     lo, hi = bounds
     phis = totient_range(lo, hi)
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    prime = phis == ns - 1
-    if not np.array_equal(ns[prime], primes_upto(hi, lo)):
+    m = np.arange(lo - 1, hi, dtype=np.int32)  # n - 1
+    prime = phis == m
+    if not np.array_equal(np.flatnonzero(prime) + lo, primes_upto(hi, lo)):
         raise RuntimeError(f"totient kernel and prime sieve disagree on [{lo}, {hi}]")
-    mask = ((ns - 1) % phis == 0) & ~prime
-    return [(n, (n - 1) // phi, True) for n, phi in zip(ns[mask].tolist(), phis[mask].tolist())]
+    m %= phis  # in place: each new window-sized array costs page faults
+    hits = np.flatnonzero((m == 0) & ~prime).tolist()
+    return [(i + lo, (i + lo - 1) // int(phis[i]), True) for i in hits]
 
 
 def scan_totient_divisibility(
@@ -183,14 +184,9 @@ def scan_totient_divisibility(
             f"need jobs >= 1 and 1 <= segment_size <= {MAX_SEGMENT}, "
             f"got jobs={jobs}, segment_size={segment_size}"
         )
-    if checkpoint is not None:
-        if (checkpoint.lo, checkpoint.hi) != (lo, hi):
-            raise CheckpointError(
-                f"checkpoint covers [{checkpoint.lo}, {checkpoint.hi}], not [{lo}, {hi}]"
-            )
-        cp = checkpoint
-    else:
-        cp = ScanCheckpoint(lo=lo, hi=hi, next=lo)
+    cp = checkpoint or ScanCheckpoint(lo=lo, hi=hi, next=lo)
+    if (cp.lo, cp.hi) != (lo, hi):
+        raise CheckpointError(f"checkpoint covers [{cp.lo}, {cp.hi}], not [{lo}, {hi}]")
 
     windows = segments(cp.next, hi, segment_size)
     # with fork, the pool starts every worker up front: never more than can run

@@ -1,7 +1,8 @@
 """numpy sieves shared by range enumeration and scanning. Each kernel sieves
 one window (see `segments`), reaching the multiples of every base prime
 p <= isqrt(hi) through strided slices. The base primes up to 10^4, the root of
-scan.SCAN_LIMIT, are sieved once. All arithmetic is exact int64.
+scan.SCAN_LIMIT, are sieved once. Kernel arrays are int32, exact for
+hi < 2^31: each value held for n is n, a divisor of n or phi of one, all <= n.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ def totient_range(lo: int, hi: int) -> np.ndarray:
     """phi(n) for n in [lo, hi]. Each p^e || n with p <= sqrt(hi) multiplies
     the p-part of n into smooth and phi(p^e) into phi; what n // smooth
     leaves is 1 or one prime r, which multiplies phi by r - 1."""
-    if lo < 1 or lo > hi:
-        raise DomainError(f"bad range [{lo}, {hi}]")
+    if not 1 <= lo <= hi < 2**31:
+        raise DomainError(f"need 1 <= lo <= hi < 2^31, got [{lo}, {hi}]")
     size = hi - lo + 1
-    phi = np.ones(size, dtype=np.int64)
-    smooth = np.ones(size, dtype=np.int64)
+    phi = np.ones(size, dtype=np.int32)
+    smooth = np.ones(size, dtype=np.int32)
     for p in _base_primes(isqrt(hi)).tolist():
         phi[-lo % p :: p] *= p - 1
         smooth[-lo % p :: p] *= p
@@ -60,7 +61,7 @@ def totient_range(lo: int, hi: int) -> np.ndarray:
             phi[-lo % q :: q] *= p
             smooth[-lo % q :: q] *= p
             q *= p
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    rem = np.arange(lo, hi + 1, dtype=np.int32)
     rem //= smooth  # in place: each new window-sized array costs page faults
     rem -= 1
     phi *= np.maximum(rem, 1, out=rem)
@@ -73,12 +74,12 @@ def korselt_range(lo: int, hi: int) -> list[int]:
     r > sqrt(hi): n = m*r with m < r and (r - 1) | (n - 1) = m(r - 1) + m - 1
     forces m = 1. So n is the product of the base primes it is a multiple of.
     """
-    if lo < 2 or lo > hi:
-        raise DomainError(f"bad range [{lo}, {hi}]")
+    if not 2 <= lo <= hi < 2**31:
+        raise DomainError(f"need 2 <= lo <= hi < 2^31, got [{lo}, {hi}]")
     size = hi - lo + 1
     ok = np.ones(size, dtype=bool)
     ok[lo & 1 :: 2] = False  # even
-    smooth = np.ones(size, dtype=np.int64)
+    smooth = np.ones(size, dtype=np.int32)
     for p in _base_primes(isqrt(hi))[1:].tolist():
         # n = lo + f + p*j = lo + f + j (mod p - 1), so (p - 1) | (n - 1)
         # exactly on every (p - 1)-th multiple of p, from index c on

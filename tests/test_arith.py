@@ -213,6 +213,7 @@ class TestMultiplicativeFunctions:
             (2**20 - 3000, 2**20 - 1),
             (2**20 + 1, 2**20 + 3000),
             (2**20, 2**20),
+            (2**31 - 3000, 2**31 - 1),  # the top of the int32 kernel
         ],
     )
     def test_sieve_totient_windows_off_one(self, lo, hi):
@@ -223,6 +224,10 @@ class TestMultiplicativeFunctions:
         assert phis.size == hi - lo + 1
         for n in range(lo, hi + 1):
             assert int(phis[n - lo]) == euler_phi(factor(n)), n
+
+    def test_sieve_totient_refuses_hi_past_int32(self):
+        with pytest.raises(DomainError):
+            totient_range(2**31 - 10, 2**31)
 
     def test_phi_multiplicative_all_coprime_pairs_to_1000(self):
         import numpy as np

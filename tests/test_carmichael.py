@@ -120,11 +120,24 @@ class TestRangeEnumeration:
         ]
         assert carmichael_in_range(2, 10_000) == expected
 
-    @pytest.mark.parametrize("lo, hi", [(562, 20_000), (1105, 1729), (100_001, 130_000)])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (562, 20_000),
+            (1105, 1729),
+            (100_001, 130_000),
+            (2**31 - 3000, 2**31 - 1),  # the top of the int32 kernel
+            (2_140_698_181, 2_140_701_181),  # 127 * 631 * 26713, the last below 2^31
+        ],
+    )
     def test_kernel_matches_scalar_korselt_off_561(self, lo, hi):
         # windows that start past 561, so most primes first strike past index 0
         expected = [n for n in range(lo, hi + 1) if korselt_check(n).is_carmichael]
         assert korselt_range(lo, hi) == expected
+
+    def test_kernel_refuses_hi_past_int32(self):
+        with pytest.raises(DomainError):
+            korselt_range(2**31 - 10, 2**31)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 30_000), st.integers(0, 30_000))

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from lehmer_psi import cli, engine, groups
+from lehmer_psi import bounds, cli, engine, groups
 from lehmer_psi.scan import ConstantCheck
 
 
@@ -79,6 +79,20 @@ class TestBasicCommands:
         code, _, _ = run(capsys, command, "--group", "C2 x C2 x C15", "--format", "json")
         assert code == 0
         assert len(walks) == 1
+
+    def test_bounds_factors_the_order_once(self, capsys, monkeypatch):
+        # the odd part's factorization comes from the order's
+        calls = []
+        factor = bounds.factor
+
+        def counted(n):
+            calls.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(bounds, "factor", counted)
+        code, _, _ = run(capsys, "bounds", "--group", "C2 x C2 x C15", "--format", "json")
+        assert code == 0
+        assert calls == [60]
 
 
 class TestLehmerCommands:

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 from functools import cache
 from pathlib import Path
 
@@ -112,6 +113,17 @@ class TestScan:
         monkeypatch.setattr(scan_module.os, "cpu_count", lambda: None)
         scan_totient_divisibility(2, 300, segment_size=10, jobs=64)
         assert pools == [3, 3]
+
+    def test_segment_memory_at_the_scan_limit(self):
+        # a 2^20 window below SCAN_LIMIT: the int32 totient kernel's phi,
+        # smooth and rem (12 MiB); int64 arrays and fresh temporaries took 33 MiB
+        tracemalloc.start()
+        try:
+            scan_module._segment_hits((SCAN_LIMIT - (1 << 20) + 1, SCAN_LIMIT))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
 
     def test_prime_rows_cross_checked_against_the_totient_kernel(self, monkeypatch):
         original = scan_module.totient_range
