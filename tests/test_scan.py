@@ -115,8 +115,8 @@ class TestScan:
         assert pools == [3, 3]
 
     def test_segment_memory_at_the_scan_limit(self):
-        # a 2^20 window below SCAN_LIMIT: the int32 totient kernel's phi,
-        # smooth and rem (12 MiB); int64 arrays and fresh temporaries took 33 MiB
+        # a 2^20 window below SCAN_LIMIT; the int32 totient kernel holds phi,
+        # smooth and rem at once, 12 MiB
         tracemalloc.start()
         try:
             scan_module._segment_hits((SCAN_LIMIT - (1 << 20) + 1, SCAN_LIMIT))
