@@ -270,17 +270,17 @@ def cmd_scan(args) -> int:
     except CounterexampleFound as exc:
         sys.stderr.write(str(exc) + "\n")
         return VERIFICATION_ERROR
+    # rows come from iter_hits, never the whole hits tuple: memory stays one window
     if args.format == "json":
-        for h in cp.hits:
+        for h in cp.iter_hits():
             _emit(jsonl_line(hit_row(h)))
     elif args.format == "csv":
         _emit(CSV_HEADER)
-        for h in cp.hits:
+        for h in cp.iter_hits():
             _emit(csv_line(hit_row(h)))
     else:
-        composites = sum(1 for h in cp.hits if h[2])
-        _emit(f"scanned [{cp.lo}, {cp.hi}]: {len(cp.hits)} hits, {composites} composite")
-        for n, k, composite in cp.hits:
+        _emit(f"scanned [{cp.lo}, {cp.hi}]: {cp.hit_count()} hits, {len(cp.composites)} composite")
+        for n, k, composite in cp.iter_hits():
             _emit(f"{n} k={k} {'composite' if composite else 'prime'}")
     return 0
 

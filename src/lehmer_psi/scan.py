@@ -19,6 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -41,9 +43,10 @@ from .sieve import DEFAULT_SEGMENT, primes_upto, segments, totient_range
 SCAN_LIMIT = 10**8
 SCHEMA_VERSION = 2
 MAX_SEGMENT = 1 << 22  # each segment holds three int32 arrays of this length
+HIT_WINDOW = 1 << 20  # integers per prime sieve when hit rows are rebuilt
 
 REPORT_KEYS = ("type", "n", "exact_k", "min_k", "rules", "lhs", "rhs")
-_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_JSON_TEMPLATE = "{" + ",".join(f'"{key}":%s' for key in REPORT_KEYS) + "}"
 
 
 class CheckpointError(DomainError):
@@ -76,13 +79,29 @@ class ScanCheckpoint:
         if list(self.composites) != sorted(self.composites):
             raise CheckpointError("composites not sorted")
 
+    def _prime_windows(self):
+        """The primes of [lo, next), one array per HIT_WINDOW integers."""
+        windows = segments(self.lo, self.next - 1, HIT_WINDOW)
+        return (primes_upto(end, start) for start, end in windows)
+
+    def iter_hits(self):
+        """(n, exact_k, is_composite) for every n in [lo, next) with
+        phi(n) | (n - 1), ascending: each prime p as (p, 1, False), sieved one
+        window at a time, merged with the composite hits."""
+        # a window's array is freed once listed and its list once iterated,
+        # so at most one of each is alive
+        windows = map(np.ndarray.tolist, self._prime_windows())
+        primes = ((p, 1, False) for p in chain.from_iterable(windows))
+        return heapq.merge(primes, self.composites)
+
+    def hit_count(self) -> int:
+        """len(hits), counted one prime window at a time."""
+        return len(self.composites) + sum(len(window) for window in self._prime_windows())
+
     @cached_property
     def hits(self) -> tuple[tuple[int, int, bool], ...]:
-        """(n, exact_k, is_composite) for every n in [lo, next) with
-        phi(n) | (n - 1): each prime p as (p, 1, False), merged in ascending
-        order with the composite hits."""
-        primes = ((p, 1, False) for p in primes_upto(self.next - 1, self.lo).tolist())
-        return tuple(heapq.merge(primes, self.composites))
+        """Every hit of iter_hits, held at once."""
+        return tuple(self.iter_hits())
 
     def payload(self) -> dict:
         return {
@@ -231,7 +250,15 @@ def report_row(
 
 def hit_row(hit: tuple[int, int, bool]) -> dict:
     n, k, composite = hit
-    return report_row("hit", n=n, exact_k=k, rules=["composite" if composite else "prime"])
+    return {
+        "type": "hit",
+        "n": n,
+        "exact_k": k,
+        "min_k": None,
+        "rules": ["composite" if composite else "prime"],
+        "lhs": None,
+        "rhs": None,
+    }
 
 
 def verdict_row(verdict) -> dict:
@@ -248,20 +275,34 @@ def verdict_row(verdict) -> dict:
 
 
 def jsonl_line(row: dict) -> str:
-    return _ROW_ENCODER.encode({key: row.get(key) for key in REPORT_KEYS})
+    """row over REPORT_KEYS as json.dumps(..., separators=(",", ":")) gives
+    it. Each value is rendered by its schema type: type, lhs and rhs are str,
+    n, exact_k and min_k int, rules a list of str; any may be None."""
+    get, esc = row.get, encode_basestring_ascii
+    return _JSON_TEMPLATE % (
+        "null" if (v := get("type")) is None else esc(v),
+        "null" if (v := get("n")) is None else str(v),
+        "null" if (v := get("exact_k")) is None else str(v),
+        "null" if (v := get("min_k")) is None else str(v),
+        "null" if (v := get("rules")) is None else "[" + ",".join(map(esc, v)) + "]",
+        "null" if (v := get("lhs")) is None else esc(v),
+        "null" if (v := get("rhs")) is None else esc(v),
+    )
 
 
 def csv_line(row: dict) -> str:
-    cells = []
-    for key in REPORT_KEYS:
-        value = row.get(key)
-        if value is None:
-            cells.append("")
-        elif key == "rules":
-            cells.append('"' + ";".join(value).replace('"', '""') + '"')
-        else:
-            cells.append(str(value))
-    return ",".join(cells)
+    """The cells of jsonl_line by the same types: None is empty, and only
+    rules is quoted, its entries joined by ";"."""
+    get = row.get
+    return ",".join((
+        "" if (v := get("type")) is None else str(v),
+        "" if (v := get("n")) is None else str(v),
+        "" if (v := get("exact_k")) is None else str(v),
+        "" if (v := get("min_k")) is None else str(v),
+        "" if (v := get("rules")) is None else '"' + ";".join(v).replace('"', '""') + '"',
+        "" if (v := get("lhs")) is None else str(v),
+        "" if (v := get("rhs")) is None else str(v),
+    ))
 
 
 CSV_HEADER = ",".join(REPORT_KEYS)

@@ -228,6 +228,34 @@ class TestScanCommand:
         assert code1 == code2 == 0
         assert out1 == out2  # resume from a completed checkpoint is a no-op
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_scan_resumed_mid_range_prints_the_same_bytes(self, capsys, monkeypatch, tmp_path, fmt):
+        import lehmer_psi.scan as scan_module
+
+        monkeypatch.setattr(scan_module, "HIT_WINDOW", 1000)  # rows from 20 prime windows
+        argv = ["scan", "--from", "3", "--to", "20000", "--segment-size", "700", "--format", fmt]
+        whole = run(capsys, *argv)
+        path = str(tmp_path / "cp.json")
+
+        class Stop(Exception):
+            pass
+
+        def cut(cp):
+            if cp.next > 9000:
+                raise Stop
+
+        with pytest.raises(Stop):
+            scan_module.scan_totient_divisibility(
+                3, 20000, segment_size=700, checkpoint_path=path, on_segment=cut
+            )
+        assert scan_module.read_checkpoint(path).next == 9103  # 13 of 29 segments
+        assert run(capsys, *argv, "--checkpoint", path) == whole
+        code, out, _ = whole
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 2261 + (fmt != "json")  # pi(20000) - 1 rows
+        if fmt == "text":
+            assert lines[0] == "scanned [3, 20000]: 2261 hits, 0 composite"
+
     def test_scan_composite_hit_exits_3(self, capsys, monkeypatch, tmp_path):
         import lehmer_psi.scan as scan_module
 

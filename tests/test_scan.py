@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import tempfile
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lehmer_psi.scan as scan_module
+from lehmer_psi import cli
 from lehmer_psi.arith import DomainError, euler_phi, factor
 from lehmer_psi.scan import (
     CSV_HEADER,
@@ -28,6 +30,7 @@ from lehmer_psi.scan import (
     verify_constants,
     write_checkpoint,
 )
+from lehmer_psi.sieve import primes_upto
 
 
 def _with_crc(payload) -> str:
@@ -124,6 +127,30 @@ class TestScan:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20, peak
+
+    def test_cli_scan_memory_does_not_grow_with_the_range(self):
+        # cli scan prints rows from iter_hits, one HIT_WINDOW prime sieve at a
+        # time; printing from the hits tuple peaked at 8.6 MiB at 10^6 and at
+        # 30 MiB at 4*10^6, one Python tuple per prime
+        class LineCount:
+            lines = 0
+
+            def write(self, text):
+                self.lines += text.count("\n")
+
+        peaks = {}
+        for hi, primes in ((10**6, 78_498), (4 * 10**6, 283_146)):
+            sink = LineCount()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(sink):
+                    assert cli.main(["scan", "--from", "2", "--to", str(hi), "--format", "json"]) == 0
+                peaks[hi] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sink.lines == primes
+        assert max(peaks.values()) < 8 << 20, peaks
+        assert peaks[4 * 10**6] <= 1.5 * peaks[10**6], peaks
 
     def test_prime_rows_cross_checked_against_the_totient_kernel(self, monkeypatch):
         original = scan_module.totient_range
@@ -256,6 +283,21 @@ class TestCheckpoint:
         )
         assert ScanCheckpoint(lo=2, hi=100, next=2).hits == ()
 
+    def test_iter_hits_across_windows_from_lo_above_2(self, monkeypatch):
+        lo = 1001
+        edge = lo + scan_module.HIT_WINDOW  # the first integer of the second window
+        # composites are made up: only the merge at the window edge is checked
+        composites = ((1105, 3, True), (edge - 1, 2, True), (edge + 1, 5, True))
+        cp = ScanCheckpoint(lo=lo, hi=edge + 5000, next=edge + 5001, composites=composites)
+        reference = sorted([(p, 1, False) for p in primes_upto(edge + 5000, lo).tolist()]
+                           + list(composites))
+        assert list(cp.iter_hits()) == list(cp.hits) == reference
+        assert cp.hit_count() == len(reference)
+        monkeypatch.setattr(scan_module, "HIT_WINDOW", 97)
+        cp = ScanCheckpoint(lo=3, hi=5000, next=4001)
+        assert list(cp.iter_hits()) == [h for h in _brute_force_hits(4000) if h[0] >= 3]
+        assert cp.hit_count() == len(list(cp.iter_hits()))
+
     def test_finished_checkpoint_size_is_constant(self, tmp_path):
         sizes = {}
         for hi in (10**3, 10**6):
@@ -322,7 +364,49 @@ class TestCounterexampleAbort:
         assert (561, 2, True) in cp.hits
 
 
+# report rows of the schema's types: strings with quotes, backslashes, control
+# characters and non-ASCII text, ints of up to 3001 digits, and None anywhere
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t;,') | st.characters(), max_size=12)
+_INT = st.integers(-(10**3000), 10**3000) | st.integers(-(10**6), 10**6)
+_ROWS = st.fixed_dictionaries(
+    {
+        "type": st.none() | _TEXT,
+        "n": st.none() | _INT,
+        "exact_k": st.none() | _INT,
+        "min_k": st.none() | _INT,
+        "rules": st.none() | st.lists(_TEXT, max_size=4),
+        "lhs": st.none() | _TEXT,
+        "rhs": st.none() | _TEXT,
+    }
+)
+
+
+def _csv_reference(row: dict) -> str:
+    """The reference for csv_line: one loop over the keys, branching on rules."""
+    cells = []
+    for key in REPORT_KEYS:
+        value = row.get(key)
+        if value is None:
+            cells.append("")
+        elif key == "rules":
+            cells.append('"' + ";".join(value).replace('"', '""') + '"')
+        else:
+            cells.append(str(value))
+    return ",".join(cells)
+
+
 class TestReports:
+    @settings(max_examples=300, deadline=None)
+    @given(row=_ROWS)
+    def test_jsonl_line_matches_json_dumps(self, row):
+        reference = json.dumps({k: row.get(k) for k in REPORT_KEYS}, separators=(",", ":"))
+        assert jsonl_line(row) == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=_ROWS)
+    def test_csv_line_matches_the_untyped_renderer(self, row):
+        assert csv_line(row) == _csv_reference(row)
+
     def test_jsonl_key_order(self):
         row = hit_row((561, 2, True))
         line = jsonl_line(row)
