@@ -31,13 +31,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .arith import (
     DomainError,
     Factorization,
     euler_phi,
     factor,
-    fraction_str,
     is_prime,
     is_squarefree,
     sigma,
@@ -236,6 +236,11 @@ def profile_from_factorization(f: Factorization | int) -> LehmerProfile:
 # ---------------------------------------------------------------------------
 # Worlds: complete divisibility assignments consistent with a profile
 
+# The kinds of rule a world excludes k by (Justification.kind).
+CHAIN = "order-sum-chain"
+CONGRUENCE = "k-congruence-3"
+
+
 @dataclass(frozen=True)
 class _World:
     divides: tuple[int, ...]
@@ -250,15 +255,18 @@ class _World:
         bits = [f"{p}|n" for p in self.divides]
         bits += [f"{p}!|n" for p in SMALL_PRIMES if p not in self.divides]
         qs = f"q={self.q_eval}" if self.q_exact else f"q>={self.q_eval}"
-        rule = f"order-sum-chain split={list(self.divides)} tail={self.tail} k="
+        rule = f"{CHAIN} split={list(self.divides)} tail={self.tail} k="
         covers = "" if self.q_exact else f" (covers all q >= {self.q_eval})"
         s = (1 + sum(Fraction(1, p * (p - 1)) for p in self.divides)) * (self.tail - 1)
         return f"{qs}; " + ", ".join(bits), rule, covers, s.numerator, s.denominator
 
-    def upper(self, k: int) -> Fraction:
-        """chain_upper(divides, tail, k) = 7(a + d*k)/(16*d*tail*k)."""
+    def upper(self, k: int) -> tuple[int, int]:
+        """chain_upper(divides, tail, k) = 7(a + d*k)/(16*d*tail*k), as a
+        (numerator, denominator) pair in lowest terms."""
         a, d = self._chain[3:]
-        return Fraction(7 * (a + d * k), 16 * d * self.tail * k)
+        num, den = 7 * (a + d * k), 16 * d * self.tail * k
+        g = math.gcd(num, den)
+        return num // g, den // g
 
     def k_floor(self, lower: Fraction) -> int:
         """Least k >= 2 not excluded under the witness floor lower/k: the chain
@@ -269,15 +277,17 @@ class _World:
         k = max(2, (16 * d * self.tail * num - 7 * a * den) // (7 * d * den) + 1)
         return k + (1 - k) % 3 if 3 in self.divides else k
 
-    def justify(self, k: int, lower: Fraction) -> Justification:
+    def justify(self, k: int, lower: tuple[int, int]) -> Justification:
         """Why this world does or does not exclude k: the congruence rule when 3 | n
-        and k is not 1 mod 3, else the witness floor `lower` against upper(k)."""
+        and k is not 1 mod 3, else the witness floor `lower` (a pair in lowest
+        terms) against upper(k), compared by one cross-multiplication."""
         label, prefix, suffix = self._chain[:3]
         if 3 in self.divides and k % 3 != 1:
-            rule = f"k-congruence-3: k={k} is {k % 3} (mod 3), 1 required"
-            return Justification(label, rule, Fraction(k % 3), Fraction(1), True)
+            rule = f"{CONGRUENCE}: k={k} is {k % 3} (mod 3), 1 required"
+            return Justification(label, CONGRUENCE, rule, (k % 3, 1), (1, 1), True)
         upper = self.upper(k)
-        return Justification(label, f"{prefix}{k}{suffix}", lower, upper, lower >= upper)
+        excluded = lower[0] * upper[1] >= upper[0] * lower[1]
+        return Justification(label, CHAIN, f"{prefix}{k}{suffix}", lower, upper, excluded)
 
 
 def _make_world(
@@ -321,42 +331,58 @@ def enumerate_worlds(profile: LehmerProfile) -> list[_World]:
 # ---------------------------------------------------------------------------
 # Per-k exclusion
 
-@dataclass(frozen=True)
-class Justification:
+def ratio_str(num: int, den: int) -> str:
+    """The report schema's "p/q" text of a pair in lowest terms; every rational
+    the engine prints is rendered here."""
+    return f"{num}/{den}"
+
+
+class Justification(NamedTuple):
+    """One world's verdict on k under its rule of kind CHAIN or CONGRUENCE,
+    with the inequality lhs >= rhs it records. Each side is kept as a
+    (numerator, denominator) pair in lowest terms with a positive
+    denominator; lhs and rhs give them as Fractions. The congruence rule
+    records k mod 3 against 1."""
+
     world: str
+    kind: str
     rule: str
-    lhs: Fraction
-    rhs: Fraction
+    lhs_pair: tuple[int, int]
+    rhs_pair: tuple[int, int]
     excluded: bool
 
-    def as_dict(self, render=fraction_str) -> dict:
-        return {
-            "world": self.world,
-            "rule": self.rule,
-            "lhs": render(self.lhs),
-            "rhs": render(self.rhs),
-            "excluded": self.excluded,
-        }
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(*self.lhs_pair)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(*self.rhs_pair)
 
 
-@dataclass(frozen=True)
-class ExclusionResult:
+class ExclusionResult(NamedTuple):
+    """Whether k is excluded in every world of a profile, with one
+    Justification per world; their sides are pairs in lowest terms."""
+
     k: int
     excluded: bool
     justifications: tuple[Justification, ...]
 
     def chain_justification(self) -> Justification | None:
         """The tightest chain-based justification (largest upper bound)."""
-        chains = [j for j in self.justifications if j.rule.startswith("order-sum") and j.excluded]
+        chains = [j for j in self.justifications if j.kind == CHAIN and j.excluded]
         return max(chains, key=lambda j: j.rhs, default=None)
 
     def as_dict(self) -> dict:
-        texts: dict[int, str] = {}  # the worlds share one witness floor object: render it once
-
-        def render(x: Fraction) -> str:
-            return texts.get(id(x)) or texts.setdefault(id(x), fraction_str(x))
-
-        return {"k": self.k, "justifications": [j.as_dict(render) for j in self.justifications]}
+        shared = lhs = None  # the chain worlds share one witness floor pair: render it once
+        rows = []
+        for world, _, rule, lhs_pair, rhs_pair, excluded in self.justifications:
+            if lhs_pair is not shared:
+                shared, lhs = lhs_pair, ratio_str(*lhs_pair)
+            rows.append(
+                {"world": world, "rule": rule, "lhs": lhs, "rhs": ratio_str(*rhs_pair), "excluded": excluded}
+            )
+        return {"k": self.k, "justifications": rows}
 
 
 def exclude_k(profile: LehmerProfile, k: int) -> ExclusionResult:
@@ -365,8 +391,10 @@ def exclude_k(profile: LehmerProfile, k: int) -> ExclusionResult:
     witness floor at k (_World.justify), and k is excluded if every world does."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    lower = profile.witness_floor / k
-    justs = tuple(world.justify(k, lower) for world in profile.worlds)
+    floor = profile.witness_floor  # in lowest terms, so only k can share a factor with it
+    g = math.gcd(floor.numerator, k)
+    lower = floor.numerator // g, floor.denominator * (k // g)
+    justs = tuple([world.justify(k, lower) for world in profile.worlds])
     return ExclusionResult(k, all(j.excluded for j in justs), justs)
 
 
@@ -406,7 +434,7 @@ def min_k(profile: LehmerProfile) -> MinKResult:
     if not all(res.excluded for res in exclusions) or exclude_k(profile, floor_k).excluded:
         raise AssertionError(f"closed-form k floor {floor_k} is wrong for {profile.describe()}")
     for res in exclusions:
-        kinds = sorted({j.rule.split(":")[0].split(" ")[0] for j in res.justifications if j.excluded})
+        kinds = sorted({j.kind for j in res.justifications if j.excluded})
         rules.append(f"k={res.k} excluded in all {len(res.justifications)} worlds via {', '.join(kinds)}")
     if any(res.chain_justification() is not None for res in exclusions):
         rules.append(
@@ -553,7 +581,7 @@ class LehmerVerdict:
         for res in reversed(self.excluded_k):
             j = res.chain_justification()
             if j is not None:
-                return fraction_str(j.lhs), fraction_str(j.rhs)
+                return ratio_str(*j.lhs_pair), ratio_str(*j.rhs_pair)
         return None
 
     def as_dict(self) -> dict:
@@ -569,7 +597,7 @@ class LehmerVerdict:
             "counterexample": self.counterexample,
             "min_k": self.min_k,
             "excluded_k": [res.as_dict() for res in self.excluded_k],
-            "abundancy_coefficient": None if c is None else fraction_str(c),
+            "abundancy_coefficient": None if c is None else ratio_str(c.numerator, c.denominator),
             "witness": self.witness,
             "applied_rules": list(self.applied_rules),
             "notes": list(self.notes),

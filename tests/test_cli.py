@@ -142,6 +142,7 @@ class TestLehmerCommands:
         for argv in (
             ["lehmer-check", "561", "--format", "text", "--precision", "0"],
             ["lehmer-check", "561", "--format", "text", "--precision", "-3"],
+            ["lehmer-check", "561", "--format", "text", "--precision", str(cli.MAX_PRECISION + 1)],
             ["psi", "--group", "C4", "--precision", "3"],
         ):
             with pytest.raises(SystemExit) as err:

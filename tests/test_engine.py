@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 import lehmer_psi.engine as engine_module
-from lehmer_psi.arith import DomainError, factor, fraction_str, is_prime
+from lehmer_psi.arith import DomainError, factor, is_prime
 from lehmer_psi.bounds import witness_lower_bound
 from lehmer_psi.carmichael import carmichael_in_range
 from lehmer_psi.engine import (
+    CHAIN,
+    CONGRUENCE,
     GENERIC_PROFILE,
     N_FLOOR_BASE,
     N_FLOOR_RAISED,
@@ -333,7 +335,7 @@ class TestMinK:
     def test_symbolic_floors_match_the_sweep(self, monkeypatch, n_floor):
         # at 10^8171 each k's witness floor takes ~2.5 ms to render; min_k and
         # the oracle render the same values, so render each value once
-        monkeypatch.setattr(engine_module, "fraction_str", functools.cache(fraction_str))
+        monkeypatch.setattr(engine_module, "ratio_str", functools.cache(engine_module.ratio_str))
         profiles = _symbolic_profiles((None, 17, 101, 10007), n_floor)
         assert len(profiles) > 100
         for profile in profiles:
@@ -343,12 +345,55 @@ class TestMinK:
             assert got == _swept_min_k(profile), profile.describe()
 
     def test_world_constants_give_the_chain_bound(self):
-        profiles = _carmichael_profiles(10**7) + list(_symbolic_profiles((None, 17, 101, 10007)))
+        # _World.upper is the one home of the chain bound; every justification
+        # exclude_k records, for each world and witness floor once, reproduces
+        # the Fraction route: both sides in lowest terms, a chain's floor L/k
+        # against chain_upper, the congruence's k mod 3 against 1
+        symbolic = sorted(_symbolic_profiles((None, 17, 101, 10007)), key=lambda p: -len(p.worlds))
+        profiles = _carmichael_profiles(10**7) + symbolic
         worlds = {world for profile in profiles for world in profile.worlds}
         assert len(worlds) > 50
+        bounds = {}
         for world in worlds:
             for k in range(2, 301):
-                assert world.upper(k) == chain_upper(world.divides, world.tail, k), (world, k)
+                bound = bounds[world, k] = chain_upper(world.divides, world.tail, k)
+                assert world.upper(k) == (bound.numerator, bound.denominator), (world, k)
+        seen = set()
+        for profile in profiles:
+            fresh = [i for i, world in enumerate(profile.worlds)
+                     if (world, profile.witness_floor) not in seen]
+            seen.update((world, profile.witness_floor) for world in profile.worlds)
+            if not fresh:
+                continue
+            for k in range(2, 301):
+                res, floor = exclude_k(profile, k), profile.witness_floor / k
+                for i in fresh:
+                    world, j = profile.worlds[i], res.justifications[i]
+                    lhs, rhs = j.lhs, j.rhs
+                    assert (j.lhs_pair, j.rhs_pair) == (
+                        (lhs.numerator, lhs.denominator), (rhs.numerator, rhs.denominator))
+                    if 3 in world.divides and k % 3 != 1:
+                        assert (j.kind, lhs, rhs, j.excluded) == (CONGRUENCE, k % 3, 1, True)
+                    else:
+                        assert (j.kind, lhs, rhs) == (CHAIN, floor, bounds[world, k]), (world, k)
+                        assert j.excluded == (lhs >= rhs), (world, k)
+        assert len(seen) > 100
+
+    def test_min_k_builds_no_fraction_per_excluded_k(self, monkeypatch):
+        # each excluded k is decided and rendered from integer pairs; a Fraction
+        # per k (14 425 of them at q = 100981) is what this rules out
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "Fraction", CountingFraction)
+        profile = profile_from_factorization(factor(6178246534322281))
+        result = min_k(profile)
+        assert (profile.q, result.k, len(result.exclusions)) == (100981, 14427, 14425)
+        assert len(built) < 100
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_wrong_floor_is_caught(self, monkeypatch, shift):

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from lehmer_psi import cli
+from lehmer_psi.arith import approx_str
+from lehmer_psi.engine import PI2_HIGH, PI2_LOW, lehmer_check
 from lehmer_psi.scan import batch_verdicts
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
@@ -59,6 +61,15 @@ BATCH_1E5_DIGEST = "d85dd3cadd76304c5f8791b5fd07b008788e059801f4f9bb5ffa74080e50
 def test_lehmer_check_json_matches_recorded_digest(capsys, n, digest):
     assert cli.main(["lehmer-check", str(n), "--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_abundancy_decimal_is_certified_at_the_precision_cap():
+    # `lehmer-check --format text` prints c/pi^2 from PI2_LOW; up to
+    # --precision MAX_PRECISION the upper end of the sandwich prints alike
+    for n in LEHMER_CHECK_DIGESTS:
+        c = lehmer_check(n).abundancy_coefficient
+        low, high = (approx_str(c / pi2, cli.MAX_PRECISION) for pi2 in (PI2_LOW, PI2_HIGH))
+        assert low == high, n
 
 
 def test_batch_verdicts_report_matches_recorded_digest(tmp_path):
