@@ -125,6 +125,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_carmichael(args) -> int:
+    if args.n is not None and (args.start, args.end) != (None, None):
+        raise DomainError("carmichael takes either N or --from and --to, not both")
     if args.n is not None:
         cert = korselt_check(args.n)
         if args.format == "json":

@@ -45,6 +45,7 @@ SCHEMA_VERSION = 2
 MAX_SEGMENT = 1 << 22  # each segment holds three int32 arrays of this length
 HIT_WINDOW = 1 << 20  # integers per prime sieve when hit rows are rebuilt
 
+# a report row is a tuple of these seven values, in this order
 REPORT_KEYS = ("type", "n", "exact_k", "min_k", "rules", "lhs", "rhs")
 _JSON_TEMPLATE = "{" + ",".join(f'"{key}":%s' for key in REPORT_KEYS) + "}"
 
@@ -76,6 +77,12 @@ class ScanCheckpoint:
     def __post_init__(self):
         if not (self.lo <= self.next <= self.hi + 1):
             raise CheckpointError(f"next={self.next} outside [{self.lo}, {self.hi + 1}]")
+        for n, k, composite in self.composites:
+            if not self.lo <= n < self.next or composite is not True:
+                raise CheckpointError(
+                    f"composite hit {(n, k, composite)} must lie in "
+                    f"[{self.lo}, {self.next}) and be flagged True"
+                )
         if list(self.composites) != sorted(self.composites):
             raise CheckpointError("composites not sorted")
 
@@ -135,7 +142,7 @@ class ScanCheckpoint:
             raise CheckpointError(f"unsupported schema_version {payload.get('schema_version')}")
         try:
             lo, hi, next_ = (payload[key] for key in ("lo", "hi", "next"))
-            composites = tuple((int(n), int(k), bool(c)) for n, k, c in payload["composites"])
+            composites = tuple((int(n), int(k), c) for n, k, c in payload["composites"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint payload: {exc!r}") from exc
         if not all(type(v) is int for v in (lo, hi, next_)):
@@ -145,8 +152,9 @@ class ScanCheckpoint:
 
 def write_checkpoint(cp: ScanCheckpoint, path: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".checkpoint-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".checkpoint-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(cp.to_json())
             handle.flush()
@@ -155,7 +163,7 @@ def write_checkpoint(cp: ScanCheckpoint, path: str) -> None:
     except OSError as exc:
         raise OSError(f"cannot write checkpoint to {path}: {exc}") from exc
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
 
@@ -228,88 +236,53 @@ def scan_totient_divisibility(
 # ---------------------------------------------------------------------------
 # Report emission (JSON Lines; CSV mirrors the same columns)
 
-def report_row(
-    type_: str,
-    n: int | None = None,
-    exact_k: int | None = None,
-    min_k: int | None = None,
-    rules: list[str] | None = None,
-    lhs: str | None = None,
-    rhs: str | None = None,
-) -> dict:
-    return {
-        "type": type_,
-        "n": n,
-        "exact_k": exact_k,
-        "min_k": min_k,
-        "rules": rules or [],
-        "lhs": lhs,
-        "rhs": rhs,
-    }
-
-
-def hit_row(hit: tuple[int, int, bool]) -> dict:
+def hit_row(hit: tuple[int, int, bool]) -> tuple:
     n, k, composite = hit
-    return {
-        "type": "hit",
-        "n": n,
-        "exact_k": k,
-        "min_k": None,
-        "rules": ["composite" if composite else "prime"],
-        "lhs": None,
-        "rhs": None,
-    }
+    return ("hit", n, k, None, ("composite",) if composite else ("prime",), None, None)
 
 
-def verdict_row(verdict) -> dict:
-    binding = verdict.binding_inequality()
-    return report_row(
-        "verdict",
-        n=verdict.n,
-        exact_k=verdict.exact_k,
-        min_k=verdict.min_k,
-        rules=list(verdict.applied_rules),
-        lhs=binding[0] if binding else None,
-        rhs=binding[1] if binding else None,
-    )
+def verdict_row(verdict) -> tuple:
+    lhs, rhs = verdict.binding_inequality() or (None, None)
+    return ("verdict", verdict.n, verdict.exact_k, verdict.min_k, verdict.applied_rules, lhs, rhs)
 
 
-def jsonl_line(row: dict) -> str:
-    """row over REPORT_KEYS as json.dumps(..., separators=(",", ":")) gives
-    it. Each value is rendered by its schema type: type, lhs and rhs are str,
-    n, exact_k and min_k int, rules a list of str; any may be None."""
-    get, esc = row.get, encode_basestring_ascii
+def jsonl_line(row: tuple) -> str:
+    """row as json.dumps(dict(zip(REPORT_KEYS, row)), separators=(",", ":"))
+    gives it. Each value is rendered by its schema type: type, lhs and rhs are
+    str, n, exact_k and min_k int, rules a sequence of str; any may be None."""
+    type_, n, exact_k, min_k, rules, lhs, rhs = row
+    esc = encode_basestring_ascii
     return _JSON_TEMPLATE % (
-        "null" if (v := get("type")) is None else esc(v),
-        "null" if (v := get("n")) is None else str(v),
-        "null" if (v := get("exact_k")) is None else str(v),
-        "null" if (v := get("min_k")) is None else str(v),
-        "null" if (v := get("rules")) is None else "[" + ",".join(map(esc, v)) + "]",
-        "null" if (v := get("lhs")) is None else esc(v),
-        "null" if (v := get("rhs")) is None else esc(v),
+        "null" if type_ is None else esc(type_),
+        "null" if n is None else str(n),
+        "null" if exact_k is None else str(exact_k),
+        "null" if min_k is None else str(min_k),
+        "null" if rules is None else "[" + ",".join(map(esc, rules)) + "]",
+        "null" if lhs is None else esc(lhs),
+        "null" if rhs is None else esc(rhs),
     )
 
 
-def csv_line(row: dict) -> str:
+def csv_line(row: tuple) -> str:
     """The cells of jsonl_line by the same types: None is empty, and only
     rules is quoted, its entries joined by ";"."""
-    get = row.get
+    type_, n, exact_k, min_k, rules, lhs, rhs = row
     return ",".join((
-        "" if (v := get("type")) is None else str(v),
-        "" if (v := get("n")) is None else str(v),
-        "" if (v := get("exact_k")) is None else str(v),
-        "" if (v := get("min_k")) is None else str(v),
-        "" if (v := get("rules")) is None else '"' + ";".join(v).replace('"', '""') + '"',
-        "" if (v := get("lhs")) is None else str(v),
-        "" if (v := get("rhs")) is None else str(v),
+        "" if type_ is None else str(type_),
+        "" if n is None else str(n),
+        "" if exact_k is None else str(exact_k),
+        "" if min_k is None else str(min_k),
+        "" if rules is None else '"' + ";".join(rules).replace('"', '""') + '"',
+        "" if lhs is None else str(lhs),
+        "" if rhs is None else str(rhs),
     ))
 
 
 CSV_HEADER = ",".join(REPORT_KEYS)
 
 
-def write_report(rows: list[dict], path: str) -> None:
-    """One JSON Lines row per entry of rows."""
+def write_report(rows, path: str) -> None:
+    """One JSON Lines row per report row of the iterable rows."""
     try:
         with open(path, "w") as handle:
             for row in rows:
@@ -328,7 +301,7 @@ def batch_verdicts(bound: int, path: str | None = None):
     for verdict in verdicts:
         distribution[verdict.min_k] = distribution.get(verdict.min_k, 0) + 1
     if path is not None:
-        write_report([verdict_row(v) for v in verdicts], path)
+        write_report(map(verdict_row, verdicts), path)
     return verdicts, dict(sorted(distribution.items()))
 
 
@@ -344,15 +317,9 @@ class ConstantCheck:
     passed: bool
     expected_failure: bool = False
 
-    def row(self) -> dict:
-        return report_row(
-            "constant-check",
-            rules=[self.check_id] + (["expected-failure"] if self.expected_failure else []),
-            lhs=self.computed,
-            rhs=self.expected,
-            min_k=None,
-            exact_k=None,
-        )
+    def row(self) -> tuple:
+        rules = (self.check_id, "expected-failure") if self.expected_failure else (self.check_id,)
+        return ("constant-check", None, None, None, rules, self.computed, self.expected)
 
 
 def verify_constants() -> list[ConstantCheck]:

@@ -50,6 +50,16 @@ class TestBasicCommands:
         assert err.startswith("error:") and "10000000" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "bounds", [("--from", "2", "--to", "2000"), ("--from", "2"), ("--to", "2000")],
+        ids=["both", "from", "to"],
+    )
+    def test_carmichael_n_with_a_range_exits_2(self, capsys, bounds):
+        code, out, err = run(capsys, "carmichael", "561", *bounds)
+        assert code == 2
+        assert err.startswith("error:") and "not both" in err
+        assert out == ""
+
     def test_carmichael_range(self, capsys):
         code, out, _ = run(capsys, "carmichael", "--from", "2", "--to", "2000")
         assert code == 0
@@ -293,6 +303,26 @@ class TestScanCommand:
                              "--checkpoint", str(path))
         assert code == 2
         assert err.startswith("error:") and "schema_version 1" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_scan_checkpoint_composite_outside_its_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cp.json"
+        self._checkpoint_with_crc(
+            path,
+            {"schema_version": 2, "lo": 2, "hi": 100, "next": 101,
+             "composites": [[10**9, 7, True]]},
+        )
+        code, out, err = run(capsys, "scan", "--from", "2", "--to", "100",
+                             "--checkpoint", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "1000000000" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_scan_checkpoint_write_failure_names_the_path(self, capsys, tmp_path):
+        path = str(tmp_path / "missing-dir" / "cp.json")
+        code, out, err = run(capsys, "scan", "--from", "2", "--to", "10", "--checkpoint", path)
+        assert code == 2
+        assert err.startswith(f"io error: cannot write checkpoint to {path}: ")
         assert out == ""
 
     def test_scan_segment_size_above_bound_exits_2(self, capsys):

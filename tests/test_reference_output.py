@@ -4,9 +4,9 @@ them here catches a change to that output without a benchmark run. Regenerate
 the file with bench/record_reference.py only when the change is intended.
 
 The lehmer-check verdicts and the batch_verdicts report carry every excluded
-k with its per-world rules, so they are pinned here as well, as is the
-verify-constants table; their digests are the sha256 of the output and change
-only with an intended change to it."""
+k with its per-world rules, so they are pinned here as well, as are the
+verify-constants table and the scan hit rows; their digests are the sha256
+of the output and change only with an intended change to it."""
 
 import hashlib
 import json
@@ -70,6 +70,27 @@ def test_abundancy_decimal_is_certified_at_the_precision_cap():
         c = lehmer_check(n).abundancy_coefficient
         low, high = (approx_str(c / pi2, cli.MAX_PRECISION) for pi2 in (PI2_LOW, PI2_HIGH))
         assert low == high, n
+
+
+# sha256 of `scan --from 2 --to 100000` stdout: 9592 prime hit rows, in each
+# format; the JSON is the same from two worker processes
+SCAN_DIGESTS = {
+    ("text",): "ce1a1ebe74c9d78e49af253ff3371b4112c80a26000d662a6b3c28b72292c18b",
+    ("json",): "22b08bc243e9e5053b28d6007d34a6abebf472394d2e18bf87a491848e191a1c",
+    ("json", "--jobs", "2"): "22b08bc243e9e5053b28d6007d34a6abebf472394d2e18bf87a491848e191a1c",
+    ("csv",): "be96fdb3c1568a7c5ae144b2c6d4170f4df6ae4f0a0e772b0209c56276f0914c",
+}
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [pytest.param(flags, digest, id=" ".join(flags))
+     for flags, digest in sorted(SCAN_DIGESTS.items())],
+)
+def test_scan_stdout_matches_recorded_digest(capsys, flags, digest):
+    fmt, *rest = flags
+    assert cli.main(["scan", "--from", "2", "--to", "100000", "--format", fmt, *rest]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_batch_verdicts_report_matches_recorded_digest(tmp_path):

@@ -265,6 +265,27 @@ class TestCheckpoint:
             ScanCheckpoint(lo=10, hi=20, next=5)
         with pytest.raises(CheckpointError):
             ScanCheckpoint(lo=2, hi=20, next=2, composites=((15, 7, True), (9, 4, True)))
+        with pytest.raises(CheckpointError, match="not sorted"):
+            ScanCheckpoint(lo=2, hi=20, next=21, composites=((15, 7, True), (9, 4, True)))
+
+    @pytest.mark.parametrize(
+        "composite",
+        [(10**9, 7, True), (1, 7, True), (50, 7, True), (15, 7, False), (15, 7, 1)],
+        ids=["past-hi", "below-lo", "at-next", "flag-false", "flag-int"],
+    )
+    def test_composite_outside_the_scanned_range_or_not_flagged(self, composite):
+        with pytest.raises(CheckpointError, match="composite hit"):
+            ScanCheckpoint(lo=2, hi=100, next=50, composites=(composite,))
+        payload = {"schema_version": 2, "lo": 2, "hi": 100, "next": 50,
+                   "composites": [list(composite)]}
+        with pytest.raises(CheckpointError, match="composite hit"):
+            ScanCheckpoint.from_json(_with_crc(payload))
+
+    def test_write_failure_names_the_checkpoint_path(self, tmp_path):
+        path = str(tmp_path / "missing-dir" / "cp.json")
+        with pytest.raises(OSError) as err:
+            write_checkpoint(ScanCheckpoint(lo=2, hi=10, next=2), path)
+        assert str(err.value).startswith(f"cannot write checkpoint to {path}: ")
 
     def test_file_roundtrip(self, tmp_path):
         cp = ScanCheckpoint(lo=2, hi=10, next=11, composites=((4, 3, True),))
@@ -368,24 +389,21 @@ class TestCounterexampleAbort:
 # characters and non-ASCII text, ints of up to 3001 digits, and None anywhere
 _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t;,') | st.characters(), max_size=12)
 _INT = st.integers(-(10**3000), 10**3000) | st.integers(-(10**6), 10**6)
-_ROWS = st.fixed_dictionaries(
-    {
-        "type": st.none() | _TEXT,
-        "n": st.none() | _INT,
-        "exact_k": st.none() | _INT,
-        "min_k": st.none() | _INT,
-        "rules": st.none() | st.lists(_TEXT, max_size=4),
-        "lhs": st.none() | _TEXT,
-        "rhs": st.none() | _TEXT,
-    }
+_ROWS = st.tuples(
+    st.none() | _TEXT,  # type
+    st.none() | _INT,  # n
+    st.none() | _INT,  # exact_k
+    st.none() | _INT,  # min_k
+    st.none() | st.lists(_TEXT, max_size=4),  # rules
+    st.none() | _TEXT,  # lhs
+    st.none() | _TEXT,  # rhs
 )
 
 
-def _csv_reference(row: dict) -> str:
+def _csv_reference(row: tuple) -> str:
     """The reference for csv_line: one loop over the keys, branching on rules."""
     cells = []
-    for key in REPORT_KEYS:
-        value = row.get(key)
+    for key, value in zip(REPORT_KEYS, row, strict=True):
         if value is None:
             cells.append("")
         elif key == "rules":
@@ -399,7 +417,7 @@ class TestReports:
     @settings(max_examples=300, deadline=None)
     @given(row=_ROWS)
     def test_jsonl_line_matches_json_dumps(self, row):
-        reference = json.dumps({k: row.get(k) for k in REPORT_KEYS}, separators=(",", ":"))
+        reference = json.dumps(dict(zip(REPORT_KEYS, row)), separators=(",", ":"))
         assert jsonl_line(row) == reference
 
     @settings(max_examples=300, deadline=None)
@@ -422,6 +440,8 @@ class TestReports:
         from lehmer_psi.engine import lehmer_check
 
         row = verdict_row(lehmer_check(2465))
+        assert len(row) == len(REPORT_KEYS)
+        row = dict(zip(REPORT_KEYS, row))
         assert row["type"] == "verdict"
         assert row["n"] == 2465
         assert row["min_k"] == 3
@@ -507,5 +527,6 @@ class TestVerifyConstants:
     def test_rows_serialize(self):
         for check in verify_constants():
             row = check.row()
-            assert row["type"] == "constant-check"
+            assert len(row) == len(REPORT_KEYS)
+            assert dict(zip(REPORT_KEYS, row))["type"] == "constant-check"
             json.loads(jsonl_line(row))
