@@ -1,4 +1,4 @@
-"""Command-line frontend. Every run is a pure function of argv + environment:
+"""Command-line frontend. Every run is a pure function of argv:
 no prompts, no timestamps, machine formats free of decorative text.
 
 Exit codes: 0 success, 2 usage or domain error, 3 failed verification
@@ -23,15 +23,8 @@ from .engine import (
     min_k,
     lehmer_check,
 )
-from .groups import (
-    DEFAULT_SPECTRUM_LIMIT,
-    order_spectrum,
-    parse_group_spec,
-    psi,
-    psi_cyclic,
-)
+from .groups import order_spectrum, parse_group_spec, psi, psi_cyclic
 from .scan import (
-    CheckpointError,
     CounterexampleFound,
     CSV_HEADER,
     DEFAULT_SEGMENT,
@@ -169,7 +162,7 @@ def cmd_carmichael(args) -> int:
 def cmd_psi(args) -> int:
     g = parse_group_spec(args.group)
     if args.format == "json":
-        spectrum = order_spectrum(g, limit=args.limit)
+        spectrum = order_spectrum(g)
         value = spectrum.order_sum()
         _emit(
             json.dumps(
@@ -184,7 +177,7 @@ def cmd_psi(args) -> int:
             )
         )
     else:
-        _emit(str(psi(g, limit=args.limit)))
+        _emit(str(psi(g)))
     return 0
 
 
@@ -265,13 +258,6 @@ def cmd_scan(args) -> int:
     checkpoint = None
     if args.checkpoint and os.path.exists(args.checkpoint):
         checkpoint = read_checkpoint(args.checkpoint)
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("LEHMER_PSI_JOBS", "1")
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise DomainError(f"LEHMER_PSI_JOBS must be an integer, got {env!r}") from None
     try:
         cp = scan_totient_divisibility(
             args.start,
@@ -279,7 +265,7 @@ def cmd_scan(args) -> int:
             checkpoint,
             segment_size=args.segment_size,
             checkpoint_path=args.checkpoint,
-            jobs=jobs,
+            jobs=args.jobs,
         )
     except CounterexampleFound as exc:
         sys.stderr.write(str(exc) + "\n")
@@ -348,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="sum of element orders of a group spec")
     p.add_argument("--group", required=True, help='e.g. "C2 x C2 x C15", "Q8 x C3", "D6"')
-    p.add_argument("--limit", type=_positive_int, default=DEFAULT_SPECTRUM_LIMIT,
-                   help="spectrum support size limit")
     add_format(p)
     p.set_defaults(func=cmd_psi)
 
@@ -373,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="scan a range for phi(n) | (n-1)")
     p.add_argument("--from", dest="start", type=_positive_int, required=True)
     p.add_argument("--to", dest="end", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=int, help="workers (default $LEHMER_PSI_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--checkpoint", help="checkpoint file; resumed when present")
     p.add_argument("--segment-size", type=_positive_int, default=DEFAULT_SEGMENT,
                    help=f"integers per segment, at most {MAX_SEGMENT}")
@@ -392,7 +376,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, CheckpointError) as exc:
+    except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except OSError as exc:

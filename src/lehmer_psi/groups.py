@@ -23,11 +23,12 @@ from .arith import (
     factor,
 )
 
-DEFAULT_SPECTRUM_LIMIT = 10_000_000
+# Most entries a spectrum may hold; read at call time, no option changes it.
+SPECTRUM_LIMIT = 10_000_000
 
 
 class SpectrumLimitError(DomainError):
-    """Spectrum support size would exceed the configured desk-scale limit."""
+    """Spectrum support size would exceed SPECTRUM_LIMIT."""
 
 
 class GroupSpecSyntaxError(DomainError):
@@ -41,7 +42,7 @@ class GroupSpecSyntaxError(DomainError):
 @dataclass(frozen=True)
 class GroupSpec:
     """A group family: each gives order, exponent, is_cyclic, is_nilpotent,
-    is_abelian, spectrum_map(limit) (element order -> count) and its DSL text
+    is_abelian, spectrum_map() (element order -> count) and its DSL text
     as str(g). Atoms carry a rank that orders equal-order atoms in products."""
 
 
@@ -63,8 +64,10 @@ class Cyclic(GroupSpec):
     def exponent(self) -> int:
         return self.n
 
-    def spectrum_map(self, limit: int) -> dict[int, int]:
-        return _within(dict(divisor_totient_pairs(factor(self.n))), limit)
+    def spectrum_map(self) -> dict[int, int]:
+        f = factor(self.n)
+        _within(prod(a + 1 for _, a in f))  # count the divisors before building them
+        return dict(divisor_totient_pairs(f))
 
     def __str__(self) -> str:
         return f"C{self.n}"
@@ -110,10 +113,11 @@ class Dihedral(GroupSpec):
     def is_abelian(self) -> bool:
         return self.order2m <= 4
 
-    def spectrum_map(self, limit: int) -> dict[int, int]:
-        spec = Cyclic(self.m).spectrum_map(limit)
+    def spectrum_map(self) -> dict[int, int]:
+        spec = Cyclic(self.m).spectrum_map()
         spec[2] = spec.get(2, 0) + self.m  # the m reflections
-        return _within(spec, limit)
+        _within(len(spec))
+        return spec
 
     def __str__(self) -> str:
         return f"D{self.order2m}"
@@ -128,7 +132,7 @@ class Quaternion8(GroupSpec):
     is_nilpotent = True
     is_abelian = False
 
-    def spectrum_map(self, limit: int) -> dict[int, int]:
+    def spectrum_map(self) -> dict[int, int]:
         return {1: 1, 2: 1, 4: 6}
 
     def __str__(self) -> str:
@@ -164,10 +168,10 @@ class Product(GroupSpec):
     def is_abelian(self) -> bool:
         return all(f.is_abelian for f in self.factors)
 
-    def spectrum_map(self, limit: int) -> dict[int, int]:
+    def spectrum_map(self) -> dict[int, int]:
         acc = {1: 1}
         for f in self.factors:
-            acc = _convolve(acc, f.spectrum_map(limit), limit)
+            acc = _convolve(acc, f.spectrum_map())
         return acc
 
     def __str__(self) -> str:
@@ -228,7 +232,11 @@ def parse_group_spec(text: str) -> GroupSpec:
             pos += 1
         if not digits:
             raise GroupSpecSyntaxError(f"missing order after {c!r}", pos)
-        value = int(digits)
+        try:
+            value = int(digits)
+        except ValueError:  # too many digits for int(), or a digit it cannot read
+            message = f"cannot read the {len(digits)}-digit order after {c!r}"
+            raise GroupSpecSyntaxError(message, start) from None
         family = _FAMILIES[c]
         if family is Quaternion8 and value != 8:
             raise GroupSpecSyntaxError(f"only Q8 is available, got Q{value}", start)
@@ -269,14 +277,13 @@ class OrderSpectrum:
         return sum(d * c for d, c in self.entries)
 
 
-def _within(spec: dict[int, int], limit: int) -> dict[int, int]:
-    """spec, or SpectrumLimitError when its support exceeds limit entries."""
-    if len(spec) > limit:
-        raise SpectrumLimitError(f"spectrum support exceeds the limit of {limit} entries")
-    return spec
+def _within(support: int) -> None:
+    """SpectrumLimitError when a support of this size exceeds SPECTRUM_LIMIT."""
+    if support > SPECTRUM_LIMIT:
+        raise SpectrumLimitError(f"spectrum support exceeds the limit of {SPECTRUM_LIMIT} entries")
 
 
-def _convolve(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int, int]:
+def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for d1, c1 in a.items():
         for d2, c2 in b.items():
@@ -285,21 +292,21 @@ def _convolve(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int, int
                 out[d] += c1 * c2
             else:
                 out[d] = c1 * c2
-                _within(out, limit)
+                _within(len(out))
     return out
 
 
-def order_spectrum(g: GroupSpec, limit: int = DEFAULT_SPECTRUM_LIMIT) -> OrderSpectrum:
+def order_spectrum(g: GroupSpec) -> OrderSpectrum:
     """Exact element-order spectrum. Cyclic groups contribute phi(d) elements
     of order d per divisor d; a dihedral group adds m reflections of order 2;
     products convolve by "order of a tuple = lcm of component orders".
     """
-    return OrderSpectrum(tuple(sorted(g.spectrum_map(limit).items())))
+    return OrderSpectrum(tuple(sorted(g.spectrum_map().items())))
 
 
-def psi(g: GroupSpec, limit: int = DEFAULT_SPECTRUM_LIMIT) -> int:
+def psi(g: GroupSpec) -> int:
     """Sum of the orders of all elements."""
-    return order_spectrum(g, limit).order_sum()
+    return order_spectrum(g).order_sum()
 
 
 def psi_cyclic(f: Factorization | int) -> int:
@@ -313,14 +320,14 @@ def psi_cyclic(f: Factorization | int) -> int:
     return r
 
 
-def psi_prime(g: GroupSpec, limit: int = DEFAULT_SPECTRUM_LIMIT) -> Fraction:
+def psi_prime(g: GroupSpec) -> Fraction:
     """psi(G) / psi(C_|G|), in lowest terms; equals 1 exactly for cyclic specs."""
-    return Fraction(psi(g, limit), psi_cyclic(factor(g.order)))
+    return Fraction(psi(g), psi_cyclic(factor(g.order)))
 
 
-def psi_double_prime(g: GroupSpec, limit: int = DEFAULT_SPECTRUM_LIMIT) -> Fraction:
+def psi_double_prime(g: GroupSpec) -> Fraction:
     """psi(G) / |G|**2, in lowest terms; always in (0, 1]."""
-    return Fraction(psi(g, limit), g.order**2)
+    return Fraction(psi(g), g.order**2)
 
 
 # ---------------------------------------------------------------------------

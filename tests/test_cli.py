@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -81,9 +82,9 @@ class TestBasicCommands:
         walks = []
         walk = groups.Product.spectrum_map
 
-        def counted(self, limit):
-            walks.append(limit)
-            return walk(self, limit)
+        def counted(self):
+            walks.append(self)
+            return walk(self)
 
         monkeypatch.setattr(groups.Product, "spectrum_map", counted)
         code, _, _ = run(capsys, command, "--group", "C2 x C2 x C15", "--format", "json")
@@ -382,12 +383,35 @@ class TestCliContract:
         assert "D5" in message or "dihedral" in message
 
     @pytest.mark.parametrize("spec", ["C14", "D14"])
-    def test_spectrum_past_limit_exits_2(self, capsys, spec):
+    def test_spectrum_past_limit_exits_2(self, capsys, monkeypatch, spec):
         # C14 has 4 orders and D14 has 3 (1, 2, 7): both exceed a limit of 2
-        code, out, err = run(capsys, "psi", "--group", spec, "--limit", "2")
+        monkeypatch.setattr(groups, "SPECTRUM_LIMIT", 2)
+        code, out, err = run(capsys, "psi", "--group", spec)
         assert code == 2
         assert err.startswith("error:") and "limit" in err
         assert out == ""
+
+    def test_option_surface_is_pinned(self):
+        # every subcommand's options; a new knob must be added here on purpose
+        expected = {
+            "factor": ["--format"],
+            "phi": ["--format"],
+            "sigma": ["--format"],
+            "carmichael": ["--from", "--to", "--format"],
+            "psi": ["--group", "--format"],
+            "bounds": ["--group", "--format"],
+            "lehmer-check": ["--format", "--precision"],
+            "min-k": ["--profile", "--format"],
+            "scan": ["--from", "--to", "--jobs", "--checkpoint", "--segment-size", "--format"],
+            "verify-constants": ["--format"],
+        }
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+            for name, p in sub.choices.items()
+        }
+        assert surface == expected
 
     def test_machine_output_is_deterministic(self, capsys):
         runs = [run(capsys, "lehmer-check", "2465")[1] for _ in range(2)]
@@ -397,23 +421,15 @@ class TestCliContract:
 
 
 class TestEnvironment:
-    def test_jobs_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("LEHMER_PSI_JOBS", "2")
-        code, out, _ = run(capsys, "scan", "--from", "2", "--to", "3000",
-                           "--segment-size", "512")
-        assert code == 0
-        assert out.splitlines()[0].startswith("scanned [2, 3000]:")
-
-    def test_jobs_environment_not_an_integer_exits_2(self, capsys, monkeypatch):
+    def test_environment_does_not_set_jobs(self, capsys, monkeypatch):
+        # argv alone decides a run: LEHMER_PSI_JOBS does not set --jobs
+        monkeypatch.delenv("LEHMER_PSI_JOBS", raising=False)
+        expected = run(capsys, "scan", "--from", "2", "--to", "10")
         monkeypatch.setenv("LEHMER_PSI_JOBS", "abc")
-        code, out, err = run(capsys, "scan", "--from", "2", "--to", "10")
-        assert code == 2
-        assert err.startswith("error:") and "LEHMER_PSI_JOBS" in err
-        assert out == ""
+        assert run(capsys, "scan", "--from", "2", "--to", "10") == expected
+        assert expected[0] == 0 and expected[1].startswith("scanned [2, 10]:")
 
-    @pytest.mark.parametrize(
-        "env, flags", [(None, ["--jobs", "-5"]), ("4", ["--jobs", "0"]), ("0", [])]
-    )
+    @pytest.mark.parametrize("env, flags", [(None, ["--jobs", "-5"]), ("4", ["--jobs", "0"])])
     def test_job_count_below_one_exits_2(self, capsys, monkeypatch, env, flags):
         if env is None:
             monkeypatch.delenv("LEHMER_PSI_JOBS", raising=False)

@@ -1,16 +1,19 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import brute_psi, brute_spectrum, element_order, group_table
+from lehmer_psi import groups
 from lehmer_psi.arith import Factorization, divisor_totient_pairs, factor
 from lehmer_psi.groups import (
     Cyclic,
     Dihedral,
+    GroupSpec,
     GroupSpecSyntaxError,
     Product,
     Quaternion8,
@@ -88,6 +91,16 @@ class TestParser:
         g = product(factors)
         assert parse_group_spec(str(g)) == g
 
+    # the DSL alphabet plus one stray character ("²" is a digit int() cannot read)
+    @given(st.text(alphabet="CDQx0123456789 ²", max_size=20))
+    @example("C" + "9" * 100_001)  # past the int-string limit
+    def test_any_text_parses_or_raises_syntax_error(self, text):
+        try:
+            g = parse_group_spec(text)
+        except GroupSpecSyntaxError:
+            return
+        assert isinstance(g, GroupSpec)
+
     def test_product_flattens(self):
         nested = product([Product((Cyclic(2), Cyclic(3))), Cyclic(5)])
         assert nested == product([Cyclic(2), Cyclic(3), Cyclic(5)])
@@ -147,9 +160,23 @@ class TestSpectra:
                 e = g.exponent
                 assert all(e % d == 0 for d, _ in spec.entries)
 
-    def test_support_limit_enforced(self):
+    def test_support_limit_enforced(self, monkeypatch):
+        monkeypatch.setattr(groups, "SPECTRUM_LIMIT", 10)
         with pytest.raises(SpectrumLimitError):
-            order_spectrum(Cyclic(720720), limit=10)
+            order_spectrum(Cyclic(720720))
+
+    def test_cyclic_support_counted_before_it_is_built(self, monkeypatch):
+        # the product of the first 16 primes has 2^16 divisors: none is built
+        n = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53))
+        monkeypatch.setattr(groups, "SPECTRUM_LIMIT", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpectrumLimitError):
+                order_spectrum(Cyclic(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestPsi:
