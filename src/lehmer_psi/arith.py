@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
@@ -252,42 +253,32 @@ def is_squarefree(f: Factorization | int) -> bool:
     return all(a == 1 for _, a in f)
 
 
+def ratio_str(num: int, den: int) -> str:
+    """The report schema's "p/q" text of a pair in lowest terms; every rational
+    the package prints is rendered here."""
+    return f"{num}/{den}"
+
+
 def fraction_str(x: Fraction | int) -> str:
-    """Canonical "p/q" rendering used by the report schema."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    """ratio_str of x in lowest terms."""
+    return ratio_str(*Fraction(x).as_integer_ratio())
 
 
 def approx_str(x: Fraction | int, significant: int = 10) -> str:
     """Display-only decimal with explicit precision, e.g. '≈ 0.2431708056'.
-    Verdict-deciding comparisons never touch this path.
+    Verdict-deciding comparisons never touch this path. One correctly rounded
+    division under a context of its own, so the caller's decimal settings
+    cannot change the text and no magnitude underflows.
     """
-    x = Fraction(x)
-    if x == 0:
+    num, den = Fraction(x).as_integer_ratio()
+    if num == 0:
         return "≈ 0"
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    mag = 0
-    while x >= 10:
-        x /= 10
-        mag += 1
-    while x < 1:
-        x *= 10
-        mag -= 1
-    scaled = x * 10 ** (significant - 1)
-    digits = scaled.numerator // scaled.denominator
-    if 2 * (scaled - digits) >= 1:
-        digits += 1
-        if digits == 10**significant:
-            digits //= 10
-            mag += 1
-    text = str(digits)
+    sign = "-" if num < 0 else ""
+    ctx = Context(prec=significant, rounding=ROUND_HALF_UP, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    with localcontext(ctx):
+        d = Decimal(abs(num)) / den
+    mag = d.adjusted()
+    text = "".join(map(str, d.as_tuple().digits)).ljust(significant, "0")
     if 0 <= mag < significant:
         intpart = text[: mag + 1]
         frac = text[mag + 1 :].rstrip("0")

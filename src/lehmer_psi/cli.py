@@ -40,11 +40,6 @@ from .scan import (
 USAGE_ERROR = 2
 VERIFICATION_ERROR = 3
 
-# Most significant digits lehmer-check prints of the abundancy decimal c/pi^2.
-# The pi^2 sandwich (width 1e-40) certifies about 40, so the cap stays well
-# inside them: at 30 digits c/PI2_LOW and c/PI2_HIGH print alike.
-MAX_PRECISION = 30
-
 
 def _positive_int(text: str) -> int:
     try:
@@ -53,13 +48,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    return value
-
-
-def _precision(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_PRECISION:
-        raise argparse.ArgumentTypeError(f"at most {MAX_PRECISION} digits are certified, got {value}")
     return value
 
 
@@ -220,7 +208,7 @@ def cmd_lehmer_check(args) -> int:
             c = verdict.abundancy_coefficient
             _emit(
                 f"abundancy: sigma(n)/n > {fraction_str(c)}/pi^2 "
-                f"{approx_str(Fraction(c) / PI2_LOW, args.precision)}"
+                f"{approx_str(c / PI2_LOW)}"
             )
         for rule in verdict.applied_rules:
             _emit(f"  rule: {rule}")
@@ -345,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lehmer-check", help="full verdict for a candidate n")
     p.add_argument("n", type=_positive_int)
     add_format(p, default="json")
-    p.add_argument("--precision", type=_precision, default=10,
-                   help=f"significant digits for decimals in text output, at most {MAX_PRECISION}")
     p.set_defaults(func=cmd_lehmer_check)
 
     p = sub.add_parser("min-k", help="multiplier floor for a divisibility profile")

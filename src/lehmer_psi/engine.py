@@ -40,6 +40,7 @@ from .arith import (
     factor,
     is_prime,
     is_squarefree,
+    ratio_str,
     sigma,
 )
 from .carmichael import korselt_check
@@ -330,12 +331,6 @@ def enumerate_worlds(profile: LehmerProfile) -> list[_World]:
 
 # ---------------------------------------------------------------------------
 # Per-k exclusion
-
-def ratio_str(num: int, den: int) -> str:
-    """The report schema's "p/q" text of a pair in lowest terms; every rational
-    the engine prints is rendered here."""
-    return f"{num}/{den}"
-
 
 class Justification(NamedTuple):
     """One world's verdict on k under its rule of kind CHAIN or CONGRUENCE,

@@ -142,11 +142,12 @@ class ScanCheckpoint:
             raise CheckpointError(f"unsupported schema_version {payload.get('schema_version')}")
         try:
             lo, hi, next_ = (payload[key] for key in ("lo", "hi", "next"))
-            composites = tuple((int(n), int(k), c) for n, k, c in payload["composites"])
+            composites = tuple((n, k, c) for n, k, c in payload["composites"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint payload: {exc!r}") from exc
-        if not all(type(v) is int for v in (lo, hi, next_)):
-            raise CheckpointError(f"checkpoint bounds must be integers: {lo}, {hi}, {next_}")
+        numbers = (lo, hi, next_, *(v for n, k, _ in composites for v in (n, k)))
+        if not all(type(v) is int for v in numbers):
+            raise CheckpointError("checkpoint bounds and hit entries must be integers")
         return cls(lo=lo, hi=hi, next=next_, composites=composites)
 
 

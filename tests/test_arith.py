@@ -1,9 +1,10 @@
 import random
+from decimal import Context, Inexact, Overflow, localcontext
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import naive_divisors, naive_factor, naive_phi, naive_sigma
 from lehmer_psi.arith import (
@@ -17,7 +18,6 @@ from lehmer_psi.arith import (
     fraction_str,
     is_prime,
     is_squarefree,
-    parse_fraction,
     primality,
     sigma,
 )
@@ -285,9 +285,43 @@ class TestExactRational:
         assert gcd(x.numerator, x.denominator) == 1 or x.numerator == 0
         assert x.denominator > 0
 
-    def test_fraction_str_roundtrip(self):
-        for x in (Fraction(7, 24), Fraction(-3, 4), Fraction(5), Fraction(0)):
-            assert parse_fraction(fraction_str(x)) == x
+    def test_fraction_str_literals(self):
+        assert fraction_str(Fraction(14, 48)) == "7/24"
+        assert fraction_str(Fraction(-3, 4)) == "-3/4"
+        assert fraction_str(5) == "5/1"
+        assert fraction_str(0) == "0/1"
+
+
+def _approx_reference(x: Fraction | int, significant: int = 10) -> str:
+    """approx_str by exact Fraction scaling and half-up rounding, no decimal."""
+    x = Fraction(x)
+    if x == 0:
+        return "\u2248 0"
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    mag = 0
+    while x >= 10:
+        x /= 10
+        mag += 1
+    while x < 1:
+        x *= 10
+        mag -= 1
+    scaled = x * 10 ** (significant - 1)
+    digits = scaled.numerator // scaled.denominator
+    if 2 * (scaled - digits) >= 1:
+        digits += 1
+        if digits == 10**significant:
+            digits //= 10
+            mag += 1
+    text = str(digits)
+    if 0 <= mag < significant:
+        intpart = text[: mag + 1]
+        frac = text[mag + 1 :].rstrip("0")
+        return f"\u2248 {sign}{intpart}" + (f".{frac}" if frac else "")
+    if -4 <= mag < 0:
+        body = "0." + "0" * (-mag - 1) + text.rstrip("0")
+        return f"\u2248 {sign}{body.rstrip('.')}"
+    return f"\u2248 {sign}{text[0]}.{text[1:].rstrip('0') or '0'}e{mag}"
 
 
 class TestApproxDisplay:
@@ -301,6 +335,24 @@ class TestApproxDisplay:
         assert approx_str(Fraction(24)) == "\u2248 24"
         assert approx_str(Fraction(0)) == "\u2248 0"
         assert approx_str(Fraction(-1, 4), significant=3) == "\u2248 -0.25"
+
+    @given(
+        st.integers(1, 10**40),
+        st.integers(1, 10**40),
+        st.booleans(),
+        st.integers(1, 30),
+    )
+    @example(99999999995, 10**10, False, 10)  # rounds up to "10"
+    @example(1, 8, True, 2)  # a tie: half-up gives "-0.13", half-even "-0.12"
+    def test_matches_the_fraction_reference(self, num, den, negative, significant):
+        x = Fraction(-num if negative else num, den)
+        assert approx_str(x, significant) == _approx_reference(x, significant)
+
+    def test_ignores_the_callers_decimal_context(self):
+        cases = (Fraction(1, 3), Fraction(10**9, 7))
+        outside = [approx_str(x) for x in cases]
+        with localcontext(Context(prec=2, Emin=-3, Emax=3, traps=[Inexact, Overflow])):
+            assert [approx_str(x) for x in cases] == outside
 
     def test_large_magnitude_uses_exponent(self):
         out = approx_str(Fraction(10**30, 7), significant=5)

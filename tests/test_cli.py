@@ -149,20 +149,18 @@ class TestLehmerCommands:
         guard = engine._SWEEP_GUARD
         assert err == f"error: exclusion sweep reached its guard of k < {guard} without a floor\n"
 
-    def test_precision_only_on_lehmer_check(self, capsys):
+    def test_precision_option_is_gone(self, capsys):
         for argv in (
-            ["lehmer-check", "561", "--format", "text", "--precision", "0"],
-            ["lehmer-check", "561", "--format", "text", "--precision", "-3"],
-            ["lehmer-check", "561", "--format", "text", "--precision", str(cli.MAX_PRECISION + 1)],
+            ["lehmer-check", "561", "--format", "text", "--precision", "3"],
             ["psi", "--group", "C4", "--precision", "3"],
         ):
             with pytest.raises(SystemExit) as err:
                 cli.main(argv)
             assert err.value.code == 2
         capsys.readouterr()
-        code, out, _ = run(capsys, "lehmer-check", "561", "--format", "text", "--precision", "3")
+        code, out, _ = run(capsys, "lehmer-check", "561", "--format", "text")
         assert code == 0
-        assert "/pi^2 ≈ 3.47\n" in out
+        assert "/pi^2 ≈ 3.468256952\n" in out
 
     def test_min_k_profile(self, capsys):
         code, out, _ = run(capsys, "min-k", "--profile", "q=5, 7|n, 13|n")
@@ -400,7 +398,7 @@ class TestCliContract:
             "carmichael": ["--from", "--to", "--format"],
             "psi": ["--group", "--format"],
             "bounds": ["--group", "--format"],
-            "lehmer-check": ["--format", "--precision"],
+            "lehmer-check": ["--format"],
             "min-k": ["--profile", "--format"],
             "scan": ["--from", "--to", "--jobs", "--checkpoint", "--segment-size", "--format"],
             "verify-constants": ["--format"],

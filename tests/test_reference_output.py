@@ -63,12 +63,31 @@ def test_lehmer_check_json_matches_recorded_digest(capsys, n, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def test_abundancy_decimal_is_certified_at_the_precision_cap():
-    # `lehmer-check --format text` prints c/pi^2 from PI2_LOW; up to
-    # --precision MAX_PRECISION the upper end of the sandwich prints alike
+# sha256 of `lehmer-check N --format text` stdout, which the JSON digests do
+# not cover: the floor label and the abundancy decimal c/pi^2
+LEHMER_CHECK_TEXT_DIGESTS = {
+    561: "ec9f0a9b1c717e6b528d04690612757c17231585233d8000de869060294dffae",
+    1105: "0b48e4551fc40cf62aefa0b484e96b024ac94b32b71ca8d449ae4e5c822a7ae3",
+    2465: "4602422f77c9c8b8a60613e4ed8f01e01bd6e2d13051b99b70a5b392354b9843",
+    29341: "e9dda0f13bf3dec4e830ac53801833784d6a01a21725d9be73b4df833e8b427f",
+    41041: "4b8d926006896d71722a09cc2f0e6e05f5b0f4e364844031e3c67bf2a607ed66",
+    62745: "fd9b7cb1794a1396354e134cbbf05335a762f89073e75df16c9933745206aaf0",
+    9624742921: "690b9e82d64bc283fa611dcee57e5276c6fe1475bdf30423a288bb8bcacff07b",
+}
+
+
+@pytest.mark.parametrize("n, digest", sorted(LEHMER_CHECK_TEXT_DIGESTS.items()))
+def test_lehmer_check_text_matches_recorded_digest(capsys, n, digest):
+    assert cli.main(["lehmer-check", str(n), "--format", "text"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_abundancy_decimal_is_certified_to_the_printed_digits():
+    # `lehmer-check --format text` prints c/pi^2 from PI2_LOW at approx_str's
+    # default width; the upper end of the sandwich prints alike
     for n in LEHMER_CHECK_DIGESTS:
         c = lehmer_check(n).abundancy_coefficient
-        low, high = (approx_str(c / pi2, cli.MAX_PRECISION) for pi2 in (PI2_LOW, PI2_HIGH))
+        low, high = (approx_str(c / pi2) for pi2 in (PI2_LOW, PI2_HIGH))
         assert low == high, n
 
 

@@ -254,6 +254,8 @@ class TestCheckpoint:
             {"schema_version": 2, "lo": 2, "hi": 9, "next": 2, "composites": [[4, 3]]},
             {"schema_version": 2, "lo": 2, "hi": 100, "next": 50.5, "composites": []},
             {"schema_version": 2, "lo": "2", "hi": 100, "next": 50, "composites": []},
+            {"schema_version": 2, "lo": 2, "hi": 1000, "next": 1000, "composites": [[561.9, 1.5, True]]},
+            {"schema_version": 2, "lo": 2, "hi": 1000, "next": 1000, "composites": [["561", "1", True]]},
         ],
     )
     def test_malformed_payload_with_valid_crc(self, payload):
