@@ -5,6 +5,12 @@ Checkpoints are single JSON documents with a CRC32 over the canonical payload,
 written atomically (temp file, fsync, rename), so an interrupted scan resumes
 to byte-identical results. A checkpoint holds the range, the resume point and
 the composite hits; the prime hits are rebuilt from the sieve.
+
+A checkpointed scan writes at most once per CHECKPOINT_INTERVAL seconds, and
+always at the end, before a composite abort and when any exception (an
+interrupt included) leaves the loop. So after an exception the file holds the
+last completed segment; only a kill or a power loss loses work, at most one
+interval of it.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ import heapq
 import json
 import os
 import tempfile
+import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, lru_cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -44,6 +51,8 @@ SCAN_LIMIT = 10**8
 SCHEMA_VERSION = 2
 MAX_SEGMENT = 1 << 22  # each segment holds three int32 arrays of this length
 HIT_WINDOW = 1 << 20  # integers per prime sieve when hit rows are rebuilt
+CHECKPOINT_INTERVAL = 1.0  # seconds between checkpoint writes inside a scan
+_clock = time.monotonic  # the clock the scan loop reads; tests replace it
 
 # a report row is a tuple of these seven values, in this order
 REPORT_KEYS = ("type", "n", "exact_k", "min_k", "rules", "lhs", "rhs")
@@ -98,8 +107,8 @@ class ScanCheckpoint:
         # a window's array is freed once listed and its list once iterated,
         # so at most one of each is alive
         windows = map(np.ndarray.tolist, self._prime_windows())
-        primes = ((p, 1, False) for p in chain.from_iterable(windows))
-        return heapq.merge(primes, self.composites)
+        primes = zip(chain.from_iterable(windows), repeat(1), repeat(False))
+        return heapq.merge(primes, self.composites) if self.composites else primes
 
     def hit_count(self) -> int:
         """len(hits), counted one prime window at a time."""
@@ -204,6 +213,13 @@ def scan_totient_divisibility(
     """Scan [lo, hi] for n with phi(n) | (n - 1). Every prime appears as a hit
     with exact_k = 1; a composite hit runs lehmer_check and aborts loudly.
     Results are independent of segmentation, job count, and interruptions.
+
+    With checkpoint_path, the checkpoint is written when CHECKPOINT_INTERVAL
+    seconds have passed since the last write (or the start), for a segment
+    with a composite hit before the abort, and on leaving the loop, normally
+    or by any exception, if the last completed segment is not yet on disk.
+    A write that raised is not retried. When on_segment(cp) runs, the file
+    may still hold an earlier checkpoint than cp.
     """
     if not 2 <= lo <= hi <= SCAN_LIMIT:
         raise DomainError(f"need 2 <= lo <= hi <= {SCAN_LIMIT}, got [{lo}, {hi}]")
@@ -220,26 +236,39 @@ def scan_totient_divisibility(
     # with fork, the pool starts every worker up front: never more than can run
     workers = min(jobs, len(windows), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    # saved is the last cp a write was tried for: set first, so a failed write is not retried
+    saved, last_write = cp, _clock()
     with pool:
         mapper = pool.map if workers > 1 else map
-        for (_, seg_end), composites in zip(windows, mapper(_segment_hits, windows)):
-            cp = replace(cp, next=seg_end + 1, composites=cp.composites + tuple(composites))
-            if checkpoint_path:
+        try:
+            for (_, seg_end), composites in zip(windows, mapper(_segment_hits, windows)):
+                cp = replace(cp, next=seg_end + 1, composites=cp.composites + tuple(composites))
+                if checkpoint_path and (composites or _clock() - last_write >= CHECKPOINT_INTERVAL):
+                    saved = cp
+                    write_checkpoint(cp, checkpoint_path)
+                    last_write = _clock()
+                if composites:
+                    n = composites[0][0]
+                    raise CounterexampleFound(n, lehmer_check(n))
+                if on_segment is not None:
+                    on_segment(cp)
+        finally:
+            # inside the with: the write does not wait for the pool to shut down
+            if checkpoint_path and cp is not saved:
                 write_checkpoint(cp, checkpoint_path)
-            if composites:
-                n = composites[0][0]
-                raise CounterexampleFound(n, lehmer_check(n))
-            if on_segment is not None:
-                on_segment(cp)
     return cp
 
 
 # ---------------------------------------------------------------------------
 # Report emission (JSON Lines; CSV mirrors the same columns)
 
+_PRIME_RULES = ("prime",)
+_COMPOSITE_RULES = ("composite",)
+
+
 def hit_row(hit: tuple[int, int, bool]) -> tuple:
     n, k, composite = hit
-    return ("hit", n, k, None, ("composite",) if composite else ("prime",), None, None)
+    return ("hit", n, k, None, _COMPOSITE_RULES if composite else _PRIME_RULES, None, None)
 
 
 def verdict_row(verdict) -> tuple:
@@ -247,18 +276,34 @@ def verdict_row(verdict) -> tuple:
     return ("verdict", verdict.n, verdict.exact_k, verdict.min_k, verdict.applied_rules, lhs, rhs)
 
 
+# A report has few distinct rule traces (two for hits, 14 among the 43
+# verdicts to 10^6), so each is rendered once; the cap bounds the memory.
+RULES_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=RULES_CACHE_SIZE)
+def _json_rules(rules: tuple[str, ...]) -> str:
+    return "[" + ",".join(map(encode_basestring_ascii, rules)) + "]"
+
+
+@lru_cache(maxsize=RULES_CACHE_SIZE)
+def _csv_rules(rules: tuple[str, ...]) -> str:
+    return '"' + ";".join(rules).replace('"', '""') + '"'
+
+
 def jsonl_line(row: tuple) -> str:
     """row as json.dumps(dict(zip(REPORT_KEYS, row)), separators=(",", ":"))
     gives it. Each value is rendered by its schema type: type, lhs and rhs are
-    str, n, exact_k and min_k int, rules a sequence of str; any may be None."""
+    str, n, exact_k and min_k int (which the template's %s passes to str),
+    rules a sequence of str; any may be None."""
     type_, n, exact_k, min_k, rules, lhs, rhs = row
     esc = encode_basestring_ascii
     return _JSON_TEMPLATE % (
         "null" if type_ is None else esc(type_),
-        "null" if n is None else str(n),
-        "null" if exact_k is None else str(exact_k),
-        "null" if min_k is None else str(min_k),
-        "null" if rules is None else "[" + ",".join(map(esc, rules)) + "]",
+        "null" if n is None else n,
+        "null" if exact_k is None else exact_k,
+        "null" if min_k is None else min_k,
+        "null" if rules is None else _json_rules(tuple(rules)),
         "null" if lhs is None else esc(lhs),
         "null" if rhs is None else esc(rhs),
     )
@@ -273,7 +318,7 @@ def csv_line(row: tuple) -> str:
         "" if n is None else str(n),
         "" if exact_k is None else str(exact_k),
         "" if min_k is None else str(min_k),
-        "" if rules is None else '"' + ";".join(rules).replace('"', '""') + '"',
+        "" if rules is None else _csv_rules(tuple(rules)),
         "" if lhs is None else str(lhs),
         "" if rhs is None else str(rhs),
     ))

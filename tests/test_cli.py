@@ -324,6 +324,17 @@ class TestScanCommand:
         assert err.startswith(f"io error: cannot write checkpoint to {path}: ")
         assert out == ""
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_scan_checkpoint_write_failure_over_many_segments_prints_no_row(
+        self, capsys, tmp_path, fmt
+    ):
+        path = str(tmp_path / "missing-dir" / "cp.json")
+        code, out, err = run(capsys, "scan", "--from", "2", "--to", "5000", "--segment-size",
+                             "700", "--format", fmt, "--checkpoint", path)
+        assert code == 2
+        assert err.startswith(f"io error: cannot write checkpoint to {path}: ")
+        assert out == ""
+
     def test_scan_segment_size_above_bound_exits_2(self, capsys):
         code, out, err = run(capsys, "scan", "--from", "2", "--to", "30",
                              "--segment-size", str((1 << 22) + 1))

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import os
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import lehmer_psi.scan as scan_module
 from lehmer_psi import cli
 from lehmer_psi.arith import DomainError, euler_phi, factor
+from lehmer_psi.engine import lehmer_check
 from lehmer_psi.scan import (
     CSV_HEADER,
     CheckpointError,
@@ -367,6 +369,134 @@ class TestCheckpoint:
         assert read_checkpoint(path) == resumed
 
 
+class TestCheckpointWritePolicy:
+    """Writes happen at most once per CHECKPOINT_INTERVAL of the loop's
+    clock, at the end, and whenever an exception leaves the loop. The clock is
+    replaced, so no test sleeps."""
+
+    LO, HI, SEGMENT = 2, 6145, 512  # 12 segments
+    FINISHED = (
+        '{"crc32":961535773,"payload":{"composites":[],"hi":6145,"lo":2,'
+        '"next":6146,"schema_version":2}}'
+    )
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        """The checkpoints passed to write_checkpoint, in order."""
+        calls = []
+
+        def counting(cp, path):
+            calls.append(cp)
+            write(cp, path)
+
+        write = scan_module.write_checkpoint
+        monkeypatch.setattr(scan_module, "write_checkpoint", counting)
+        return calls
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(scan_module, "_clock", lambda: now[0])
+        return now
+
+    def scan(self, path, **kwargs):
+        return scan_totient_divisibility(
+            self.LO, self.HI, segment_size=self.SEGMENT, checkpoint_path=path, **kwargs
+        )
+
+    def test_scan_within_the_interval_writes_once_at_the_end(self, tmp_path, writes, clock):
+        path = tmp_path / "cp.json"
+        cp = self.scan(str(path))
+        assert writes == [cp] and cp.next == self.HI + 1
+        assert path.read_text() == self.FINISHED
+
+    def test_one_write_per_segment_when_each_takes_an_interval(
+        self, tmp_path, monkeypatch, writes, clock
+    ):
+        segment_hits = scan_module._segment_hits
+
+        def slow(bounds):
+            clock[0] += scan_module.CHECKPOINT_INTERVAL
+            return segment_hits(bounds)
+
+        monkeypatch.setattr(scan_module, "_segment_hits", slow)
+        path = tmp_path / "cp.json"
+        self.scan(str(path))
+        ends = [end for _, end in scan_module.segments(self.LO, self.HI, self.SEGMENT)]
+        assert [cp.next for cp in writes] == [end + 1 for end in ends]
+        assert path.read_text() == self.FINISHED
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_exception_from_on_segment_leaves_its_cp_on_disk(self, tmp_path, writes, clock, error):
+        seen = []
+
+        def interrupt(cp):
+            seen.append(cp)
+            if len(seen) == 5:
+                raise error
+
+        path = tmp_path / "cp.json"
+        with pytest.raises(error):
+            self.scan(str(path), on_segment=interrupt)
+        assert writes == [seen[-1]]
+        assert path.read_text() == seen[-1].to_json()
+
+    @pytest.mark.parametrize("j", [1, 2, 7])
+    def test_exception_from_segment_j_leaves_segment_j_minus_1(
+        self, tmp_path, monkeypatch, writes, clock, j
+    ):
+        calls = []
+        segment_hits = scan_module._segment_hits
+
+        def failing(bounds):
+            calls.append(bounds)
+            if len(calls) == j:
+                raise RuntimeError("segment failed")
+            return segment_hits(bounds)
+
+        monkeypatch.setattr(scan_module, "_segment_hits", failing)
+        path = tmp_path / "cp.json"
+        with pytest.raises(RuntimeError, match="segment failed"):
+            self.scan(str(path))
+        if j == 1:  # no segment completed: nothing to write
+            assert writes == [] and not path.exists()
+        else:
+            assert read_checkpoint(str(path)).next == calls[-2][1] + 1 == calls[-1][0]
+            assert len(writes) == 1
+
+    def test_composite_hit_is_on_disk_before_its_verdict_runs(self, tmp_path, monkeypatch, clock):
+        monkeypatch.setattr(
+            scan_module, "_segment_hits", lambda b: [(561, 2, True)] if b[0] <= 561 <= b[1] else []
+        )
+        path = str(tmp_path / "cp.json")
+        on_disk = []
+
+        def verdict(n):
+            on_disk.append(read_checkpoint(path).composites)
+            return lehmer_check(n)
+
+        monkeypatch.setattr(scan_module, "lehmer_check", verdict)
+        with pytest.raises(CounterexampleFound):
+            self.scan(path)
+        assert on_disk == [((561, 2, True),)]
+
+    def test_a_failed_write_is_not_retried(self, tmp_path, monkeypatch):
+        attempts = []
+
+        def failing(cp, path):
+            attempts.append(cp)
+            raise OSError(f"cannot write checkpoint to {path}: disk full")
+
+        monkeypatch.setattr(scan_module, "write_checkpoint", failing)
+        ticks = itertools.count()  # an interval passes between any two readings
+        monkeypatch.setattr(
+            scan_module, "_clock", lambda: next(ticks) * scan_module.CHECKPOINT_INTERVAL
+        )
+        with pytest.raises(OSError, match="disk full"):
+            self.scan(str(tmp_path / "cp.json"))
+        assert len(attempts) == 1
+
+
 class TestCounterexampleAbort:
     def test_composite_hit_aborts_loudly(self, tmp_path, monkeypatch):
         def fake_segment(bounds):
@@ -426,6 +556,21 @@ class TestReports:
     @given(row=_ROWS)
     def test_csv_line_matches_the_untyped_renderer(self, row):
         assert csv_line(row) == _csv_reference(row)
+
+    def test_rules_cache_is_bounded_and_changes_no_output(self):
+        cap = scan_module.RULES_CACHE_SIZE
+        for cache in (scan_module._json_rules, scan_module._csv_rules):
+            cache.cache_clear()
+        rows = [("verdict", i, None, i, [f"rule-{i}", 'q"' + str(i)], None, None)
+                for i in range(cap + 50)]
+        for _ in range(2):  # the second pass renders rules the cache evicted
+            for row in rows:
+                as_tuple = row[:4] + (tuple(row[4]),) + row[5:]
+                reference = json.dumps(dict(zip(REPORT_KEYS, row)), separators=(",", ":"))
+                assert jsonl_line(row) == jsonl_line(as_tuple) == reference
+                assert csv_line(row) == csv_line(as_tuple) == _csv_reference(row)
+        for cache in (scan_module._json_rules, scan_module._csv_rules):
+            assert cache.cache_info().currsize == cap
 
     def test_jsonl_key_order(self):
         row = hit_row((561, 2, True))
