@@ -10,7 +10,6 @@ from .arith import (
     PrimalityResult,
     approx_str,
     divisor_totient_pairs,
-    divisors,
     euler_phi,
     factor,
     fraction_str,
@@ -22,8 +21,6 @@ from .arith import (
 from .bounds import (
     BoundReport,
     check_bounds,
-    classify_by_density,
-    equality_family,
     nilpotent_lower_bound,
     upper_coefficient,
     witness_lower_bound,
@@ -31,7 +28,6 @@ from .bounds import (
 from .carmichael import (
     CarmichaelCertificate,
     carmichael_in_range,
-    fermat_oracle,
     korselt_check,
 )
 from .engine import (
@@ -40,7 +36,6 @@ from .engine import (
     LehmerVerdict,
     MinKResult,
     abundancy_bound,
-    certified_above,
     certified_close,
     chain_upper,
     eq_lower_constant,
@@ -51,7 +46,6 @@ from .engine import (
     lehmer_check,
     make_profile,
     min_k,
-    phi_sigma_ratio,
     profile_from_factorization,
     two_power_threshold,
     witness_double_prime,
@@ -64,8 +58,6 @@ from .groups import (
     OrderSpectrum,
     Product,
     Quaternion8,
-    abelian,
-    abelian_specs,
     order_spectrum,
     parse_group_spec,
     product,

@@ -220,16 +220,6 @@ def sigma(f: Factorization | int) -> int:
     return r
 
 
-def divisors(f: Factorization | int) -> list[int]:
-    """All divisors, ascending."""
-    f = _coerce(f)
-    out = [1]
-    for p, a in f:
-        out = [d * p**e for d in out for e in range(a + 1)]
-    out.sort()
-    return out
-
-
 def divisor_totient_pairs(f: Factorization | int) -> list[tuple[int, int]]:
     """(d, phi(d)) for every divisor d, built directly from the factor lattice."""
     f = _coerce(f)

@@ -1,10 +1,9 @@
 """The order-sum inequality catalog as executable checks.
 
 Six upper-bound variants for noncyclic groups (coefficients multiplying
-psi(C_n)), the extremal families attaining four of them, the structure
-classifier driven by psi''(G), the nilpotent lower bound, and the witness
-lower bound for noncyclic nilpotent groups of order 4n. The paper states that
-floor as phi(n)/(2n), which holds only when 3 | n; the provable floor is
+psi(C_n)), the nilpotent lower bound, and the witness lower bound for
+noncyclic nilpotent groups of order 4n. The paper states that floor as
+phi(n)/(2n), which holds only when 3 | n; the provable floor is
 7*phi(n)/(16n) (see witness_lower_bound).
 """
 
@@ -12,29 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .arith import DomainError, Factorization, euler_phi, factor, is_prime, is_squarefree
-from .groups import (
-    Cyclic,
-    Dihedral,
-    GroupSpec,
-    Quaternion8,
-    product,
-    psi,
-    psi_cyclic,
-)
+from .groups import GroupSpec, psi, psi_cyclic
 
 VARIANTS = ("i", "ii", "iii", "iv", "v", "vi")
-
-# psi''(G) thresholds: exceeding a threshold strictly forces the property.
-DENSITY_THRESHOLDS = (
-    ("cyclic", Fraction(7, 16)),
-    ("abelian", Fraction(27, 64)),
-    ("nilpotent", Fraction(13, 36)),
-    ("supersolvable", Fraction(31, 144)),
-    ("solvable", Fraction(211, 3600)),
-)
 
 
 def upper_coefficient(
@@ -78,55 +59,6 @@ def upper_coefficient(
 
 def _min_sylow_part(f: Factorization) -> int:
     return min(p**a for p, a in f)
-
-
-def equality_family(
-    variant: str,
-    *,
-    m: int | None = None,
-    q: int | None = None,
-    r: int | None = None,
-    l: int | None = None,
-) -> GroupSpec:
-    """The extremal group attaining the variant's bound with equality."""
-    if variant == "i":
-        if m is None or m < 1 or m % 2 == 0:
-            raise DomainError(f"variant i needs odd m >= 1, got {m}")
-        return product([Cyclic(2), Cyclic(2), Cyclic(m)])
-    if variant == "ii":
-        if q is None or not is_prime(q):
-            raise DomainError(f"variant ii needs a prime q, got {q}")
-        if r is None or r < 1 or any(r % p == 0 for p in range(2, q + 1) if is_prime(p)):
-            raise DomainError(f"variant ii needs r >= 1 with gcd(r, q!) = 1, got r={r}")
-        return product([Cyclic(q), Cyclic(q), Cyclic(r)])
-    if variant == "iv":
-        if m is None or m < 1 or m % 2 == 0:
-            raise DomainError(f"variant iv needs odd m >= 1, got {m}")
-        return product([Quaternion8(), Cyclic(m)])
-    if variant == "vi":
-        if m is None or m < 3 or m % 2 == 0:
-            raise DomainError(f"variant vi needs odd m >= 3, got {m}")
-        if l is None or m % l or gcd(l, m // l) != 1:
-            raise DomainError(f"variant vi needs l || m, got l={l}, m={m}")
-        fm = factor(m)
-        if factor(l).omega != 1 or l != _min_sylow_part(fm):
-            raise DomainError(f"l={l} is not the least prime-power component of {m}")
-        return product([Dihedral(2 * l), Cyclic(m // l)])
-    raise DomainError(f"no equality family for variant {variant!r}")
-
-
-def classify_by_density(r: Fraction) -> str:
-    """Strongest structural property forced by psi''(G) = r, for r in (0, 1].
-    Comparisons are exact and strict; below every threshold the answer is
-    "none".
-    """
-    r = Fraction(r)
-    if not 0 < r <= 1:
-        raise DomainError(f"density must lie in (0, 1], got {r}")
-    for name, threshold in DENSITY_THRESHOLDS:
-        if r > threshold:
-            return name
-    return "none"
 
 
 def nilpotent_lower_bound(f: Factorization | int) -> int:

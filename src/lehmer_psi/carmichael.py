@@ -1,15 +1,13 @@
-"""Carmichael certification: squarefree + (p-1) | (n-1) for every prime p | n,
-with the definitional all-bases Fermat loop as an independent oracle.
-"""
+"""Carmichael certification: squarefree + (p-1) | (n-1) for every prime p | n."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+# is_prime is not called here; bench/tracing.py PATCHES rebinds it in this module
 from .arith import DomainError, Factorization, factor, is_prime, is_squarefree
 from .sieve import korselt_range, segments
 
-FERMAT_ORACLE_LIMIT = 10**6
 RANGE_LIMIT = 10**7  # a runtime cap (about 0.3 s); memory is one segment
 
 
@@ -48,18 +46,6 @@ def korselt_check(n: Factorization | int) -> CarmichaelCertificate:
         korselt_failures=failures,
         composite=composite,
     )
-
-
-def fermat_oracle(n: int) -> bool:
-    """True iff b**n = b (mod n) for every b in [0, n). Definitional loop,
-    short-circuiting on the first witness; deliberately independent of
-    korselt_check so it can serve as its oracle.
-    """
-    if not 2 <= n <= FERMAT_ORACLE_LIMIT:
-        raise DomainError(f"fermat_oracle accepts 2 <= n <= {FERMAT_ORACLE_LIMIT}, got {n}")
-    if is_prime(n):
-        raise DomainError(f"fermat_oracle expects a composite, got the prime {n}")
-    return all(pow(b, n, n) == b for b in range(n))
 
 
 def carmichael_in_range(lo: int, hi: int) -> list[int]:

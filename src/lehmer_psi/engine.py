@@ -41,7 +41,6 @@ from .arith import (
     is_prime,
     is_squarefree,
     ratio_str,
-    sigma,
 )
 from .carmichael import korselt_check
 from .groups import Cyclic, GroupSpec, product, psi_cyclic
@@ -57,20 +56,6 @@ _SWEEP_GUARD = 100_000
 # truncation / rounding-up at 40 digits.
 PI2_LOW = Fraction(98696044010893586188344909998761511353136, 10**40)
 PI2_HIGH = Fraction(98696044010893586188344909998761511353137, 10**40)
-
-
-class InconclusiveComparison(DomainError):
-    """A comparison fell inside the pi**2 sandwich gap (width 1e-40)."""
-
-
-def certified_above(x: Fraction, c: int | Fraction) -> bool:
-    """Certified truth of x > c/pi**2 using the sandwich."""
-    x, c = Fraction(x), Fraction(c)
-    if x >= c / PI2_LOW:
-        return True
-    if x <= c / PI2_HIGH:
-        return False
-    raise InconclusiveComparison(f"{x} vs {c}/pi^2")
 
 
 def certified_close(c: int | Fraction, printed: Fraction, tolerance: Fraction) -> bool:
@@ -497,16 +482,6 @@ def k_ladder(q: int, mode: str = "strict", R: int | None = None) -> LadderResult
 
 # ---------------------------------------------------------------------------
 # Abundancy
-
-def phi_sigma_ratio(f: Factorization | int) -> Fraction:
-    """phi(n) * sigma(n) / n**2, exactly. Lies in (6/pi**2, 1) for n >= 2;
-    certify the lower comparison with certified_above(ratio, 6).
-    """
-    f = f if isinstance(f, Factorization) else factor(f)
-    if f.value < 2:
-        raise DomainError("need n >= 2")
-    return Fraction(euler_phi(f) * sigma(f), f.value ** 2)
-
 
 def eq_lower_constant(profile: LehmerProfile) -> Fraction:
     """The constant c with phi(n)*sigma(n)/n**2 > c/pi**2 for odd candidates

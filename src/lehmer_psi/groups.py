@@ -11,7 +11,6 @@ psi_double_prime(G) = psi(G)/|G|**2 are exact rationals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -190,15 +189,6 @@ def product(factors) -> GroupSpec:
     return Product(tuple(flat))
 
 
-def abelian(invariants) -> GroupSpec:
-    """Direct product of cyclic groups with the given orders (each >= 2)."""
-    invs = list(invariants)
-    for k in invs:
-        if k < 2:
-            raise DomainError(f"abelian invariant factors must be >= 2, got {k}")
-    return product(Cyclic(k) for k in invs)
-
-
 # ---------------------------------------------------------------------------
 # DSL: atoms C<n>, D<2m>, Q8; binary operator x; optional whitespace.
 # str(g) is the canonical printer; parse_group_spec(str(g)) == g.
@@ -328,41 +318,3 @@ def psi_prime(g: GroupSpec) -> Fraction:
 def psi_double_prime(g: GroupSpec) -> Fraction:
     """psi(G) / |G|**2, in lowest terms; always in (0, 1]."""
     return Fraction(psi(g), g.order**2)
-
-
-# ---------------------------------------------------------------------------
-# Abelian isomorphism types (for the exhaustion suites)
-
-def _partitions(n: int) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(remaining: int, maximum: int, acc: list[int]):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, maximum), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return out
-
-
-def abelian_specs(n: int):
-    """All abelian groups of order n, one spec per isomorphism type
-    (every multi-partition across the Sylow components).
-    """
-    if n < 1:
-        raise DomainError(f"group order must be positive, got {n}")
-    f = factor(n)
-    per_prime = []
-    for p, a in f:
-        per_prime.append([[p**part for part in lam] for lam in _partitions(a)])
-    if not per_prime:
-        yield Cyclic(1)
-        return
-    for combo in itertools.product(*per_prime):
-        yield abelian(k for block in combo for k in block)

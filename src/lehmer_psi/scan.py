@@ -277,18 +277,14 @@ def verdict_row(verdict) -> tuple:
 
 
 # A report has few distinct rule traces (two for hits, 14 among the 43
-# verdicts to 10^6), so each is rendered once; the cap bounds the memory.
+# verdicts to 10^6), so each JSON rules list is rendered once; the cap bounds
+# the memory.
 RULES_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=RULES_CACHE_SIZE)
 def _json_rules(rules: tuple[str, ...]) -> str:
     return "[" + ",".join(map(encode_basestring_ascii, rules)) + "]"
-
-
-@lru_cache(maxsize=RULES_CACHE_SIZE)
-def _csv_rules(rules: tuple[str, ...]) -> str:
-    return '"' + ";".join(rules).replace('"', '""') + '"'
 
 
 def jsonl_line(row: tuple) -> str:
@@ -318,7 +314,7 @@ def csv_line(row: tuple) -> str:
         "" if n is None else str(n),
         "" if exact_k is None else str(exact_k),
         "" if min_k is None else str(min_k),
-        "" if rules is None else _csv_rules(tuple(rules)),
+        "" if rules is None else '"' + ";".join(rules).replace('"', '""') + '"',
         "" if lhs is None else str(lhs),
         "" if rhs is None else str(rhs),
     ))

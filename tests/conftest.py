@@ -1,14 +1,15 @@
-"""Shared independent oracles: naive arithmetic and brute-force group
-element enumeration. These deliberately avoid the package's divisor-lattice
-machinery so spectra and psi values are checked against actual group
-multiplication.
+"""Shared independent oracles: naive arithmetic, the all-bases Fermat test,
+the abelian groups of each order, and brute-force group element enumeration.
+These deliberately avoid the package's divisor-lattice machinery so spectra
+and psi values are checked against actual group multiplication.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
-from lehmer_psi.groups import Cyclic, Dihedral, GroupSpec, Product, Quaternion8
+from lehmer_psi.groups import Cyclic, Dihedral, GroupSpec, Product, Quaternion8, product
 
 
 def naive_factor(n: int) -> list[tuple[int, int]]:
@@ -39,6 +40,29 @@ def naive_sigma(n: int) -> int:
 
 def naive_divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def naive_fermat(n: int) -> bool:
+    """b**n = b (mod n) for every base b: Carmichael by definition for a
+    composite n, independent of Korselt's criterion."""
+    return all(pow(b, n, n) == b for b in range(n))
+
+
+def _partitions(n: int, largest: int | None = None):
+    """Partitions of n into parts of at most largest, each non-increasing."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def abelian_specs(n: int):
+    """All abelian groups of order n, one spec per isomorphism type
+    (every multi-partition across the Sylow components)."""
+    per_prime = [[[p**part for part in lam] for lam in _partitions(a)] for p, a in naive_factor(n)]
+    for combo in itertools.product(*per_prime):
+        yield product([Cyclic(k) for block in combo for k in block])
 
 
 # --- brute-force groups: (elements, multiply, identity) per atom -----------
@@ -95,8 +119,6 @@ def group_table(g: GroupSpec):
     componentwise)."""
     if not isinstance(g, Product):
         return _atom_table(g)
-    import itertools
-
     tables = [_atom_table(f) for f in g.factors]
     elements = [tuple(combo) for combo in itertools.product(*(t[0] for t in tables))]
 

@@ -13,14 +13,14 @@ from math import gcd
 
 import pytest
 
+from conftest import abelian_specs, naive_fermat
 from lehmer_psi.arith import factor, fraction_str, is_squarefree
 from lehmer_psi.bounds import (
-    equality_family,
     nilpotent_lower_bound,
     upper_coefficient,
     witness_lower_bound,
 )
-from lehmer_psi.carmichael import fermat_oracle, korselt_check
+from lehmer_psi.carmichael import korselt_check
 from lehmer_psi.engine import (
     certified_close,
     chain_upper,
@@ -36,7 +36,6 @@ from lehmer_psi.groups import (
     Cyclic,
     Dihedral,
     Quaternion8,
-    abelian_specs,
     parse_group_spec,
     product,
     psi,
@@ -97,11 +96,11 @@ def test_equality_families_exact_to_1e4():
     with criterion("equality-families", 10.0):
         checked = 0
         for m in range(1, 2500, 2):  # orders 4m <= 1e4
-            fam = equality_family("i", m=m)
+            fam = product([Cyclic(2), Cyclic(2), Cyclic(m)])
             assert psi(fam) == upper_coefficient("i") * psi_cyclic(factor(4 * m))
             checked += 1
         for m in range(1, 1250, 2):  # orders 8m <= 1e4
-            fam = equality_family("iv", m=m)
+            fam = product([Quaternion8(), Cyclic(m)])
             assert psi(fam) == upper_coefficient("iv") * psi_cyclic(factor(8 * m))
             checked += 1
         for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
@@ -109,13 +108,13 @@ def test_equality_families_exact_to_1e4():
             for r in range(1, 10**4 // (q * q) + 1):
                 if any(r % p == 0 for p in small):
                     continue
-                fam = equality_family("ii", q=q, r=r)
+                fam = product([Cyclic(q), Cyclic(q), Cyclic(r)])
                 assert psi(fam) == upper_coefficient("ii", q=q) * psi_cyclic(factor(q * q * r))
                 checked += 1
         for m in range(3, 5000, 2):  # orders 2m <= 1e4
             f = factor(m)
             l = min(p**a for p, a in f)
-            fam = equality_family("vi", m=m, l=l)
+            fam = product([Dihedral(2 * l), Cyclic(m // l)])
             assert psi(fam) == upper_coefficient("vi", l=l) * psi_cyclic(factor(2 * m))
             checked += 1
         assert checked > 5000
@@ -124,7 +123,7 @@ def test_equality_families_exact_to_1e4():
 def test_pinned_misprint_variant_vi():
     with criterion("pinned-discrepancy", 1.0):
         claimed = upper_coefficient("vi", l=3, mode="as-printed") * psi_cyclic(factor(6))
-        actual = psi(equality_family("vi", m=3, l=3))
+        actual = psi(Dihedral(6))
         assert claimed == 25
         assert actual == 13
         assert claimed != actual
@@ -139,7 +138,7 @@ def test_oracle_equivalence_to_1e5():
             if n in primes:
                 continue
             korselt = korselt_check(n).is_carmichael
-            fermat = fermat_oracle(n)
+            fermat = naive_fermat(n)
             assert korselt == fermat, n
             if fermat:
                 carmichael_by_oracle.append(n)

@@ -2,13 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_psi
+from conftest import abelian_specs, brute_psi
 from lehmer_psi.arith import DomainError, factor
 from lehmer_psi.bounds import (
-    DENSITY_THRESHOLDS,
     check_bounds,
-    classify_by_density,
-    equality_family,
     nilpotent_lower_bound,
     upper_coefficient,
     witness_lower_bound,
@@ -17,7 +14,6 @@ from lehmer_psi.groups import (
     Cyclic,
     Dihedral,
     Quaternion8,
-    abelian_specs,
     parse_group_spec,
     product,
     psi,
@@ -82,89 +78,32 @@ class TestUpperCoefficients:
 
 
 class TestEqualityFamilies:
-    def test_klein_family(self):
-        assert equality_family("i", m=3) == parse_group_spec("C2 x C2 x C3")
-
-    def test_quaternion_family(self):
-        assert equality_family("iv", m=3) == parse_group_spec("Q8 x C3")
-
-    def test_two_prime_family(self):
-        assert equality_family("ii", q=3, r=5) == parse_group_spec("C3 x C3 x C5")
-
-    def test_dihedral_family(self):
-        assert equality_family("vi", m=15, l=3) == parse_group_spec("D6 x C5")
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            equality_family("i", m=2)
-        with pytest.raises(DomainError):
-            equality_family("ii", q=3, r=6)  # gcd(6, 3!) > 1
-        with pytest.raises(DomainError):
-            equality_family("vi", m=15, l=5)  # 5 is not the least component
-        with pytest.raises(DomainError):
-            equality_family("vi", m=45, l=3)  # 3 divides 45/3, not an exact component
-        with pytest.raises(DomainError):
-            equality_family("iii")
-
     def test_sharpness_small_grid(self):
         for m in (1, 3, 5, 9, 15, 21):
-            fam = equality_family("i", m=m)
+            fam = product([Cyclic(2), Cyclic(2), Cyclic(m)])
             assert psi(fam) == upper_coefficient("i") * psi_cyclic(factor(4 * m))
         for m in (1, 3, 5, 15):
-            fam = equality_family("iv", m=m)
+            fam = product([Quaternion8(), Cyclic(m)])
             assert psi(fam) == upper_coefficient("iv") * psi_cyclic(factor(8 * m))
         for q, r in ((2, 1), (2, 3), (3, 5), (5, 7), (3, 35)):
-            fam = equality_family("ii", q=q, r=r)
+            fam = product([Cyclic(q), Cyclic(q), Cyclic(r)])
             assert psi(fam) == upper_coefficient("ii", q=q) * psi_cyclic(factor(q * q * r))
+        # l is the least prime-power component of m
         for m, l in ((3, 3), (15, 3), (45, 5), (105, 3), (75, 3)):
-            fam = equality_family("vi", m=m, l=l)
+            fam = product([Dihedral(2 * l), Cyclic(m // l)])
             assert psi(fam) == upper_coefficient("vi", l=l) * psi_cyclic(factor(2 * m))
 
     def test_pinned_as_printed_mismatch_at_l3(self):
         claimed = upper_coefficient("vi", l=3, mode="as-printed") * psi_cyclic(factor(6))
-        actual = psi(equality_family("vi", m=3, l=3))
+        actual = psi(Dihedral(6))
         assert claimed == 25
         assert actual == 13
         assert claimed != actual
 
     def test_families_against_brute_psi(self):
-        for fam in (
-            equality_family("i", m=5),
-            equality_family("iv", m=3),
-            equality_family("ii", q=3, r=5),
-            equality_family("vi", m=15, l=3),
-        ):
+        for text in ("C2 x C2 x C5", "Q8 x C3", "C3 x C3 x C5", "D6 x C5"):
+            fam = parse_group_spec(text)
             assert psi(fam) == brute_psi(fam)
-
-
-class TestDensityClassifier:
-    def test_examples(self):
-        assert classify_by_density(Fraction(7, 9)) == "cyclic"
-        assert classify_by_density(Fraction(27, 64)) == "nilpotent"
-        assert classify_by_density(Fraction(1, 100)) == "none"
-
-    def test_thresholds_are_strict(self):
-        for name, threshold in DENSITY_THRESHOLDS:
-            assert classify_by_density(threshold) != name
-
-    def test_monotone(self):
-        order_names = [name for name, _ in DENSITY_THRESHOLDS] + ["none"]
-        grid = sorted(
-            {Fraction(a, 720) for a in range(1, 721)}
-            | {t for _, t in DENSITY_THRESHOLDS}
-            | {t + Fraction(1, 10**9) for _, t in DENSITY_THRESHOLDS}
-        )
-        previous_rank = len(order_names)
-        for r in grid:
-            rank = order_names.index(classify_by_density(r))
-            assert rank <= previous_rank
-            previous_rank = rank
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            classify_by_density(Fraction(0))
-        with pytest.raises(DomainError):
-            classify_by_density(Fraction(3, 2))
 
 
 class TestLowerBounds:

@@ -4,12 +4,12 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import naive_fermat
 from lehmer_psi.arith import DomainError, factor, is_prime
 from lehmer_psi.carmichael import (
     RANGE_LIMIT,
     CarmichaelCertificate,
     carmichael_in_range,
-    fermat_oracle,
     korselt_check,
 )
 from lehmer_psi.sieve import DEFAULT_SEGMENT, korselt_range, primes_upto
@@ -32,7 +32,7 @@ class TestKorseltCheck:
         cert = korselt_check(561)
         assert cert.is_carmichael
         assert cert.composite and cert.squarefree and not cert.korselt_failures
-        assert fermat_oracle(561)
+        assert naive_fermat(561)
 
     def test_9_fails_squarefree(self):
         cert = korselt_check(9)
@@ -75,25 +75,12 @@ class TestKorseltCheck:
 
 
 class TestFermatOracle:
-    def test_examples(self):
-        assert fermat_oracle(561)
-        assert not fermat_oracle(4)
-        assert fermat_oracle(1105)
-
-    def test_rejects_primes_and_bad_ranges(self):
-        with pytest.raises(DomainError):
-            fermat_oracle(7)
-        with pytest.raises(DomainError):
-            fermat_oracle(1)
-        with pytest.raises(DomainError):
-            fermat_oracle(10**6 + 1)
-
     def test_equivalence_with_korselt_on_small_composites(self):
         primes = set(primes_upto(20_000).tolist())
         for n in range(4, 20_001):
             if n in primes:
                 continue
-            assert korselt_check(n).is_carmichael == fermat_oracle(n), n
+            assert korselt_check(n).is_carmichael == naive_fermat(n), n
 
 
 class TestRangeEnumeration:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import lehmer_psi.engine as engine_module
-from lehmer_psi.arith import DomainError, factor, is_prime
+from lehmer_psi.arith import DomainError, euler_phi, factor, is_prime, sigma
 from lehmer_psi.bounds import witness_lower_bound
 from lehmer_psi.carmichael import carmichael_in_range
 from lehmer_psi.engine import (
@@ -19,7 +19,6 @@ from lehmer_psi.engine import (
     PI2_HIGH,
     PI2_LOW,
     abundancy_bound,
-    certified_above,
     certified_close,
     chain_upper,
     eq_lower_constant,
@@ -31,7 +30,6 @@ from lehmer_psi.engine import (
     lehmer_check,
     make_profile,
     min_k,
-    phi_sigma_ratio,
     profile_from_factorization,
     two_power_threshold,
     universal_k_floor,
@@ -473,10 +471,6 @@ class TestPiSquaredSandwich:
         assert abs(float(PI2_LOW) - math.pi**2) < 1e-12
         assert abs(float(PI2_HIGH) - math.pi**2) < 1e-12
 
-    def test_certified_above(self):
-        assert certified_above(Fraction(2, 3), 6)       # 2/3 > 6/pi^2 ~ 0.6079
-        assert not certified_above(Fraction(3, 5), 6)   # 0.6 < 0.6079
-
     def test_certified_close(self):
         assert certified_close(24, Fraction(2431708, 10**6), Fraction(5, 10**7))
         assert certified_close(
@@ -486,20 +480,14 @@ class TestPiSquaredSandwich:
 
 
 class TestAbundancy:
-    def test_ratio_examples(self):
-        assert phi_sigma_ratio(factor(561)) == Fraction(276480, 314721)
-        assert phi_sigma_ratio(factor(2)) == Fraction(3, 4)
-        for p in (3, 7, 97):
-            assert phi_sigma_ratio(factor(p)) == 1 - Fraction(1, p * p)
-
     def test_ratio_window_for_squarefree_to_1e4(self):
         for n in range(2, 10_001):
             f = factor(n)
             if any(a > 1 for _, a in f):
                 continue
-            ratio = phi_sigma_ratio(f)
+            ratio = Fraction(euler_phi(f) * sigma(f), n * n)
             assert ratio < 1
-            assert certified_above(ratio, 6), n
+            assert ratio >= 6 / PI2_LOW, n  # so above 6/pi^2, as PI2_LOW < pi^2
 
     def test_generic_coefficient(self):
         assert abundancy_bound(GENERIC_PROFILE, min_k(GENERIC_PROFILE).k) == 24

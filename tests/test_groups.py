@@ -7,7 +7,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import brute_psi, brute_spectrum, element_order, group_table
+from conftest import abelian_specs, brute_psi, brute_spectrum, element_order, group_table
 from lehmer_psi import groups
 from lehmer_psi.arith import Factorization, divisor_totient_pairs, factor
 from lehmer_psi.groups import (
@@ -18,8 +18,6 @@ from lehmer_psi.groups import (
     Product,
     Quaternion8,
     SpectrumLimitError,
-    abelian,
-    abelian_specs,
     order_spectrum,
     parse_group_spec,
     product,
@@ -343,10 +341,3 @@ class TestAbelianEnumeration:
             assert len(set(specs)) == len(specs)
             for g in specs:
                 assert g.order == n
-
-    def test_abelian_constructor_validates(self):
-        from lehmer_psi.arith import DomainError
-
-        with pytest.raises(DomainError):
-            abelian([1, 4])
-        assert abelian([2, 2, 15]) == parse_group_spec("C2 x C2 x C15")
