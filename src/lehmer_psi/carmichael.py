@@ -6,9 +6,11 @@ from dataclasses import dataclass
 
 # is_prime is not called here; bench/tracing.py PATCHES rebinds it in this module
 from .arith import DomainError, Factorization, factor, is_prime, is_squarefree
-from .sieve import korselt_range, segments
+from .sieve import korselt_range
 
-RANGE_LIMIT = 10**7  # a runtime cap (about 0.3 s); memory is one segment
+# The range `carmichael --from/--to` and batch_verdicts accept. Building every
+# Carmichael number up to it takes about 15 ms and holds only the primes <= 3162.
+RANGE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -52,4 +54,4 @@ def carmichael_in_range(lo: int, hi: int) -> list[int]:
     """Exactly the Carmichael numbers in [lo, hi], ascending."""
     if not 2 <= lo <= hi <= RANGE_LIMIT:
         raise DomainError(f"need 2 <= lo <= hi <= {RANGE_LIMIT}, got [{lo}, {hi}]")
-    return [n for start, end in segments(lo, hi) for n in korselt_range(start, end)]
+    return korselt_range(lo, hi)

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .arith import DomainError, approx_str, euler_phi, factor, fraction_str, sigma
 from .bounds import check_bounds
@@ -288,7 +289,12 @@ def cmd_verify_constants(args) -> int:
     return 0 if ok else VERIFICATION_ERROR
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and kept: building
+    it takes about 2 ms, more than many requests. It binds each subcommand to
+    its cmd_* function as it was then; those look up their helpers at call
+    time."""
     parser = argparse.ArgumentParser(
         prog="lehmer-psi",
         description="Exact order-sum toolkit for Lehmer's totient problem",
@@ -358,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

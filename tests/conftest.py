@@ -1,15 +1,20 @@
 """Shared independent oracles: naive arithmetic, the all-bases Fermat test,
-the abelian groups of each order, and brute-force group element enumeration.
-These deliberately avoid the package's divisor-lattice machinery so spectra
-and psi values are checked against actual group multiplication.
+a numpy Korselt sieve, the abelian groups of each order, and brute-force
+group element enumeration. These deliberately avoid the package's
+divisor-lattice machinery so spectra and psi values are checked against
+actual group multiplication.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from math import isqrt
+
+import numpy as np
 
 from lehmer_psi.groups import Cyclic, Dihedral, GroupSpec, Product, Quaternion8, product
+from lehmer_psi.sieve import primes_upto
 
 
 def naive_factor(n: int) -> list[tuple[int, int]]:
@@ -46,6 +51,48 @@ def naive_fermat(n: int) -> bool:
     """b**n = b (mod n) for every base b: Carmichael by definition for a
     composite n, independent of Korselt's criterion."""
     return all(pow(b, n, n) == b for b in range(n))
+
+
+KORSELT_SEGMENT = 1 << 16  # the oracle's window; its memory is 5 B per integer
+
+
+def korselt_sieve(lo: int, hi: int) -> list[int]:
+    """Carmichael numbers in [lo, hi] by sieving every integer: odd
+    squarefree composites with (p - 1) | (n - 1) for every prime p | n,
+    one window of KORSELT_SEGMENT integers at a time. Independent of the
+    construction in sieve.korselt_range, which it checks for completeness.
+    Needs hi < 2^31 (int32 smooth parts)."""
+    primes = primes_upto(isqrt(hi))[1:].tolist()
+    found = []
+    for start in range(lo, hi + 1, KORSELT_SEGMENT):
+        found += _korselt_window(start, min(start + KORSELT_SEGMENT - 1, hi), primes)
+    return found
+
+
+def _korselt_window(lo: int, hi: int, primes: list[int]) -> list[int]:
+    # such an n has no prime factor r > sqrt(hi): n = m*r with m < r and
+    # (r - 1) | (n - 1) = m(r - 1) + m - 1 forces m = 1, so n is the product
+    # of the odd primes <= sqrt(hi) it is a multiple of
+    size = hi - lo + 1
+    ok = np.ones(size, dtype=bool)
+    ok[lo & 1 :: 2] = False  # even
+    smooth = np.ones(size, dtype=np.int32)
+    for p in primes:
+        if p * p > hi:
+            break
+        # n = lo + f + p*j = lo + f + j (mod p - 1), so (p - 1) | (n - 1)
+        # exactly on every (p - 1)-th multiple of p, from index c on
+        f = -lo % p
+        c = f + (1 - lo - f) % (p - 1) * p
+        keep = ok[c :: p * (p - 1)].copy()
+        ok[f::p] = False
+        ok[c :: p * (p - 1)] = keep
+        ok[-lo % (p * p) :: p * p] = False  # not squarefree
+        smooth[f::p] *= p
+        if p >= lo:
+            ok[p - lo] = False  # prime
+    idx = np.nonzero(ok)[0]
+    return (idx[smooth[idx] == idx + lo] + lo).tolist()
 
 
 def _partitions(n: int, largest: int | None = None):

@@ -4,7 +4,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_fermat
+from conftest import korselt_sieve, naive_fermat
 from lehmer_psi.arith import DomainError, factor, is_prime
 from lehmer_psi.carmichael import (
     RANGE_LIMIT,
@@ -172,3 +172,28 @@ class TestRangeEnumeration:
             assert not is_prime(n)
             cert = korselt_check(n)
             assert cert.is_carmichael
+
+
+class TestConstruction:
+    """korselt_range builds Carmichael numbers; the numpy sieve in conftest,
+    which tests every integer, checks that the construction misses none."""
+
+    def test_matches_the_sieve_to_the_range_limit(self):
+        assert korselt_range(2, RANGE_LIMIT) == korselt_sieve(2, RANGE_LIMIT)
+
+    def test_matches_the_sieve_across_former_segment_edges(self):
+        # carmichael_in_range(2, hi) once sieved [2, 1 + 2^16], [2 + 2^16, ...]:
+        # each window here is one of those shifted by half, across one edge
+        half = DEFAULT_SEGMENT // 2
+        for edge in range(2 + DEFAULT_SEGMENT, 10**6, DEFAULT_SEGMENT):
+            lo, hi = edge - half, edge + half - 1
+            assert korselt_range(lo, hi) == korselt_sieve(lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(2**31 - 3000, 2**31 - 1), (2_140_698_181, 2_140_701_181)])
+    def test_matches_the_sieve_below_int32(self, lo, hi):
+        assert korselt_range(lo, hi) == korselt_sieve(lo, hi)
+
+    def test_pinch_counts_per_decade(self):
+        # Carmichael numbers up to 10^d for d = 3..9 (Pinch 1993; OEIS A055553)
+        counts = [len(korselt_range(2, 10**d)) for d in range(3, 10)]
+        assert counts == [1, 7, 16, 43, 105, 255, 646]
