@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, Factorization, euler_phi, factor, is_prime, is_squarefree
+from .arith import DomainError, Factorization, _coerce, euler_phi, factor, is_prime, is_squarefree
 from .groups import GroupSpec, psi, psi_cyclic
 
 VARIANTS = ("i", "ii", "iii", "iv", "v", "vi")
@@ -66,7 +66,7 @@ def nilpotent_lower_bound(f: Factorization | int) -> int:
     nilpotent group, attained exactly when every Sylow subgroup has prime
     exponent.
     """
-    f = f if isinstance(f, Factorization) else factor(f)
+    f = _coerce(f)
     if f.value < 2:
         raise DomainError("the nilpotent floor needs n >= 2")
     r = 1
@@ -85,7 +85,7 @@ def witness_lower_bound(f: Factorization | int, mode: str = "as-stated") -> Frac
     Mode "provable" returns 7*phi(n)/(16n), which does follow from
     psi(C_n) > n*phi(n) and holds unconditionally.
     """
-    f = f if isinstance(f, Factorization) else factor(f)
+    f = _coerce(f)
     n = f.value
     if n < 3 or n % 2 == 0:
         raise DomainError(f"witness floor needs odd n >= 3, got {n}")

@@ -254,7 +254,6 @@ def cmd_scan(args) -> int:
             checkpoint,
             segment_size=args.segment_size,
             checkpoint_path=args.checkpoint,
-            jobs=args.jobs,
         )
     except CounterexampleFound as exc:
         sys.stderr.write(str(exc) + "\n")
@@ -349,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="scan a range for phi(n) | (n-1)")
     p.add_argument("--from", dest="start", type=_positive_int, required=True)
     p.add_argument("--to", dest="end", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--checkpoint", help="checkpoint file; resumed when present")
     p.add_argument("--segment-size", type=_positive_int, default=DEFAULT_SEGMENT,
                    help=f"integers per segment, at most {MAX_SEGMENT}")

@@ -36,6 +36,7 @@ from typing import NamedTuple
 from .arith import (
     DomainError,
     Factorization,
+    _coerce,
     euler_phi,
     factor,
     is_prime,
@@ -201,7 +202,7 @@ GENERIC_PROFILE = make_profile()
 
 def profile_from_factorization(f: Factorization | int) -> LehmerProfile:
     """Concrete profile for an odd squarefree composite."""
-    f = f if isinstance(f, Factorization) else factor(f)
+    f = _coerce(f)
     n = f.value
     if n < 3 or n % 2 == 0:
         raise DomainError(f"profiles need odd n >= 3, got {n}")
@@ -507,7 +508,7 @@ def abundancy_bound(profile: LehmerProfile, k_floor: int) -> Fraction:
 
 def witness_group(f: Factorization | int) -> GroupSpec:
     """The noncyclic nilpotent group C2 x C2 x C_n of order 4n, n odd >= 3."""
-    f = f if isinstance(f, Factorization) else factor(f)
+    f = _coerce(f)
     if f.value < 3 or f.value % 2 == 0:
         raise DomainError(f"witness construction needs odd n >= 3, got {f.value}")
     return product([Cyclic(2), Cyclic(2), Cyclic(f.value)])
@@ -517,7 +518,7 @@ def witness_double_prime(f: Factorization | int) -> Fraction:
     """psi''(C2 x C2 x C_n) = 7 psi(C_n) / (16 n**2), via the closed form so
     that astronomically large squarefree n with known factorization stay cheap.
     """
-    f = f if isinstance(f, Factorization) else factor(f)
+    f = _coerce(f)
     if f.value < 3 or f.value % 2 == 0:
         raise DomainError(f"witness needs odd n >= 3, got {f.value}")
     return Fraction(7 * psi_cyclic(f), 16 * f.value**2)

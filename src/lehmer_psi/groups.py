@@ -18,6 +18,7 @@ from math import lcm, prod
 from .arith import (
     DomainError,
     Factorization,
+    _coerce,
     divisor_totient_pairs,
     factor,
 )
@@ -41,15 +42,15 @@ class GroupSpecSyntaxError(DomainError):
 @dataclass(frozen=True)
 class GroupSpec:
     """A group family: each gives order, exponent, is_cyclic, is_nilpotent,
-    is_abelian, spectrum_map() (element order -> count) and its DSL text
-    as str(g). Atoms carry a rank that orders equal-order atoms in products."""
+    spectrum_map() (element order -> count) and its DSL text as str(g).
+    Atoms carry a rank that orders equal-order atoms in products."""
 
 
 @dataclass(frozen=True)
 class Cyclic(GroupSpec):
     n: int
     rank = 0
-    is_cyclic = is_nilpotent = is_abelian = True
+    is_cyclic = is_nilpotent = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -108,10 +109,6 @@ class Dihedral(GroupSpec):
     def is_nilpotent(self) -> bool:
         return self.order2m & (self.order2m - 1) == 0
 
-    @property
-    def is_abelian(self) -> bool:
-        return self.order2m <= 4
-
     def spectrum_map(self) -> dict[int, int]:
         spec = Cyclic(self.m).spectrum_map()
         spec[2] = spec.get(2, 0) + self.m  # the m reflections
@@ -129,7 +126,6 @@ class Quaternion8(GroupSpec):
     exponent = 4
     is_cyclic = False
     is_nilpotent = True
-    is_abelian = False
 
     def spectrum_map(self) -> dict[int, int]:
         return {1: 1, 2: 1, 4: 6}
@@ -140,9 +136,9 @@ class Quaternion8(GroupSpec):
 
 @dataclass(frozen=True)
 class Product(GroupSpec):
-    """Direct product; nilpotent or abelian iff every factor is, and cyclic
-    iff every factor is and the exponent equals the order (pairwise coprime
-    factor orders).
+    """Direct product; nilpotent iff every factor is, and cyclic iff every
+    factor is and the exponent equals the order (pairwise coprime factor
+    orders).
     """
 
     factors: tuple[GroupSpec, ...]
@@ -162,10 +158,6 @@ class Product(GroupSpec):
     @property
     def is_nilpotent(self) -> bool:
         return all(f.is_nilpotent for f in self.factors)
-
-    @property
-    def is_abelian(self) -> bool:
-        return all(f.is_abelian for f in self.factors)
 
     def spectrum_map(self) -> dict[int, int]:
         acc = {1: 1}
@@ -303,7 +295,7 @@ def psi_cyclic(f: Factorization | int) -> int:
     """psi of the cyclic group, by the multiplicative closed form
     prod (p**(2a+1) + 1) / (p + 1) over the factorization.
     """
-    f = f if isinstance(f, Factorization) else factor(f)
+    f = _coerce(f)
     r = 1
     for p, a in f:
         r *= (p ** (2 * a + 1) + 1) // (p + 1)
@@ -312,7 +304,7 @@ def psi_cyclic(f: Factorization | int) -> int:
 
 def psi_prime(g: GroupSpec) -> Fraction:
     """psi(G) / psi(C_|G|), in lowest terms; equals 1 exactly for cyclic specs."""
-    return Fraction(psi(g), psi_cyclic(factor(g.order)))
+    return Fraction(psi(g), psi_cyclic(g.order))
 
 
 def psi_double_prime(g: GroupSpec) -> Fraction:

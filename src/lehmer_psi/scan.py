@@ -52,6 +52,7 @@ SCHEMA_VERSION = 2
 MAX_SEGMENT = 1 << 22  # each segment holds three int32 arrays of this length
 HIT_WINDOW = 1 << 20  # integers per prime sieve when hit rows are rebuilt
 CHECKPOINT_INTERVAL = 1.0  # seconds between checkpoint writes inside a scan
+POOL_GRAIN = 1 << 21  # fewest integers a pool worker gets; below two grains the scan is serial
 _clock = time.monotonic  # the clock the scan loop reads; tests replace it
 
 # a report row is a tuple of these seven values, in this order
@@ -207,12 +208,13 @@ def scan_totient_divisibility(
     *,
     segment_size: int = DEFAULT_SEGMENT,
     checkpoint_path: str | None = None,
-    jobs: int = 1,
     on_segment=None,
 ) -> ScanCheckpoint:
     """Scan [lo, hi] for n with phi(n) | (n - 1). Every prime appears as a hit
     with exact_k = 1; a composite hit runs lehmer_check and aborts loudly.
-    Results are independent of segmentation, job count, and interruptions.
+    Results are independent of segmentation, worker count, and interruptions.
+    Segments run in a process pool of one worker per POOL_GRAIN integers left,
+    at most one per CPU and per segment, when that gives two or more.
 
     With checkpoint_path, the checkpoint is written when CHECKPOINT_INTERVAL
     seconds have passed since the last write (or the start), for a segment
@@ -223,18 +225,15 @@ def scan_totient_divisibility(
     """
     if not 2 <= lo <= hi <= SCAN_LIMIT:
         raise DomainError(f"need 2 <= lo <= hi <= {SCAN_LIMIT}, got [{lo}, {hi}]")
-    if jobs < 1 or not 1 <= segment_size <= MAX_SEGMENT:
-        raise DomainError(
-            f"need jobs >= 1 and 1 <= segment_size <= {MAX_SEGMENT}, "
-            f"got jobs={jobs}, segment_size={segment_size}"
-        )
+    if not 1 <= segment_size <= MAX_SEGMENT:
+        raise DomainError(f"need 1 <= segment_size <= {MAX_SEGMENT}, got {segment_size}")
     cp = checkpoint or ScanCheckpoint(lo=lo, hi=hi, next=lo)
     if (cp.lo, cp.hi) != (lo, hi):
         raise CheckpointError(f"checkpoint covers [{cp.lo}, {cp.hi}], not [{lo}, {hi}]")
 
     windows = segments(cp.next, hi, segment_size)
     # with fork, the pool starts every worker up front: never more than can run
-    workers = min(jobs, len(windows), os.cpu_count() or 1)
+    workers = min(os.cpu_count() or 1, len(windows), (hi - cp.next + 1) // POOL_GRAIN)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     # saved is the last cp a write was tried for: set first, so a failed write is not retried
     saved, last_write = cp, _clock()

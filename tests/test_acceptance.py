@@ -258,7 +258,7 @@ def test_min_k_matrix():
 def test_desk_scale_scan(tmp_path):
     with criterion("desk-scale-scan", 60.0):
         limit = 10**6
-        full = scan_totient_divisibility(2, limit, segment_size=1 << 16, jobs=1)
+        full = scan_totient_divisibility(2, limit, segment_size=1 << 16)
         assert all(not composite for _, _, composite in full.hits)
 
         path = str(tmp_path / "scan.json")

@@ -238,13 +238,21 @@ class TestScanCommand:
         assert code1 == code2 == 0
         assert out1 == out2  # resume from a completed checkpoint is a no-op
 
-    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_scan_resumed_mid_range_prints_the_same_bytes(self, capsys, monkeypatch, tmp_path, fmt):
+    @pytest.mark.parametrize(
+        "fmt, pool",
+        [(fmt, pool) for pool in (False, True) for fmt in ("text", "json", "csv")],
+        ids=["text", "json", "csv", "text-pool", "json-pool", "csv-pool"],
+    )
+    def test_scan_resumed_mid_range_prints_the_same_bytes(
+        self, capsys, monkeypatch, request, tmp_path, fmt, pool
+    ):
         import lehmer_psi.scan as scan_module
 
         monkeypatch.setattr(scan_module, "HIT_WINDOW", 1000)  # rows from 20 prime windows
         argv = ["scan", "--from", "3", "--to", "20000", "--segment-size", "700", "--format", fmt]
         whole = run(capsys, *argv)
+        if pool:  # the interrupted and the resumed scan run in worker processes
+            pools = request.getfixturevalue("scan_pool")
         path = str(tmp_path / "cp.json")
 
         class Stop(Exception):
@@ -260,6 +268,8 @@ class TestScanCommand:
             )
         assert scan_module.read_checkpoint(path).next == 9103  # 13 of 29 segments
         assert run(capsys, *argv, "--checkpoint", path) == whole
+        if pool:
+            assert pools == [2, 2]
         code, out, _ = whole
         lines = out.splitlines()
         assert code == 0 and len(lines) == 2261 + (fmt != "json")  # pi(20000) - 1 rows
@@ -342,6 +352,14 @@ class TestScanCommand:
         assert err.startswith("error:") and "segment_size" in err
         assert out == ""
 
+    def test_scan_has_no_jobs_option(self, capsys):
+        # the scan sizes its own process pool
+        with pytest.raises(SystemExit) as err:
+            cli.main(["scan", "--from", "2", "--to", "30", "--jobs", "2"])
+        assert err.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--jobs" in err
+
     def test_scan_bad_range(self, capsys):
         code, _, err = run(capsys, "scan", "--from", "50", "--to", "10")
         assert code == 2
@@ -411,7 +429,7 @@ class TestCliContract:
             "bounds": ["--group", "--format"],
             "lehmer-check": ["--format"],
             "min-k": ["--profile", "--format"],
-            "scan": ["--from", "--to", "--jobs", "--checkpoint", "--segment-size", "--format"],
+            "scan": ["--from", "--to", "--checkpoint", "--segment-size", "--format"],
             "verify-constants": ["--format"],
         }
         parser = cli.build_parser()
@@ -427,24 +445,3 @@ class TestCliContract:
         assert runs[0] == runs[1]
         doc = json.loads(runs[0])
         assert doc["min_k"] == 3
-
-
-class TestEnvironment:
-    def test_environment_does_not_set_jobs(self, capsys, monkeypatch):
-        # argv alone decides a run: LEHMER_PSI_JOBS does not set --jobs
-        monkeypatch.delenv("LEHMER_PSI_JOBS", raising=False)
-        expected = run(capsys, "scan", "--from", "2", "--to", "10")
-        monkeypatch.setenv("LEHMER_PSI_JOBS", "abc")
-        assert run(capsys, "scan", "--from", "2", "--to", "10") == expected
-        assert expected[0] == 0 and expected[1].startswith("scanned [2, 10]:")
-
-    @pytest.mark.parametrize("env, flags", [(None, ["--jobs", "-5"]), ("4", ["--jobs", "0"])])
-    def test_job_count_below_one_exits_2(self, capsys, monkeypatch, env, flags):
-        if env is None:
-            monkeypatch.delenv("LEHMER_PSI_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("LEHMER_PSI_JOBS", env)
-        code, out, err = run(capsys, "scan", "--from", "2", "--to", "30", *flags)
-        assert code == 2
-        assert err.startswith("error:") and "jobs" in err and "Traceback" not in err
-        assert out == ""

@@ -96,7 +96,6 @@ def test_abundancy_decimal_is_certified_to_the_printed_digits():
 SCAN_DIGESTS = {
     ("text",): "ce1a1ebe74c9d78e49af253ff3371b4112c80a26000d662a6b3c28b72292c18b",
     ("json",): "22b08bc243e9e5053b28d6007d34a6abebf472394d2e18bf87a491848e191a1c",
-    ("json", "--jobs", "2"): "22b08bc243e9e5053b28d6007d34a6abebf472394d2e18bf87a491848e191a1c",
     ("csv",): "be96fdb3c1568a7c5ae144b2c6d4170f4df6ae4f0a0e772b0209c56276f0914c",
 }
 
@@ -110,6 +109,13 @@ def test_scan_stdout_matches_recorded_digest(capsys, flags, digest):
     fmt, *rest = flags
     assert cli.main(["scan", "--from", "2", "--to", "100000", "--format", fmt, *rest]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_scan_json_from_two_worker_processes_matches_recorded_digest(capsys, scan_pool):
+    assert cli.main(["scan", "--from", "2", "--to", "100000", "--format", "json"]) == 0
+    assert scan_pool == [2]
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SCAN_DIGESTS[("json",)]
 
 
 def test_batch_verdicts_report_matches_recorded_digest(tmp_path):

@@ -53,6 +53,50 @@ def _brute_force_hits(hi: int) -> tuple:
     return tuple(hits)
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replaces ProcessPoolExecutor by a pool that maps in this process.
+    Returns the worker count of each pool started, in order."""
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", FakePool)
+    return started
+
+
+_real_segment_hits = scan_module._segment_hits
+
+
+class _SegmentFailsAt:
+    """_segment_hits, except that it raises on one window. Defined at module
+    level, so a process pool can pickle it."""
+
+    def __init__(self, bounds):
+        self.bounds = bounds
+
+    def __call__(self, bounds):
+        if bounds == self.bounds:
+            raise RuntimeError("segment failed")
+        return _real_segment_hits(bounds)
+
+
+def _hit_at_561(bounds):
+    """A _segment_hits that reports 561 as a composite hit, and nothing else."""
+    return [(561, 2, True)] if bounds[0] <= 561 <= bounds[1] else []
+
+
 class TestScan:
     def test_primes_to_100(self):
         cp = scan_totient_divisibility(2, 100)
@@ -69,10 +113,11 @@ class TestScan:
         cp = scan_totient_divisibility(2, 3000, segment_size=257)
         assert list(cp.hits) == list(_brute_force_hits(3000))
 
-    def test_partition_and_job_independence(self):
-        whole = scan_totient_divisibility(2, 20_000)
+    def test_partition_and_job_independence(self, scan_pool):
+        whole = scan_totient_divisibility(2, 20_000)  # one segment: no pool
         small = scan_totient_divisibility(2, 20_000, segment_size=997)
-        parallel = scan_totient_divisibility(2, 20_000, segment_size=4096, jobs=2)
+        parallel = scan_totient_divisibility(2, 20_000, segment_size=4096)
+        assert scan_pool == [2, 2]
         assert whole.hits == small.hits == parallel.hits
 
     def test_range_validation(self):
@@ -83,40 +128,62 @@ class TestScan:
         with pytest.raises(DomainError):
             scan_totient_divisibility(SCAN_LIMIT, SCAN_LIMIT + 1)
 
-    @pytest.mark.parametrize(
-        "options",
-        [{"segment_size": 0}, {"jobs": 0}, {"jobs": -5}, {"segment_size": (1 << 22) + 1}],
-    )
+    @pytest.mark.parametrize("options", [{"segment_size": 0}, {"segment_size": (1 << 22) + 1}])
     def test_job_and_segment_counts_validated(self, options):
         with pytest.raises(DomainError):
             scan_totient_divisibility(2, 100, **options)
 
-    def test_pool_clamped_to_segments_and_cpus(self, monkeypatch):
-        pools = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(scan_module, "ProcessPoolExecutor", FakePool)
+    def test_pool_clamped_to_segments_and_cpus(self, monkeypatch, fake_pool):
         monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 8)
-        whole = scan_totient_divisibility(2, 300)
-        assert scan_totient_divisibility(2, 300, segment_size=100, jobs=64).hits == whole.hits
-        assert scan_totient_divisibility(2, 300, segment_size=10, jobs=3).hits == whole.hits
-        assert pools == [3, 3]
-        scan_totient_divisibility(2, 300, segment_size=300, jobs=64)  # one segment
+        monkeypatch.setattr(scan_module, "POOL_GRAIN", 1)
+        whole = scan_totient_divisibility(2, 300)  # one segment
+        assert scan_totient_divisibility(2, 300, segment_size=100).hits == whole.hits
+        monkeypatch.setattr(scan_module, "POOL_GRAIN", 100)  # 299 integers: two grains
+        assert scan_totient_divisibility(2, 300, segment_size=10).hits == whole.hits
+        assert fake_pool == [3, 2]
+        monkeypatch.setattr(scan_module, "POOL_GRAIN", 150)  # one grain
+        scan_totient_divisibility(2, 300, segment_size=10)
+        monkeypatch.setattr(scan_module, "POOL_GRAIN", 1)
         monkeypatch.setattr(scan_module.os, "cpu_count", lambda: None)
-        scan_totient_divisibility(2, 300, segment_size=10, jobs=64)
-        assert pools == [3, 3]
+        scan_totient_divisibility(2, 300, segment_size=10)
+        assert fake_pool == [3, 2]
+
+    @staticmethod
+    def first_segment(lo, hi, segment_size=scan_module.DEFAULT_SEGMENT):
+        """Scan [lo, hi] up to its first segment only: the pool is sized before."""
+        class Stop(Exception):
+            pass
+
+        def stop(_cp):
+            raise Stop
+
+        with pytest.raises(Stop):
+            scan_totient_divisibility(lo, hi, segment_size=segment_size, on_segment=stop)
+
+    @pytest.mark.parametrize(
+        "lo, hi, segment_size",
+        [
+            (2, 3 << 16, 1 << 14),  # the scan-checkpoint benchmark
+            (SCAN_LIMIT - (5 << 18) + 1, SCAN_LIMIT, 1 << 20),  # the scan-window benchmark
+            (2, 10**6, scan_module.DEFAULT_SEGMENT),  # the cli scan memory gate
+            (2, 4 * 10**6, scan_module.DEFAULT_SEGMENT),
+            (2, 2 * scan_module.POOL_GRAIN, scan_module.DEFAULT_SEGMENT),
+        ],
+        ids=["scan-checkpoint", "scan-window", "cli-1e6", "cli-4e6", "one-short-of-two-grains"],
+    )
+    def test_no_pool_below_two_grains(self, fake_pool, lo, hi, segment_size):
+        self.first_segment(lo, hi, segment_size)
+        assert fake_pool == []
+
+    def test_two_grains_start_at_most_two_workers(self, monkeypatch, fake_pool):
+        hi = 2 * scan_module.POOL_GRAIN + 1  # [2, hi] holds two grains
+        segments = -(-(hi - 1) // scan_module.DEFAULT_SEGMENT)
+        workers = min(os.cpu_count() or 1, segments, 2)
+        self.first_segment(2, hi)
+        assert fake_pool == ([workers] if workers > 1 else [])
+        monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 8)
+        self.first_segment(2, hi)
+        assert fake_pool[-1:] == [2] and len(fake_pool) == 1 + (workers > 1)
 
     def test_segment_memory_at_the_scan_limit(self):
         # a 2^20 window below SCAN_LIMIT; the int32 totient kernel holds phi,
@@ -199,7 +266,7 @@ class TestScanProperties:
                     lo, hi, segment_size=segment_size, checkpoint_path=path, on_segment=interrupt
                 )
             resumed = scan_totient_divisibility(
-                lo, hi, read_checkpoint(path), segment_size=segment_size, jobs=1
+                lo, hi, read_checkpoint(path), segment_size=segment_size
             )
         assert resumed.hits == whole.hits
         assert resumed.to_json() == whole.to_json()
@@ -410,15 +477,12 @@ class TestCheckpointWritePolicy:
         assert path.read_text() == self.FINISHED
 
     def test_one_write_per_segment_when_each_takes_an_interval(
-        self, tmp_path, monkeypatch, writes, clock
+        self, tmp_path, monkeypatch, writes
     ):
-        segment_hits = scan_module._segment_hits
-
-        def slow(bounds):
-            clock[0] += scan_module.CHECKPOINT_INTERVAL
-            return segment_hits(bounds)
-
-        monkeypatch.setattr(scan_module, "_segment_hits", slow)
+        ticks = itertools.count()  # an interval passes between any two readings
+        monkeypatch.setattr(
+            scan_module, "_clock", lambda: next(ticks) * scan_module.CHECKPOINT_INTERVAL
+        )
         path = tmp_path / "cp.json"
         self.scan(str(path))
         ends = [end for _, end in scan_module.segments(self.LO, self.HI, self.SEGMENT)]
@@ -444,29 +508,19 @@ class TestCheckpointWritePolicy:
     def test_exception_from_segment_j_leaves_segment_j_minus_1(
         self, tmp_path, monkeypatch, writes, clock, j
     ):
-        calls = []
-        segment_hits = scan_module._segment_hits
-
-        def failing(bounds):
-            calls.append(bounds)
-            if len(calls) == j:
-                raise RuntimeError("segment failed")
-            return segment_hits(bounds)
-
-        monkeypatch.setattr(scan_module, "_segment_hits", failing)
+        failed = scan_module.segments(self.LO, self.HI, self.SEGMENT)[j - 1]
+        monkeypatch.setattr(scan_module, "_segment_hits", _SegmentFailsAt(failed))
         path = tmp_path / "cp.json"
         with pytest.raises(RuntimeError, match="segment failed"):
             self.scan(str(path))
         if j == 1:  # no segment completed: nothing to write
             assert writes == [] and not path.exists()
         else:
-            assert read_checkpoint(str(path)).next == calls[-2][1] + 1 == calls[-1][0]
+            assert read_checkpoint(str(path)).next == failed[0]
             assert len(writes) == 1
 
     def test_composite_hit_is_on_disk_before_its_verdict_runs(self, tmp_path, monkeypatch, clock):
-        monkeypatch.setattr(
-            scan_module, "_segment_hits", lambda b: [(561, 2, True)] if b[0] <= 561 <= b[1] else []
-        )
+        monkeypatch.setattr(scan_module, "_segment_hits", _hit_at_561)
         path = str(tmp_path / "cp.json")
         on_disk = []
 
@@ -494,6 +548,34 @@ class TestCheckpointWritePolicy:
         with pytest.raises(OSError, match="disk full"):
             self.scan(str(tmp_path / "cp.json"))
         assert len(attempts) == 1
+
+
+class TestCheckpointWritePolicyInAPool(TestCheckpointWritePolicy):
+    """The same policy when the segments run in a process pool of two workers:
+    results come back in segment order, and the parent writes the checkpoint."""
+
+    @pytest.fixture(autouse=True)
+    def pool(self, scan_pool):
+        return scan_pool
+
+    def test_these_scans_run_in_the_pool(self, tmp_path, pool):
+        self.scan(str(tmp_path / "cp.json"))
+        assert pool == [2]
+
+    def test_resume_after_an_interrupt_finishes_the_same(self, tmp_path, pool):
+        path = str(tmp_path / "cp.json")
+
+        def stop(cp):
+            if cp.next > self.HI // 2:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            self.scan(path, on_segment=stop)
+        assert self.LO < read_checkpoint(path).next <= self.HI
+        resumed = self.scan(path, checkpoint=read_checkpoint(path))
+        assert pool == [2, 2]
+        assert resumed.hits == _brute_force_hits(self.HI)
+        assert resumed.to_json() == self.FINISHED == Path(path).read_text()
 
 
 class TestCounterexampleAbort:
