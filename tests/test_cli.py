@@ -445,3 +445,19 @@ class TestCliContract:
         assert runs[0] == runs[1]
         doc = json.loads(runs[0])
         assert doc["min_k"] == 3
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("env, flags", [(None, ["--jobs", "-5"]), ("4", ["--jobs", "0"])])
+    def test_job_count_below_one_exits_2(self, capsys, monkeypatch, env, flags):
+        # scan has no --jobs, and LEHMER_PSI_JOBS does not bring one back
+        if env is None:
+            monkeypatch.delenv("LEHMER_PSI_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("LEHMER_PSI_JOBS", env)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--from", "2", "--to", "30", *flags])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "error:" in err and "--jobs" in err and "Traceback" not in err
+        assert out == ""

@@ -128,7 +128,15 @@ class TestScan:
         with pytest.raises(DomainError):
             scan_totient_divisibility(SCAN_LIMIT, SCAN_LIMIT + 1)
 
-    @pytest.mark.parametrize("options", [{"segment_size": 0}, {"segment_size": (1 << 22) + 1}])
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"segment_size": 0},
+            {"segment_size": -5},
+            {"segment_size": 1 << 30},
+            {"segment_size": (1 << 22) + 1},
+        ],
+    )
     def test_job_and_segment_counts_validated(self, options):
         with pytest.raises(DomainError):
             scan_totient_divisibility(2, 100, **options)
