@@ -38,7 +38,6 @@ from .engine import (
     abundancy_bound,
     certified_close,
     chain_upper,
-    eq_lower_constant,
     exclude_k,
     exclusion_threshold,
     k_ladder,
@@ -63,8 +62,6 @@ from .groups import (
     product,
     psi,
     psi_cyclic,
-    psi_double_prime,
-    psi_prime,
 )
 from .scan import (
     CheckpointError,

@@ -28,8 +28,6 @@ from .groups import order_spectrum, parse_group_spec, psi, psi_cyclic
 from .scan import (
     CounterexampleFound,
     CSV_HEADER,
-    DEFAULT_SEGMENT,
-    MAX_SEGMENT,
     csv_line,
     hit_row,
     jsonl_line,
@@ -249,11 +247,7 @@ def cmd_scan(args) -> int:
         checkpoint = read_checkpoint(args.checkpoint)
     try:
         cp = scan_totient_divisibility(
-            args.start,
-            args.end,
-            checkpoint,
-            segment_size=args.segment_size,
-            checkpoint_path=args.checkpoint,
+            args.start, args.end, checkpoint, checkpoint_path=args.checkpoint
         )
     except CounterexampleFound as exc:
         sys.stderr.write(str(exc) + "\n")
@@ -349,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=_positive_int, required=True)
     p.add_argument("--to", dest="end", type=_positive_int, required=True)
     p.add_argument("--checkpoint", help="checkpoint file; resumed when present")
-    p.add_argument("--segment-size", type=_positive_int, default=DEFAULT_SEGMENT,
-                   help=f"integers per segment, at most {MAX_SEGMENT}")
     add_format(p, choices=("text", "json", "csv"))
     p.set_defaults(func=cmd_scan)
 

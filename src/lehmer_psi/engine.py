@@ -157,7 +157,6 @@ def make_profile(
     q: int | None = None,
     divides=(),
     not_divides=(),
-    n_floor: int = N_FLOOR_BASE,
 ) -> LehmerProfile:
     """Build and normalize a symbolic profile; raises on inconsistency.
 
@@ -192,9 +191,7 @@ def make_profile(
         smallest = min(div)
         if all(p in ndiv for p in SMALL_PRIMES if p < smallest):
             q = smallest
-    return LehmerProfile(
-        q=q, divides=frozenset(div), not_divides=frozenset(ndiv), n_floor=n_floor
-    )
+    return LehmerProfile(q=q, divides=frozenset(div), not_divides=frozenset(ndiv))
 
 
 GENERIC_PROFILE = make_profile()
@@ -484,23 +481,19 @@ def k_ladder(q: int, mode: str = "strict", R: int | None = None) -> LadderResult
 # ---------------------------------------------------------------------------
 # Abundancy
 
-def eq_lower_constant(profile: LehmerProfile) -> Fraction:
-    """The constant c with phi(n)*sigma(n)/n**2 > c/pi**2 for odd candidates
-    matching the profile: 6 with the factor for p=2 removed (giving 8), then
-    one factor p**2/(p**2 - 1) per excluded small prime."""
-    c = Fraction(8)
-    for p in SMALL_PRIMES:
-        if p in profile.not_divides:
-            c *= Fraction(p * p, p * p - 1)
-    return c
-
-
 def abundancy_bound(profile: LehmerProfile, k_floor: int) -> Fraction:
     """Coefficient c such that sigma(n)/n > c/pi**2 for any solution matching
     the profile with multiplier at least k_floor; at its min_k the generic
     profile gives 24 and the 3,5,7,11,13-free profile gives 715715/18432.
+    It is k_floor times the c of phi(n)*sigma(n)/n**2 > c/pi**2 for odd n: 6
+    with the factor for p=2 removed (giving 8), then one factor
+    p**2/(p**2 - 1) per excluded small prime.
     """
-    return eq_lower_constant(profile) * k_floor
+    c = Fraction(8)
+    for p in SMALL_PRIMES:
+        if p in profile.not_divides:
+            c *= Fraction(p * p, p * p - 1)
+    return c * k_floor
 
 
 # ---------------------------------------------------------------------------

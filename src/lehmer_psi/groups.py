@@ -5,14 +5,12 @@ direct products of those. An order spectrum is the map "element order -> count";
 it is always computed over the divisor lattice (never element lists), so direct
 products combine spectra by lcm-convolution and huge cyclic factors stay cheap.
 
-psi(G) is the sum of element orders. psi_prime(G) = psi(G)/psi(C_|G|) and
-psi_double_prime(G) = psi(G)/|G|**2 are exact rationals.
+psi(G) is the sum of element orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm, prod
 
 from .arith import (
@@ -41,7 +39,7 @@ class GroupSpecSyntaxError(DomainError):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A group family: each gives order, exponent, is_cyclic, is_nilpotent,
+    """A group family: each gives order, is_cyclic, is_nilpotent,
     spectrum_map() (element order -> count) and its DSL text as str(g).
     Atoms carry a rank that orders equal-order atoms in products."""
 
@@ -58,10 +56,6 @@ class Cyclic(GroupSpec):
 
     @property
     def order(self) -> int:
-        return self.n
-
-    @property
-    def exponent(self) -> int:
         return self.n
 
     def spectrum_map(self) -> dict[int, int]:
@@ -98,10 +92,6 @@ class Dihedral(GroupSpec):
         return self.order2m
 
     @property
-    def exponent(self) -> int:
-        return lcm(2, self.m)
-
-    @property
     def is_cyclic(self) -> bool:
         return self.order2m == 2
 
@@ -123,7 +113,6 @@ class Dihedral(GroupSpec):
 class Quaternion8(GroupSpec):
     rank = 2
     order = 8
-    exponent = 4
     is_cyclic = False
     is_nilpotent = True
 
@@ -137,8 +126,8 @@ class Quaternion8(GroupSpec):
 @dataclass(frozen=True)
 class Product(GroupSpec):
     """Direct product; nilpotent iff every factor is, and cyclic iff every
-    factor is and the exponent equals the order (pairwise coprime factor
-    orders).
+    factor is and the lcm of the factor orders equals the order (pairwise
+    coprime factor orders).
     """
 
     factors: tuple[GroupSpec, ...]
@@ -148,12 +137,9 @@ class Product(GroupSpec):
         return prod(f.order for f in self.factors)
 
     @property
-    def exponent(self) -> int:
-        return lcm(*(f.exponent for f in self.factors))
-
-    @property
     def is_cyclic(self) -> bool:
-        return all(f.is_cyclic for f in self.factors) and self.exponent == self.order
+        cyclic = all(f.is_cyclic for f in self.factors)
+        return cyclic and lcm(*(f.order for f in self.factors)) == self.order
 
     @property
     def is_nilpotent(self) -> bool:
@@ -248,13 +234,6 @@ class OrderSpectrum:
 
     entries: tuple[tuple[int, int], ...]
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.entries)
-
     def order_sum(self) -> int:
         return sum(d * c for d, c in self.entries)
 
@@ -301,12 +280,3 @@ def psi_cyclic(f: Factorization | int) -> int:
         r *= (p ** (2 * a + 1) + 1) // (p + 1)
     return r
 
-
-def psi_prime(g: GroupSpec) -> Fraction:
-    """psi(G) / psi(C_|G|), in lowest terms; equals 1 exactly for cyclic specs."""
-    return Fraction(psi(g), psi_cyclic(g.order))
-
-
-def psi_double_prime(g: GroupSpec) -> Fraction:
-    """psi(G) / |G|**2, in lowest terms; always in (0, 1]."""
-    return Fraction(psi(g), g.order**2)

@@ -45,10 +45,11 @@ from .engine import (
     witness_double_prime,
 )
 from .groups import parse_group_spec, psi, psi_cyclic
-from .sieve import DEFAULT_SEGMENT, primes_upto, segments, totient_range
+from .sieve import primes_upto, segments, totient_range
 
 SCAN_LIMIT = 10**8
 SCHEMA_VERSION = 2
+DEFAULT_SEGMENT = 1 << 16  # integers per segment of a scan; no option sets it
 MAX_SEGMENT = 1 << 22  # each segment holds three int32 arrays of this length
 HIT_WINDOW = 1 << 20  # integers per prime sieve when hit rows are rebuilt
 CHECKPOINT_INTERVAL = 1.0  # seconds between checkpoint writes inside a scan
@@ -138,12 +139,13 @@ class ScanCheckpoint:
     @classmethod
     def from_json(cls, text: str) -> "ScanCheckpoint":
         try:
+            # ValueError also covers an integer past the digit limit set in arith
             doc = json.loads(text)
             payload = doc["payload"]
             crc = doc["crc32"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
-        blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
         if zlib.crc32(blob.encode("ascii")) != crc:
             raise CheckpointError("checkpoint CRC mismatch")
         if not isinstance(payload, dict):
@@ -181,9 +183,12 @@ def write_checkpoint(cp: ScanCheckpoint, path: str) -> None:
 def read_checkpoint(path: str) -> ScanCheckpoint:
     try:
         with open(path) as handle:
-            return ScanCheckpoint.from_json(handle.read())
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
     except OSError as exc:
         raise OSError(f"cannot read checkpoint from {path}: {exc}") from exc
+    return ScanCheckpoint.from_json(text)
 
 
 def _segment_hits(bounds: tuple[int, int]) -> list[tuple[int, int, bool]]:

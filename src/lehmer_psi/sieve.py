@@ -15,7 +15,6 @@ import numpy as np
 
 from .arith import DomainError
 
-DEFAULT_SEGMENT = 1 << 16  # window width of scans
 _BASE_PRIMES = np.array([2], dtype=np.int64)  # grown below to the primes <= 10^4
 
 
@@ -26,7 +25,7 @@ def _base_primes(root: int) -> np.ndarray:
     return _BASE_PRIMES[: np.searchsorted(_BASE_PRIMES, root, side="right")]
 
 
-def segments(lo: int, hi: int, size: int = DEFAULT_SEGMENT) -> list[tuple[int, int]]:
+def segments(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
     """[lo, hi] cut into consecutive windows of at most size integers."""
     return [(s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size)]
 

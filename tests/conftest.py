@@ -2,21 +2,33 @@
 a numpy Korselt sieve, the abelian groups of each order, and brute-force
 group element enumeration. These deliberately avoid the package's
 divisor-lattice machinery so spectra and psi values are checked against
-actual group multiplication. The scan_pool fixture makes scans of any size
-run in a real two-worker process pool.
+actual group multiplication. psi_prime and psi_double_prime are the
+normalized order sums psi' and psi'', by their definitions over the
+package's psi. The scan_pool fixture makes scans of any size run in a real
+two-worker process pool.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 import pytest
 
 import lehmer_psi.scan as scan_module
-from lehmer_psi.groups import Cyclic, Dihedral, GroupSpec, Product, Quaternion8, product
+from lehmer_psi.groups import (
+    Cyclic,
+    Dihedral,
+    GroupSpec,
+    Product,
+    Quaternion8,
+    product,
+    psi,
+    psi_cyclic,
+)
 from lehmer_psi.sieve import primes_upto
 
 
@@ -113,6 +125,16 @@ def abelian_specs(n: int):
     per_prime = [[[p**part for part in lam] for lam in _partitions(a)] for p, a in naive_factor(n)]
     for combo in itertools.product(*per_prime):
         yield product([Cyclic(k) for block in combo for k in block])
+
+
+def psi_prime(g: GroupSpec) -> Fraction:
+    """psi(G) / psi(C_|G|), in lowest terms; equals 1 exactly for cyclic specs."""
+    return Fraction(psi(g), psi_cyclic(g.order))
+
+
+def psi_double_prime(g: GroupSpec) -> Fraction:
+    """psi(G) / |G|**2, in lowest terms; always in (0, 1]."""
+    return Fraction(psi(g), g.order**2)
 
 
 # --- brute-force groups: (elements, multiply, identity) per atom -----------

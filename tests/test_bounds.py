@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import abelian_specs, brute_psi
+from conftest import abelian_specs, brute_psi, psi_double_prime
 from lehmer_psi.arith import DomainError, factor
 from lehmer_psi.bounds import (
     check_bounds,
@@ -18,7 +18,6 @@ from lehmer_psi.groups import (
     product,
     psi,
     psi_cyclic,
-    psi_double_prime,
 )
 
 ALL_BOUND_IDS = {

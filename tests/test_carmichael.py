@@ -12,9 +12,21 @@ from lehmer_psi.carmichael import (
     carmichael_in_range,
     korselt_check,
 )
-from lehmer_psi.sieve import DEFAULT_SEGMENT, korselt_range, primes_upto
+from lehmer_psi.sieve import korselt_range, primes_upto
 
-ORACLE_HI = 2 * DEFAULT_SEGMENT + 5000
+SEGMENT = 1 << 16  # the window carmichael_in_range sieved before the construction
+ORACLE_HI = 2 * SEGMENT + 5000
+INT32_WINDOWS = [
+    (2**31 - 3000, 2**31 - 1),  # the top of the int32 kernel
+    (2_140_698_181, 2_140_701_181),  # 127 * 631 * 26713, the last below 2^31
+]
+
+
+@cache
+def _korselt_range_cached(lo: int, hi: int) -> tuple[int, ...]:
+    """korselt_range(lo, hi), computed once: near 2^31 each call takes about
+    a second whatever the window, and two tests check the same windows."""
+    return tuple(korselt_range(lo, hi))
 
 
 @cache
@@ -113,14 +125,13 @@ class TestRangeEnumeration:
             (562, 20_000),
             (1105, 1729),
             (100_001, 130_000),
-            (2**31 - 3000, 2**31 - 1),  # the top of the int32 kernel
-            (2_140_698_181, 2_140_701_181),  # 127 * 631 * 26713, the last below 2^31
+            *INT32_WINDOWS,
         ],
     )
     def test_kernel_matches_scalar_korselt_off_561(self, lo, hi):
         # windows that start past 561, so most primes first strike past index 0
         expected = [n for n in range(lo, hi + 1) if korselt_check(n).is_carmichael]
-        assert korselt_range(lo, hi) == expected
+        assert list(_korselt_range_cached(lo, hi)) == expected
 
     def test_kernel_refuses_hi_past_int32(self):
         with pytest.raises(DomainError):
@@ -134,7 +145,7 @@ class TestRangeEnumeration:
 
     def test_window_across_two_segment_boundaries(self):
         lo, hi = 1000, ORACLE_HI
-        assert hi - lo + 1 > 2 * DEFAULT_SEGMENT
+        assert hi - lo + 1 > 2 * SEGMENT
         assert carmichael_in_range(lo, hi) == _oracle(lo, hi)
 
     def test_memory_flat_in_the_range_length(self):
@@ -184,14 +195,14 @@ class TestConstruction:
     def test_matches_the_sieve_across_former_segment_edges(self):
         # carmichael_in_range(2, hi) once sieved [2, 1 + 2^16], [2 + 2^16, ...]:
         # each window here is one of those shifted by half, across one edge
-        half = DEFAULT_SEGMENT // 2
-        for edge in range(2 + DEFAULT_SEGMENT, 10**6, DEFAULT_SEGMENT):
+        half = SEGMENT // 2
+        for edge in range(2 + SEGMENT, 10**6, SEGMENT):
             lo, hi = edge - half, edge + half - 1
             assert korselt_range(lo, hi) == korselt_sieve(lo, hi), (lo, hi)
 
-    @pytest.mark.parametrize("lo, hi", [(2**31 - 3000, 2**31 - 1), (2_140_698_181, 2_140_701_181)])
+    @pytest.mark.parametrize("lo, hi", INT32_WINDOWS)
     def test_matches_the_sieve_below_int32(self, lo, hi):
-        assert korselt_range(lo, hi) == korselt_sieve(lo, hi)
+        assert list(_korselt_range_cached(lo, hi)) == korselt_sieve(lo, hi)
 
     def test_pinch_counts_per_decade(self):
         # Carmichael numbers up to 10^d for d = 3..9 (Pinch 1993; OEIS A055553)

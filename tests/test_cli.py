@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import time
 
@@ -229,12 +230,19 @@ class TestScanCommand:
         assert code == 0
         assert events == header + ["row", "emit"] * 10
 
-    def test_scan_checkpoint_resume(self, capsys, tmp_path):
+    @staticmethod
+    def _segments_of_700(monkeypatch):
+        # the CLI always scans in DEFAULT_SEGMENT windows; these tests need many segments
+        import lehmer_psi.scan as scan_module
+
+        scan = functools.partial(scan_module.scan_totient_divisibility, segment_size=700)
+        monkeypatch.setattr(cli, "scan_totient_divisibility", scan)
+
+    def test_scan_checkpoint_resume(self, capsys, monkeypatch, tmp_path):
+        self._segments_of_700(monkeypatch)
         path = str(tmp_path / "cp.json")
-        code1, out1, _ = run(capsys, "scan", "--from", "2", "--to", "5000",
-                             "--checkpoint", path, "--segment-size", "700")
-        code2, out2, _ = run(capsys, "scan", "--from", "2", "--to", "5000",
-                             "--checkpoint", path, "--segment-size", "700")
+        code1, out1, _ = run(capsys, "scan", "--from", "2", "--to", "5000", "--checkpoint", path)
+        code2, out2, _ = run(capsys, "scan", "--from", "2", "--to", "5000", "--checkpoint", path)
         assert code1 == code2 == 0
         assert out1 == out2  # resume from a completed checkpoint is a no-op
 
@@ -249,7 +257,8 @@ class TestScanCommand:
         import lehmer_psi.scan as scan_module
 
         monkeypatch.setattr(scan_module, "HIT_WINDOW", 1000)  # rows from 20 prime windows
-        argv = ["scan", "--from", "3", "--to", "20000", "--segment-size", "700", "--format", fmt]
+        self._segments_of_700(monkeypatch)
+        argv = ["scan", "--from", "3", "--to", "20000", "--format", fmt]
         whole = run(capsys, *argv)
         if pool:  # the interrupted and the resumed scan run in worker processes
             pools = request.getfixturevalue("scan_pool")
@@ -336,20 +345,38 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_scan_checkpoint_write_failure_over_many_segments_prints_no_row(
-        self, capsys, tmp_path, fmt
+        self, capsys, monkeypatch, tmp_path, fmt
     ):
+        self._segments_of_700(monkeypatch)
         path = str(tmp_path / "missing-dir" / "cp.json")
-        code, out, err = run(capsys, "scan", "--from", "2", "--to", "5000", "--segment-size",
-                             "700", "--format", fmt, "--checkpoint", path)
+        code, out, err = run(capsys, "scan", "--from", "2", "--to", "5000",
+                             "--format", fmt, "--checkpoint", path)
         assert code == 2
         assert err.startswith(f"io error: cannot write checkpoint to {path}: ")
         assert out == ""
 
     def test_scan_segment_size_above_bound_exits_2(self, capsys):
-        code, out, err = run(capsys, "scan", "--from", "2", "--to", "30",
-                             "--segment-size", str((1 << 22) + 1))
+        # scan has no --segment-size: argparse rejects any value, in bound or not
+        for size in (str((1 << 22) + 1), "700"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["scan", "--from", "2", "--to", "30", "--segment-size", size])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert "error:" in err and "--segment-size" in err and "Traceback" not in err
+            assert out == ""
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{not utf-8", b"[" * 200_000, b"9" * 200_001],
+        ids=["not-utf8", "nested-too-deep", "integer-too-long"],
+    )
+    def test_scan_unreadable_checkpoint_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "cp.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "scan", "--from", "2", "--to", "100",
+                             "--checkpoint", str(path))
         assert code == 2
-        assert err.startswith("error:") and "segment_size" in err
+        assert err.startswith("error: unreadable checkpoint:") and "Traceback" not in err
         assert out == ""
 
     def test_scan_has_no_jobs_option(self, capsys):
@@ -429,7 +456,7 @@ class TestCliContract:
             "bounds": ["--group", "--format"],
             "lehmer-check": ["--format"],
             "min-k": ["--profile", "--format"],
-            "scan": ["--from", "--to", "--checkpoint", "--segment-size", "--format"],
+            "scan": ["--from", "--to", "--checkpoint", "--format"],
             "verify-constants": ["--format"],
         }
         parser = cli.build_parser()

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import psi_double_prime
 import lehmer_psi.engine as engine_module
 from lehmer_psi.arith import DomainError, euler_phi, factor, is_prime, sigma
 from lehmer_psi.bounds import witness_lower_bound
@@ -21,7 +22,6 @@ from lehmer_psi.engine import (
     abundancy_bound,
     certified_close,
     chain_upper,
-    eq_lower_constant,
     enumerate_worlds,
     exclude_k,
     exclusion_threshold,
@@ -36,7 +36,6 @@ from lehmer_psi.engine import (
     witness_double_prime,
     witness_group,
 )
-from lehmer_psi.groups import psi_double_prime
 
 
 def _sweep(profile):
@@ -87,7 +86,8 @@ def _symbolic_profiles(qs, n_floor=N_FLOOR_BASE):
                 for state in states[:2]
             }
             try:
-                profiles.add(make_profile(q=q, n_floor=n_floor, **sets))
+                profile = make_profile(q=q, **sets)
+                profiles.add(dataclasses.replace(profile, n_floor=n_floor))
             except DomainError:
                 continue
     return profiles
@@ -203,7 +203,7 @@ class TestExcludeK:
             assert j.lhs >= j.rhs  # the recorded inequality reproduces
 
     def test_q17_k3_excluded_at_raised_floor(self):
-        res = exclude_k(make_profile(q=17, n_floor=N_FLOOR_RAISED), 3)
+        res = exclude_k(dataclasses.replace(make_profile(q=17), n_floor=N_FLOOR_RAISED), 3)
         assert res.excluded
         j = res.justifications[0]
         assert j.rhs == Fraction(133, 816)
@@ -215,7 +215,8 @@ class TestExcludeK:
 
     def test_not_excluded_cases(self):
         assert not exclude_k(make_profile(q=5, not_divides=[7]), 3).excluded
-        assert not exclude_k(make_profile(q=17, n_floor=N_FLOOR_RAISED), 4).excluded
+        raised = dataclasses.replace(make_profile(q=17), n_floor=N_FLOOR_RAISED)
+        assert not exclude_k(raised, 4).excluded
 
     def test_rejects_k_below_two(self):
         with pytest.raises(DomainError):
@@ -275,12 +276,7 @@ class TestMinK:
         profiles = _symbolic_profiles((None, 17, 101))
         assert len(profiles) > 100
         for profile in profiles:
-            raised = make_profile(
-                q=profile.q,
-                divides=profile.divides,
-                not_divides=profile.not_divides,
-                n_floor=N_FLOOR_RAISED,
-            )
+            raised = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
             for k in range(2, 21):
                 if exclude_k(profile, k).excluded:
                     assert exclude_k(raised, k).excluded, (profile.describe(), k)
@@ -497,8 +493,9 @@ class TestAbundancy:
         assert abundancy_bound(profile, min_k(profile).k) == Fraction(715715, 18432)
 
     def test_lower_constant_correction(self):
-        assert eq_lower_constant(GENERIC_PROFILE) == 8
-        assert eq_lower_constant(make_profile(not_divides=[3])) == 9
+        # the odd-n constant 8, and 9 = 8 * 9/8 once 3 does not divide n
+        assert abundancy_bound(GENERIC_PROFILE, 1) == 8
+        assert abundancy_bound(make_profile(not_divides=[3]), 1) == 9
 
     def test_three_divides_coefficient(self):
         profile = make_profile(divides=[3])

@@ -1,5 +1,6 @@
 """The package's surface and source hygiene: the public names of lehmer_psi,
-the README's library sketch, and imports that no module uses."""
+the README's library sketch, imports that no module uses, and definitions
+that only tests reach."""
 
 import ast
 import runpy
@@ -21,11 +22,11 @@ def test_public_names_are_pinned():
         "OrderSpectrum", "PrimalityResult", "Product", "Quaternion8", "ScanCheckpoint",
         "abundancy_bound", "approx_str", "batch_verdicts", "carmichael_in_range",
         "certified_close", "chain_upper", "check_bounds", "divisor_totient_pairs",
-        "eq_lower_constant", "euler_phi", "exclude_k", "exclusion_threshold", "factor",
+        "euler_phi", "exclude_k", "exclusion_threshold", "factor",
         "fraction_str", "is_prime", "is_squarefree", "k_ladder", "korselt_check",
         "ladder_condition", "lehmer_check", "make_profile", "min_k", "nilpotent_lower_bound",
         "order_spectrum", "parse_group_spec", "primality", "product",
-        "profile_from_factorization", "psi", "psi_cyclic", "psi_double_prime", "psi_prime",
+        "profile_from_factorization", "psi", "psi_cyclic",
         "read_checkpoint", "scan_totient_divisibility", "sigma", "two_power_threshold",
         "upper_coefficient", "verify_constants", "witness_double_prime", "witness_group",
         "witness_lower_bound", "write_checkpoint",
@@ -37,10 +38,14 @@ def test_public_names_are_pinned():
     assert public == expected
 
 
+def _readme_sketch() -> str:
+    readme = (ROOT / "README.md").read_text()
+    return readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_library_sketch_runs():
     # each expression line's comment, up to a double space, is its repr
-    readme = (ROOT / "README.md").read_text()
-    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    block = _readme_sketch()
     lines = block.splitlines()
     namespace: dict = {}
     checked = []
@@ -77,3 +82,33 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used and (path.stem, name) not in traced:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    # a function, class, method or property of src/ is named somewhere a
+    # command, the benchmark or the README sketch reaches it; one that only
+    # tests name is surface to delete (its test oracle goes to conftest.py)
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.keyword) and node.arg:
+                yield node.arg
+
+    callers = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    callers += sorted((ROOT / "bench").glob("*.py"))
+    named = set(names(ast.parse(_readme_sketch())))
+    for path in callers:
+        named.update(names(ast.parse(path.read_text(), str(path))))
+    unreached = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if node.name not in named:
+                unreached.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unreached == []
