@@ -15,14 +15,12 @@ interval of it.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import json
 import os
 import tempfile
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -49,11 +47,10 @@ from .sieve import primes_upto, segments, totient_range
 
 SCAN_LIMIT = 10**8
 SCHEMA_VERSION = 2
-DEFAULT_SEGMENT = 1 << 16  # integers per segment of a scan; no option sets it
+DEFAULT_SEGMENT = 1 << 18  # integers per segment of a scan; no option sets it
 MAX_SEGMENT = 1 << 22  # each segment holds three int32 arrays of this length
 HIT_WINDOW = 1 << 20  # integers per prime sieve when hit rows are rebuilt
 CHECKPOINT_INTERVAL = 1.0  # seconds between checkpoint writes inside a scan
-POOL_GRAIN = 1 << 21  # fewest integers a pool worker gets; below two grains the scan is serial
 _clock = time.monotonic  # the clock the scan loop reads; tests replace it
 
 # a report row is a tuple of these seven values, in this order
@@ -217,9 +214,7 @@ def scan_totient_divisibility(
 ) -> ScanCheckpoint:
     """Scan [lo, hi] for n with phi(n) | (n - 1). Every prime appears as a hit
     with exact_k = 1; a composite hit runs lehmer_check and aborts loudly.
-    Results are independent of segmentation, worker count, and interruptions.
-    Segments run in a process pool of one worker per POOL_GRAIN integers left,
-    at most one per CPU and per segment, when that gives two or more.
+    Results are independent of segmentation and interruptions.
 
     With checkpoint_path, the checkpoint is written when CHECKPOINT_INTERVAL
     seconds have passed since the last write (or the start), for a segment
@@ -237,29 +232,23 @@ def scan_totient_divisibility(
         raise CheckpointError(f"checkpoint covers [{cp.lo}, {cp.hi}], not [{lo}, {hi}]")
 
     windows = segments(cp.next, hi, segment_size)
-    # with fork, the pool starts every worker up front: never more than can run
-    workers = min(os.cpu_count() or 1, len(windows), (hi - cp.next + 1) // POOL_GRAIN)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     # saved is the last cp a write was tried for: set first, so a failed write is not retried
     saved, last_write = cp, _clock()
-    with pool:
-        mapper = pool.map if workers > 1 else map
-        try:
-            for (_, seg_end), composites in zip(windows, mapper(_segment_hits, windows)):
-                cp = replace(cp, next=seg_end + 1, composites=cp.composites + tuple(composites))
-                if checkpoint_path and (composites or _clock() - last_write >= CHECKPOINT_INTERVAL):
-                    saved = cp
-                    write_checkpoint(cp, checkpoint_path)
-                    last_write = _clock()
-                if composites:
-                    n = composites[0][0]
-                    raise CounterexampleFound(n, lehmer_check(n))
-                if on_segment is not None:
-                    on_segment(cp)
-        finally:
-            # inside the with: the write does not wait for the pool to shut down
-            if checkpoint_path and cp is not saved:
+    try:
+        for (_, seg_end), composites in zip(windows, map(_segment_hits, windows)):
+            cp = replace(cp, next=seg_end + 1, composites=cp.composites + tuple(composites))
+            if checkpoint_path and (composites or _clock() - last_write >= CHECKPOINT_INTERVAL):
+                saved = cp
                 write_checkpoint(cp, checkpoint_path)
+                last_write = _clock()
+            if composites:
+                n = composites[0][0]
+                raise CounterexampleFound(n, lehmer_check(n))
+            if on_segment is not None:
+                on_segment(cp)
+    finally:
+        if checkpoint_path and cp is not saved:
+            write_checkpoint(cp, checkpoint_path)
     return cp
 
 

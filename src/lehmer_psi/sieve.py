@@ -16,11 +16,12 @@ import numpy as np
 from .arith import DomainError
 
 _BASE_PRIMES = np.array([2], dtype=np.int64)  # grown below to the primes <= 10^4
+_BASE_BOUND = 2  # the table holds every prime up to this bound, not only its last prime
 
 
 def _base_primes(root: int) -> np.ndarray:
-    """Primes <= root: a prefix of the table, or a fresh sieve above it."""
-    if root > _BASE_PRIMES[-1]:
+    """Primes <= root: a prefix of the table, or a fresh sieve above its bound."""
+    if root > _BASE_BOUND:
         return primes_upto(root)
     return _BASE_PRIMES[: np.searchsorted(_BASE_PRIMES, root, side="right")]
 
@@ -42,7 +43,7 @@ def primes_upto(n: int, lo: int = 2) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64) + lo
 
 
-_BASE_PRIMES = primes_upto(10**4)
+_BASE_PRIMES, _BASE_BOUND = primes_upto(10**4), 10**4
 
 
 def totient_range(lo: int, hi: int) -> np.ndarray:

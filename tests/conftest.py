@@ -4,8 +4,7 @@ group element enumeration. These deliberately avoid the package's
 divisor-lattice machinery so spectra and psi values are checked against
 actual group multiplication. psi_prime and psi_double_prime are the
 normalized order sums psi' and psi'', by their definitions over the
-package's psi. The scan_pool fixture makes scans of any size run in a real
-two-worker process pool.
+package's psi.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 import numpy as np
-import pytest
 
-import lehmer_psi.scan as scan_module
 from lehmer_psi.groups import (
     Cyclic,
     Dihedral,
@@ -219,24 +216,3 @@ def brute_spectrum(g: GroupSpec) -> Counter:
 def brute_psi(g: GroupSpec) -> int:
     return sum(order * count for order, count in brute_spectrum(g).items())
 
-
-@pytest.fixture
-def scan_pool(monkeypatch):
-    """Scans run in a real process pool of two workers whenever they have two
-    segments or more: POOL_GRAIN is one integer and the CPU count two. Returns
-    the worker count of each pool that mapped segments, in order."""
-    started = []
-
-    class Recording(scan_module.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            self.workers = max_workers
-
-        def map(self, fn, items):
-            started.append(self.workers)
-            return super().map(fn, items)
-
-    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", Recording)
-    monkeypatch.setattr(scan_module, "POOL_GRAIN", 1)
-    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 2)
-    return started

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
+import lehmer_psi.sieve as sieve_module
 from conftest import naive_divisors, naive_factor, naive_phi, naive_sigma
 from lehmer_psi.arith import (
     DomainError,
@@ -216,6 +217,20 @@ class TestMultiplicativeFunctions:
         assert phis.size == hi - lo + 1
         for n in range(lo, hi + 1):
             assert int(phis[n - lo]) == euler_phi(factor(n)), n
+
+    def test_base_primes_are_sieved_once_up_to_the_scan_limit(self, monkeypatch):
+        # the table holds the primes <= 10^4 = isqrt(SCAN_LIMIT), the last of
+        # them 9973, so a window with hi >= 9974^2 needs no sieve of its own
+        calls = []
+        original = sieve_module.primes_upto
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sieve_module, "primes_upto", counting)
+        totient_range(SCAN_LIMIT - 2**16 + 1, SCAN_LIMIT)
+        assert calls == []
 
     def test_sieve_totient_refuses_hi_past_int32(self):
         with pytest.raises(DomainError):

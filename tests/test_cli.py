@@ -246,13 +246,9 @@ class TestScanCommand:
         assert code1 == code2 == 0
         assert out1 == out2  # resume from a completed checkpoint is a no-op
 
-    @pytest.mark.parametrize(
-        "fmt, pool",
-        [(fmt, pool) for pool in (False, True) for fmt in ("text", "json", "csv")],
-        ids=["text", "json", "csv", "text-pool", "json-pool", "csv-pool"],
-    )
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_scan_resumed_mid_range_prints_the_same_bytes(
-        self, capsys, monkeypatch, request, tmp_path, fmt, pool
+        self, capsys, monkeypatch, tmp_path, fmt
     ):
         import lehmer_psi.scan as scan_module
 
@@ -260,8 +256,6 @@ class TestScanCommand:
         self._segments_of_700(monkeypatch)
         argv = ["scan", "--from", "3", "--to", "20000", "--format", fmt]
         whole = run(capsys, *argv)
-        if pool:  # the interrupted and the resumed scan run in worker processes
-            pools = request.getfixturevalue("scan_pool")
         path = str(tmp_path / "cp.json")
 
         class Stop(Exception):
@@ -277,8 +271,6 @@ class TestScanCommand:
             )
         assert scan_module.read_checkpoint(path).next == 9103  # 13 of 29 segments
         assert run(capsys, *argv, "--checkpoint", path) == whole
-        if pool:
-            assert pools == [2, 2]
         code, out, _ = whole
         lines = out.splitlines()
         assert code == 0 and len(lines) == 2261 + (fmt != "json")  # pi(20000) - 1 rows
@@ -380,7 +372,7 @@ class TestScanCommand:
         assert out == ""
 
     def test_scan_has_no_jobs_option(self, capsys):
-        # the scan sizes its own process pool
+        # the scan runs in one process, in segments it sizes itself
         with pytest.raises(SystemExit) as err:
             cli.main(["scan", "--from", "2", "--to", "30", "--jobs", "2"])
         assert err.value.code == 2

@@ -92,7 +92,7 @@ def test_abundancy_decimal_is_certified_to_the_printed_digits():
 
 
 # sha256 of `scan --from 2 --to 100000` stdout: 9592 prime hit rows, in each
-# format; the JSON is the same from two worker processes
+# format
 SCAN_DIGESTS = {
     ("text",): "ce1a1ebe74c9d78e49af253ff3371b4112c80a26000d662a6b3c28b72292c18b",
     ("json",): "22b08bc243e9e5053b28d6007d34a6abebf472394d2e18bf87a491848e191a1c",
@@ -111,11 +111,19 @@ def test_scan_stdout_matches_recorded_digest(capsys, flags, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def test_scan_json_from_two_worker_processes_matches_recorded_digest(capsys, scan_pool):
-    assert cli.main(["scan", "--from", "2", "--to", "100000", "--format", "json"]) == 0
-    assert scan_pool == [2]
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == SCAN_DIGESTS[("json",)]
+# sha256 of `scan --from 2 --to 1000000` stdout: 78498 prime hit rows, in
+# each format; the scan crosses three edges of its DEFAULT_SEGMENT windows
+SCAN_1E6_DIGESTS = {
+    "text": "9755d4e984bdc5b871709c2fc41542b6c3b74c8eda9a2bd376d25d37f736cc67",
+    "json": "7a85136c764158605a63920cf7a0e8e387be4e14141fd12fc5921b39f14a9492",
+    "csv": "1bee59a1546b0d6b4814a80b35b0bcdddd80c05192244f5c33a5bf97ec1c6dc2",
+}
+
+
+@pytest.mark.parametrize("fmt, digest", sorted(SCAN_1E6_DIGESTS.items()))
+def test_scan_to_1e6_matches_recorded_digest(capsys, fmt, digest):
+    assert cli.main(["scan", "--from", "2", "--to", "1000000", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_batch_verdicts_report_matches_recorded_digest(tmp_path):

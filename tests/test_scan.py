@@ -53,35 +53,11 @@ def _brute_force_hits(hi: int) -> tuple:
     return tuple(hits)
 
 
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """Replaces ProcessPoolExecutor by a pool that maps in this process.
-    Returns the worker count of each pool started, in order."""
-    started = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", FakePool)
-    return started
-
-
 _real_segment_hits = scan_module._segment_hits
 
 
 class _SegmentFailsAt:
-    """_segment_hits, except that it raises on one window. Defined at module
-    level, so a process pool can pickle it."""
+    """_segment_hits, except that it raises on one window."""
 
     def __init__(self, bounds):
         self.bounds = bounds
@@ -113,12 +89,27 @@ class TestScan:
         cp = scan_totient_divisibility(2, 3000, segment_size=257)
         assert list(cp.hits) == list(_brute_force_hits(3000))
 
-    def test_partition_and_job_independence(self, scan_pool):
-        whole = scan_totient_divisibility(2, 20_000)  # one segment: no pool
+    def test_partition_and_job_independence(self):
+        whole = scan_totient_divisibility(2, 20_000)  # one segment
         small = scan_totient_divisibility(2, 20_000, segment_size=997)
-        parallel = scan_totient_divisibility(2, 20_000, segment_size=4096)
-        assert scan_pool == [2, 2]
-        assert whole.hits == small.hits == parallel.hits
+        larger = scan_totient_divisibility(2, 20_000, segment_size=4096)
+        assert whole.hits == small.hits == larger.hits
+
+    def test_the_scan_starts_no_process(self, monkeypatch, capsys):
+        import multiprocessing.process
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan started a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        hi = 1 << 23  # 32 segments
+        primes = len(primes_upto(hi))
+        assert scan_totient_divisibility(2, hi).hit_count() == primes == 564_163
+        assert cli.main(["scan", "--from", "2", "--to", str(hi)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"scanned [2, {hi}]: {primes} hits, 0 composite\n")
+        assert out.count("\n") == 1 + primes
 
     def test_range_validation(self):
         with pytest.raises(DomainError):
@@ -140,58 +131,6 @@ class TestScan:
     def test_job_and_segment_counts_validated(self, options):
         with pytest.raises(DomainError):
             scan_totient_divisibility(2, 100, **options)
-
-    def test_pool_clamped_to_segments_and_cpus(self, monkeypatch, fake_pool):
-        monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(scan_module, "POOL_GRAIN", 1)
-        whole = scan_totient_divisibility(2, 300)  # one segment
-        assert scan_totient_divisibility(2, 300, segment_size=100).hits == whole.hits
-        monkeypatch.setattr(scan_module, "POOL_GRAIN", 100)  # 299 integers: two grains
-        assert scan_totient_divisibility(2, 300, segment_size=10).hits == whole.hits
-        assert fake_pool == [3, 2]
-        monkeypatch.setattr(scan_module, "POOL_GRAIN", 150)  # one grain
-        scan_totient_divisibility(2, 300, segment_size=10)
-        monkeypatch.setattr(scan_module, "POOL_GRAIN", 1)
-        monkeypatch.setattr(scan_module.os, "cpu_count", lambda: None)
-        scan_totient_divisibility(2, 300, segment_size=10)
-        assert fake_pool == [3, 2]
-
-    @staticmethod
-    def first_segment(lo, hi, segment_size=scan_module.DEFAULT_SEGMENT):
-        """Scan [lo, hi] up to its first segment only: the pool is sized before."""
-        class Stop(Exception):
-            pass
-
-        def stop(_cp):
-            raise Stop
-
-        with pytest.raises(Stop):
-            scan_totient_divisibility(lo, hi, segment_size=segment_size, on_segment=stop)
-
-    @pytest.mark.parametrize(
-        "lo, hi, segment_size",
-        [
-            (2, 3 << 16, 1 << 14),  # the scan-checkpoint benchmark
-            (SCAN_LIMIT - (5 << 18) + 1, SCAN_LIMIT, 1 << 20),  # the scan-window benchmark
-            (2, 10**6, scan_module.DEFAULT_SEGMENT),  # the cli scan memory gate
-            (2, 4 * 10**6, scan_module.DEFAULT_SEGMENT),
-            (2, 2 * scan_module.POOL_GRAIN, scan_module.DEFAULT_SEGMENT),
-        ],
-        ids=["scan-checkpoint", "scan-window", "cli-1e6", "cli-4e6", "one-short-of-two-grains"],
-    )
-    def test_no_pool_below_two_grains(self, fake_pool, lo, hi, segment_size):
-        self.first_segment(lo, hi, segment_size)
-        assert fake_pool == []
-
-    def test_two_grains_start_at_most_two_workers(self, monkeypatch, fake_pool):
-        hi = 2 * scan_module.POOL_GRAIN + 1  # [2, hi] holds two grains
-        segments = -(-(hi - 1) // scan_module.DEFAULT_SEGMENT)
-        workers = min(os.cpu_count() or 1, segments, 2)
-        self.first_segment(2, hi)
-        assert fake_pool == ([workers] if workers > 1 else [])
-        monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 8)
-        self.first_segment(2, hi)
-        assert fake_pool[-1:] == [2] and len(fake_pool) == 1 + (workers > 1)
 
     def test_segment_memory_at_the_scan_limit(self):
         # a 2^20 window below SCAN_LIMIT; the int32 totient kernel holds phi,
@@ -556,34 +495,6 @@ class TestCheckpointWritePolicy:
         with pytest.raises(OSError, match="disk full"):
             self.scan(str(tmp_path / "cp.json"))
         assert len(attempts) == 1
-
-
-class TestCheckpointWritePolicyInAPool(TestCheckpointWritePolicy):
-    """The same policy when the segments run in a process pool of two workers:
-    results come back in segment order, and the parent writes the checkpoint."""
-
-    @pytest.fixture(autouse=True)
-    def pool(self, scan_pool):
-        return scan_pool
-
-    def test_these_scans_run_in_the_pool(self, tmp_path, pool):
-        self.scan(str(tmp_path / "cp.json"))
-        assert pool == [2]
-
-    def test_resume_after_an_interrupt_finishes_the_same(self, tmp_path, pool):
-        path = str(tmp_path / "cp.json")
-
-        def stop(cp):
-            if cp.next > self.HI // 2:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            self.scan(path, on_segment=stop)
-        assert self.LO < read_checkpoint(path).next <= self.HI
-        resumed = self.scan(path, checkpoint=read_checkpoint(path))
-        assert pool == [2, 2]
-        assert resumed.hits == _brute_force_hits(self.HI)
-        assert resumed.to_json() == self.FINISHED == Path(path).read_text()
 
 
 class TestCounterexampleAbort:
