@@ -39,7 +39,6 @@ from .engine import (
     certified_close,
     chain_upper,
     exclude_k,
-    exclusion_threshold,
     k_ladder,
     ladder_condition,
     lehmer_check,

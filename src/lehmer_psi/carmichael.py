@@ -1,15 +1,16 @@
-"""Carmichael certification: squarefree + (p-1) | (n-1) for every prime p | n."""
+"""Carmichael numbers: Korselt certificates for one n, the construction for a range."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, isqrt, lcm
 
 # is_prime is not called here; bench/tracing.py PATCHES rebinds it in this module
 from .arith import DomainError, Factorization, factor, is_prime, is_squarefree
-from .sieve import korselt_range
+from .sieve import _base_primes
 
-# The range `carmichael --from/--to` and batch_verdicts accept. Building every
-# Carmichael number up to it takes about 15 ms and holds only the primes <= 3162.
+# The only cap on carmichael_in_range, so on `carmichael --from/--to` and batch_verdicts.
+# Building every Carmichael number up to it takes about 15 ms and holds the primes <= 3162.
 RANGE_LIMIT = 10**7
 
 
@@ -48,6 +49,47 @@ def korselt_check(n: Factorization | int) -> CarmichaelCertificate:
         korselt_failures=failures,
         composite=composite,
     )
+
+
+def korselt_range(lo: int, hi: int) -> list[int]:
+    """Carmichael numbers in [lo, hi], ascending: odd squarefree composites
+    with (p - 1) | (n - 1) for every prime p | n, built rather than sieved
+    (the largest-prime split of Pinch's enumeration). carmichael_in_range
+    checks the range.
+
+    Write n = a*P with P its largest prime. Then n - 1 = a(P - 1) + a - 1, so
+    (P - 1) | (a - 1): P <= a, hence P <= sqrt(hi), and the primes of a are
+    smaller still, so every prime of n is a base prime <= isqrt(hi).
+
+    A depth-first search grows odd prefixes a over the base primes in
+    increasing order. It skips p when gcd(a, p - 1) > 1, since a prime
+    dividing both would divide n and n - 1, and it stops once
+    a*p*(p + 2) > hi, since a larger prime must still follow p. For each
+    prefix of two or more primes, the criterion for the primes of a is
+    P = a^-1 (mod L), L = lcm(p - 1 : p | a), so P walks that progression
+    from above a's largest prime up to min(a, hi // a).
+    """
+    primes = _base_primes(isqrt(hi))[1:].tolist()
+    prime_set = set(primes)
+    found = []
+
+    def grow(a: int, mod_a: int, first: int) -> None:
+        for i in range(first, len(primes)):
+            p = primes[i]
+            if a * p * (p + 2) > hi:
+                break
+            if gcd(a, p - 1) > 1:
+                continue
+            b, mod = a * p, lcm(mod_a, p - 1)
+            if a > 1:  # b has two or more primes, the largest p
+                start = p + 1 + (pow(b, -1, mod) - p - 1) % mod
+                for P in range(start, min(b, hi // b) + 1, mod):
+                    if P in prime_set and (b - 1) % (P - 1) == 0 and b * P >= lo:
+                        found.append(b * P)
+            grow(b, mod, i + 1)
+
+    grow(1, 1, 0)
+    return sorted(found)
 
 
 def carmichael_in_range(lo: int, hi: int) -> list[int]:

@@ -69,17 +69,6 @@ def certified_close(c: int | Fraction, printed: Fraction, tolerance: Fraction) -
 # ---------------------------------------------------------------------------
 # Threshold functions
 
-def exclusion_threshold(q: int, R: int) -> Fraction:
-    """7(q - 1 + R) / (16 R q): a noncyclic group of order 4n with psi''
-    above this forces k <= R - 1 when q is the smallest prime factor.
-    """
-    if R < 2:
-        raise DomainError(f"ladder parameter R must be >= 2, got {R}")
-    if q < 3 or q % 2 == 0 or not is_prime(q):
-        raise DomainError(f"q must be an odd prime, got {q}")
-    return Fraction(7 * (q - 1 + R), 16 * R * q)
-
-
 def two_power_threshold(alpha: int) -> Fraction:
     """The psi'' exclusion threshold for witness groups of order 2**alpha * n."""
     if alpha < 1:

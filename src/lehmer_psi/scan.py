@@ -31,12 +31,11 @@ import numpy as np
 
 from .arith import DomainError
 from .bounds import upper_coefficient
-from .carmichael import RANGE_LIMIT, carmichael_in_range
+from .carmichael import carmichael_in_range
 from .engine import (
     N_FLOOR_BASE,
     certified_close,
     chain_upper,
-    exclusion_threshold,
     k_ladder,
     lehmer_check,
     two_power_threshold,
@@ -329,8 +328,6 @@ def write_report(rows, path: str) -> None:
 def batch_verdicts(bound: int, path: str | None = None):
     """lehmer_check for every Carmichael number <= bound; returns the verdicts
     and the min_k distribution, optionally writing one JSONL row per verdict."""
-    if not 2 <= bound <= RANGE_LIMIT:
-        raise DomainError(f"need 2 <= bound <= {RANGE_LIMIT}, got {bound}")
     verdicts = [lehmer_check(n) for n in carmichael_in_range(2, bound)]
     distribution: dict[int, int] = {}
     for verdict in verdicts:
@@ -408,7 +405,7 @@ def verify_constants() -> list[ConstantCheck]:
     exact(
         "exclusion-threshold-3-2",
         "base exclusion threshold at q=3, R=2",
-        exclusion_threshold(3, 2),
+        chain_upper((), 3, 2),
         Fraction(7, 24),
     )
     exact(
@@ -478,9 +475,9 @@ def verify_constants() -> list[ConstantCheck]:
         )
     )
     quarter = Fraction(1, 4) * (1 - Fraction(1, N_FLOOR_BASE))
-    small_fail = all(quarter <= exclusion_threshold(q, 2) for q in (3, 5, 7))
+    small_fail = all(quarter <= chain_upper((), q, 2) for q in (3, 5, 7))
     big_ok = all(
-        quarter > exclusion_threshold(int(q), 2) for q in primes_upto(10000) if q >= 11
+        quarter > chain_upper((), int(q), 2) for q in primes_upto(10000) if q >= 11
     )
     checks.append(
         ConstantCheck(

@@ -1,15 +1,14 @@
-"""Prime and totient sieves for scanning, and the Carmichael construction.
+"""Prime and totient sieves for scanning.
 The numpy kernels sieve one window (see `segments`), reaching the multiples of
 every base prime p <= isqrt(hi) through strided slices; the base primes up to
 10^4, the root of scan.SCAN_LIMIT, are sieved once. Kernel arrays are int32,
 exact for hi < 2^31: each value held for n is n, a divisor of n or phi of one,
-all <= n. `korselt_range` sieves nothing: it builds Carmichael numbers from
-the base primes alone, so it needs no segments.
+all <= n.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
+from math import isqrt
 
 import numpy as np
 
@@ -68,46 +67,3 @@ def totient_range(lo: int, hi: int) -> np.ndarray:
     rem -= 1
     phi *= np.maximum(rem, 1, out=rem)
     return phi
-
-
-def korselt_range(lo: int, hi: int) -> list[int]:
-    """Carmichael numbers in [lo, hi], ascending: odd squarefree composites
-    with (p - 1) | (n - 1) for every prime p | n, built rather than sieved
-    (the largest-prime split of Pinch's enumeration).
-
-    Write n = a*P with P its largest prime. Then n - 1 = a(P - 1) + a - 1, so
-    (P - 1) | (a - 1): P <= a, hence P <= sqrt(hi), and the primes of a are
-    smaller still, so every prime of n is a base prime <= isqrt(hi).
-
-    A depth-first search grows odd prefixes a over the base primes in
-    increasing order. It skips p when gcd(a, p - 1) > 1, since a prime
-    dividing both would divide n and n - 1, and it stops once
-    a*p*(p + 2) > hi, since a larger prime must still follow p. For each
-    prefix of two or more primes, the criterion for the primes of a is
-    P = a^-1 (mod L), L = lcm(p - 1 : p | a), so P walks that progression
-    from above a's largest prime up to min(a, hi // a). Keeping hi < 2^31
-    bounds the search at about 1 s.
-    """
-    if not 2 <= lo <= hi < 2**31:
-        raise DomainError(f"need 2 <= lo <= hi < 2^31, got [{lo}, {hi}]")
-    primes = _base_primes(isqrt(hi))[1:].tolist()
-    prime_set = set(primes)
-    found = []
-
-    def grow(a: int, mod_a: int, first: int) -> None:
-        for i in range(first, len(primes)):
-            p = primes[i]
-            if a * p * (p + 2) > hi:
-                break
-            if gcd(a, p - 1) > 1:
-                continue
-            b, mod = a * p, lcm(mod_a, p - 1)
-            if a > 1:  # b has two or more primes, the largest p
-                start = p + 1 + (pow(b, -1, mod) - p - 1) % mod
-                for P in range(start, min(b, hi // b) + 1, mod):
-                    if P in prime_set and (b - 1) % (P - 1) == 0 and b * P >= lo:
-                        found.append(b * P)
-            grow(b, mod, i + 1)
-
-    grow(1, 1, 0)
-    return sorted(found)

@@ -72,7 +72,7 @@ def korselt_sieve(lo: int, hi: int) -> list[int]:
     """Carmichael numbers in [lo, hi] by sieving every integer: odd
     squarefree composites with (p - 1) | (n - 1) for every prime p | n,
     one window of KORSELT_SEGMENT integers at a time. Independent of the
-    construction in sieve.korselt_range, which it checks for completeness.
+    construction in carmichael.korselt_range, which it checks for completeness.
     Needs hi < 2^31 (int32 smooth parts)."""
     primes = primes_upto(isqrt(hi))[1:].tolist()
     found = []

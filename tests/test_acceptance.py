@@ -24,7 +24,6 @@ from lehmer_psi.carmichael import korselt_check
 from lehmer_psi.engine import (
     certified_close,
     chain_upper,
-    exclusion_threshold,
     k_ladder,
     make_profile,
     min_k,
@@ -72,7 +71,7 @@ def test_constant_reproduction_exact():
         assert two_power_threshold(2) == Fraction(7, 24)
         assert two_power_threshold(3) == Fraction(9, 32)
         assert two_power_threshold(4) == Fraction(2055, 8064)
-        assert exclusion_threshold(3, 2) == Fraction(7, 24)
+        assert chain_upper((), 3, 2) == Fraction(7, 24)
         # the refined thresholds must come out of their derivation chains
         assert chain_upper((5,), 11, 2) == Fraction(175, 704)
         assert chain_upper((5,), 11, 2) == Fraction(7, 16) * (

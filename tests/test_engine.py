@@ -24,7 +24,6 @@ from lehmer_psi.engine import (
     chain_upper,
     enumerate_worlds,
     exclude_k,
-    exclusion_threshold,
     k_ladder,
     ladder_condition,
     lehmer_check,
@@ -99,26 +98,18 @@ def _carmichael_profiles(limit):
 
 class TestThresholds:
     def test_exclusion_threshold_values(self):
-        assert exclusion_threshold(3, 2) == Fraction(7, 24)
-        assert exclusion_threshold(11, 2) == Fraction(21, 88)
-        assert exclusion_threshold(17, 3) == Fraction(133, 816)
-
-    def test_exclusion_threshold_domain(self):
-        with pytest.raises(DomainError):
-            exclusion_threshold(2, 2)
-        with pytest.raises(DomainError):
-            exclusion_threshold(9, 2)
-        with pytest.raises(DomainError):
-            exclusion_threshold(3, 1)
+        assert chain_upper((), 3, 2) == Fraction(7, 24)
+        assert chain_upper((), 11, 2) == Fraction(21, 88)
+        assert chain_upper((), 17, 3) == Fraction(133, 816)
 
     def test_monotone_in_R_and_q(self):
         qs = [q for q in range(3, 98) if all(q % d for d in range(2, q))]
         for q in qs:
             for R in range(2, 10):
-                assert exclusion_threshold(q, R + 1) < exclusion_threshold(q, R)
+                assert chain_upper((), q, R + 1) < chain_upper((), q, R)
         for R in range(2, 11):
             for qa, qb in zip(qs, qs[1:]):
-                assert exclusion_threshold(qb, R) < exclusion_threshold(qa, R)
+                assert chain_upper((), qb, R) < chain_upper((), qa, R)
 
     def test_two_power_threshold_values(self):
         assert two_power_threshold(1) == Fraction(13, 42)
@@ -142,7 +133,7 @@ class TestThresholds:
     def test_chain_with_empty_split_is_the_generic_threshold(self):
         for q in (3, 5, 7, 11, 13, 17, 97):
             for k in range(2, 8):
-                assert chain_upper((), q, k) == exclusion_threshold(q, k)
+                assert chain_upper((), q, k) == Fraction(7 * (q - 1 + k), 16 * k * q)
 
 
 class TestProfiles:

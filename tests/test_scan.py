@@ -336,6 +336,12 @@ class TestCheckpoint:
         assert list(cp.iter_hits()) == [h for h in _brute_force_hits(4000) if h[0] >= 3]
         assert cp.hit_count() == len(list(cp.iter_hits()))
 
+    def test_prime_counts_through_the_hit_windows(self):
+        # pi(10^k) for k = 1..8 (OEIS A006880): the prime rows of a finished
+        # scan, counted from the same HIT_WINDOW sieves that render them
+        counts = [ScanCheckpoint(lo=2, hi=10**k, next=10**k + 1).hit_count() for k in range(1, 9)]
+        assert counts == [4, 25, 168, 1_229, 9_592, 78_498, 664_579, 5_761_455]
+
     def test_finished_checkpoint_size_is_constant(self, tmp_path):
         sizes = {}
         for hi in (10**3, 10**6):
