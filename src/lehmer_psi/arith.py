@@ -244,8 +244,8 @@ def is_squarefree(f: Factorization | int) -> bool:
 
 
 def ratio_str(num: int, den: int) -> str:
-    """The report schema's "p/q" text of a pair in lowest terms; every rational
-    the package prints is rendered here."""
+    """The report schema's "p/q" text of a pair in lowest terms; bounds and
+    verify-constants print str(Fraction), which writes an integer without "/1"."""
     return f"{num}/{den}"
 
 

@@ -17,13 +17,7 @@ from functools import cache
 from .arith import DomainError, approx_str, euler_phi, factor, fraction_str, sigma
 from .bounds import check_bounds
 from .carmichael import carmichael_in_range, korselt_check
-from .engine import (
-    PI2_LOW,
-    LehmerProfile,
-    make_profile,
-    min_k,
-    lehmer_check,
-)
+from .engine import PI2_LOW, lehmer_check, min_k, parse_profile_spec
 from .groups import order_spectrum, parse_group_spec, psi, psi_cyclic
 from .scan import (
     CounterexampleFound,
@@ -38,44 +32,6 @@ from .scan import (
 
 USAGE_ERROR = 2
 VERIFICATION_ERROR = 3
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    return value
-
-
-def parse_profile_spec(text: str) -> LehmerProfile:
-    """Parse constraint lists like "q=5, 7|n, 13!|n" ("!|" or a unicode
-    not-divides both accepted); empty input means the generic profile. A q
-    may be repeated, but not with two values."""
-    qs: set[int] = set()
-    divides: list[int] = []
-    not_divides: list[int] = []
-    if text.strip():
-        for raw in text.split(","):
-            token = raw.strip().replace("∤", "!|")
-            if not token or token == "generic":
-                continue
-            try:
-                if token.startswith("q="):
-                    qs.add(int(token[2:]))
-                elif token.endswith("!|n"):
-                    not_divides.append(int(token[:-3]))
-                elif token.endswith("|n"):
-                    divides.append(int(token[:-2]))
-                else:
-                    raise ValueError
-            except ValueError:
-                raise DomainError(f"bad profile token {raw.strip()!r}") from None
-    if len(qs) > 1:
-        raise DomainError(f"conflicting q values {sorted(qs)} in profile {text!r}")
-    return make_profile(q=next(iter(qs), None), divides=divides, not_divides=not_divides)
 
 
 def _emit(line: str = "") -> None:
@@ -298,24 +254,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=choices, default=default)
 
     p = sub.add_parser("factor", help="prime factorization")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=int)
     add_format(p)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("phi", help="Euler totient")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=int)
     add_format(p)
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("sigma", help="sum of divisors")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=int)
     add_format(p)
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("carmichael", help="Carmichael certificate or range enumeration")
-    p.add_argument("n", type=_positive_int, nargs="?")
-    p.add_argument("--from", dest="start", type=_positive_int)
-    p.add_argument("--to", dest="end", type=_positive_int)
+    p.add_argument("n", type=int, nargs="?")
+    p.add_argument("--from", dest="start", type=int)
+    p.add_argument("--to", dest="end", type=int)
     add_format(p)
     p.set_defaults(func=cmd_carmichael)
 
@@ -330,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("lehmer-check", help="full verdict for a candidate n")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=int)
     add_format(p, default="json")
     p.set_defaults(func=cmd_lehmer_check)
 
@@ -340,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_min_k)
 
     p = sub.add_parser("scan", help="scan a range for phi(n) | (n-1)")
-    p.add_argument("--from", dest="start", type=_positive_int, required=True)
-    p.add_argument("--to", dest="end", type=_positive_int, required=True)
+    p.add_argument("--from", dest="start", type=int, required=True)
+    p.add_argument("--to", dest="end", type=int, required=True)
     p.add_argument("--checkpoint", help="checkpoint file; resumed when present")
     add_format(p, choices=("text", "json", "csv"))
     p.set_defaults(func=cmd_scan)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -184,6 +185,34 @@ def make_profile(
 
 
 GENERIC_PROFILE = make_profile()
+
+_PROFILE_TOKEN = re.compile(r"q=(\d+)|(\d+)(!?)\|n|(?:generic)?")
+
+
+def parse_profile_spec(text: str) -> LehmerProfile:
+    """Parse the comma-separated tokens that describe() prints, q=<p>, <p>|n,
+    <p>!|n ("∤" may stand for "!|") and generic, so that
+    parse_profile_spec(p.describe()) == p; an empty token is skipped, and empty
+    input means the generic profile. A q may be repeated, but not with two values."""
+    qs: set[int] = set()
+    divides: list[int] = []
+    not_divides: list[int] = []
+    for raw in text.split(","):
+        token = raw.strip()
+        m = _PROFILE_TOKEN.fullmatch(token.replace("∤", "!|"))
+        try:
+            if m is None:
+                raise ValueError
+            q, p, bang = m.groups()
+            if q:
+                qs.add(int(q))
+            elif p:
+                (not_divides if bang else divides).append(int(p))
+        except ValueError:  # not a token, or more digits than int() reads
+            raise DomainError(f"bad profile token {token!r}") from None
+    if len(qs) > 1:
+        raise DomainError(f"conflicting q values {sorted(qs)} in profile {text!r}")
+    return make_profile(q=next(iter(qs), None), divides=divides, not_divides=not_divides)
 
 
 def profile_from_factorization(f: Factorization | int) -> LehmerProfile:

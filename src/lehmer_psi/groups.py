@@ -10,6 +10,7 @@ psi(G) is the sum of element orders.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import lcm, prod
 
@@ -171,58 +172,39 @@ def product(factors) -> GroupSpec:
 # DSL: atoms C<n>, D<2m>, Q8; binary operator x; optional whitespace.
 # str(g) is the canonical printer; parse_group_spec(str(g)) == g.
 
-_FAMILIES = {"C": Cyclic, "D": Dihedral, "Q": Quaternion8}
+# An atom and what follows it: "x", the end of the text, or neither. \d takes
+# the Unicode decimal digits that int() reads.
+_ATOM = re.compile(r"\s*(?:([CDQ])(\d*)\s*(x|\Z)?)?")
 
 
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse the group DSL, e.g. "C2 x C2 x C15" or "Q8 x C3"."""
+    factors = []
     pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_atom() -> GroupSpec:
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise GroupSpecSyntaxError("expected a group atom", pos)
-        c = text[pos]
-        if c not in _FAMILIES:
-            raise GroupSpecSyntaxError(f"expected C<n>, D<2m> or Q8, found {c!r}", pos)
-        start = pos
-        pos += 1
-        digits = ""
-        while pos < n and text[pos].isdigit():
-            digits += text[pos]
-            pos += 1
+    while True:
+        m = _ATOM.match(text, pos)
+        c, digits, sep = m.groups()
+        start, pos = m.start(1), m.end()
+        if c is None:
+            if pos == len(text):
+                raise GroupSpecSyntaxError("expected a group atom", pos)
+            raise GroupSpecSyntaxError(f"expected C<n>, D<2m> or Q8, found {text[pos]!r}", pos)
         if not digits:
-            raise GroupSpecSyntaxError(f"missing order after {c!r}", pos)
+            raise GroupSpecSyntaxError(f"missing order after {c!r}", start + 1)
         try:
             value = int(digits)
-        except ValueError:  # too many digits for int(), or a digit it cannot read
-            message = f"cannot read the {len(digits)}-digit order after {c!r}"
-            raise GroupSpecSyntaxError(message, start) from None
-        family = _FAMILIES[c]
-        if family is Quaternion8 and value != 8:
-            raise GroupSpecSyntaxError(f"only Q8 is available, got Q{value}", start)
-        try:
-            return family() if family is Quaternion8 else family(value)
+            if c == "Q" and value != 8:
+                raise DomainError(f"only Q8 is available, got Q{value}")
+            factors.append(Quaternion8() if c == "Q" else (Cyclic if c == "C" else Dihedral)(value))
         except DomainError as exc:
             raise GroupSpecSyntaxError(str(exc), start) from None
-
-    factors = [parse_atom()]
-    while True:
-        skip_ws()
-        if pos >= n:
-            break
-        if text[pos] != "x":
+        except ValueError:  # too many digits for int()
+            message = f"cannot read the {len(digits)}-digit order after {c!r}"
+            raise GroupSpecSyntaxError(message, start) from None
+        if sep is None:
             raise GroupSpecSyntaxError(f"expected 'x' or end of input, found {text[pos]!r}", pos)
-        pos += 1
-        factors.append(parse_atom())
-    return product(factors)
+        if not sep:
+            return product(factors)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ DEFAULT_SEGMENT = 1 << 18  # integers per segment of a scan; no option sets it
 MAX_SEGMENT = 1 << 22  # each segment holds three int32 arrays of this length
 HIT_WINDOW = 1 << 20  # integers per prime sieve when hit rows are rebuilt
 CHECKPOINT_INTERVAL = 1.0  # seconds between checkpoint writes inside a scan
+CHECKPOINT_MAX_BYTES = 1 << 20  # most a checkpoint is read; the scan writes about 100
 _clock = time.monotonic  # the clock the scan loop reads; tests replace it
 
 # a report row is a tuple of these seven values, in this order
@@ -179,11 +180,13 @@ def write_checkpoint(cp: ScanCheckpoint, path: str) -> None:
 def read_checkpoint(path: str) -> ScanCheckpoint:
     try:
         with open(path) as handle:
-            text = handle.read()
+            text = handle.read(CHECKPOINT_MAX_BYTES + 1)
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
     except OSError as exc:
         raise OSError(f"cannot read checkpoint from {path}: {exc}") from exc
+    if len(text) > CHECKPOINT_MAX_BYTES:
+        raise CheckpointError(f"unreadable checkpoint: longer than {CHECKPOINT_MAX_BYTES} bytes")
     return ScanCheckpoint.from_json(text)
 
 

@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -192,7 +193,8 @@ class TestLehmerCommands:
         assert repeated == run(capsys, "min-k", "--profile", "q=19")
         assert repeated[0] == 0
 
-    @pytest.mark.parametrize("spec", ["q=abc", "x|n", "q="])
+    # a number is plain digits: int() read the last five, describe() never prints them
+    @pytest.mark.parametrize("spec", ["q=abc", "x|n", "q=", "q=+5", "q= 5", "3 |n", "+3|n", "q=1_7"])
     def test_min_k_non_numeric_profile_token_exits_2(self, capsys, spec):
         code, out, err = run(capsys, "min-k", "--profile", f"3!|n, {spec}")
         assert (code, out) == (2, "")
@@ -371,6 +373,23 @@ class TestScanCommand:
         assert err.startswith("error: unreadable checkpoint:") and "Traceback" not in err
         assert out == ""
 
+    def test_scan_checkpoint_past_the_size_cap_exits_2(self, capsys, tmp_path):
+        # a 64 MiB sparse file: read whole, it would hold 64 MiB in memory
+        path = tmp_path / "cp.json"
+        with open(path, "wb") as handle:
+            handle.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "scan", "--from", "2", "--to", "10",
+                                 "--checkpoint", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert err.startswith("error: unreadable checkpoint:") and "Traceback" not in err
+        assert out == ""
+        assert peak < 8 << 20, peak
+
     def test_scan_has_no_jobs_option(self, capsys):
         # the scan runs in one process, in segments it sizes itself
         with pytest.raises(SystemExit) as err:
@@ -419,14 +438,43 @@ class TestCliContract:
         assert err.value.code == 2
 
     def test_domain_error_exits_2(self, capsys):
-        # argparse rejects 0 at the type level
-        with pytest.raises(SystemExit) as err:
-            cli.main(["factor", "0"])
-        assert err.value.code == 2
+        # factor, not argparse, rejects 0
+        code, out, message = run(capsys, "factor", "0")
+        assert (code, out, message) == (2, "", "error: cannot factor 0\n")
         # a domain error raised past argparse also maps to 2
         code, _, message = run(capsys, "psi", "--group", "D5")
         assert code == 2
         assert "D5" in message or "dihedral" in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "{}"],
+            ["phi", "{}"],
+            ["sigma", "{}"],
+            ["carmichael", "{}"],
+            ["lehmer-check", "{}"],
+            ["carmichael", "--from", "{}", "--to", "100"],
+            ["carmichael", "--from", "2", "--to", "{}"],
+            ["scan", "--from", "{}", "--to", "100"],
+            ["scan", "--from", "2", "--to", "{}"],
+        ],
+        ids=["factor", "phi", "sigma", "carmichael-N", "lehmer-check", "carmichael-from",
+             "carmichael-to", "scan-from", "scan-to"],
+    )
+    @pytest.mark.parametrize(
+        "value", ["0", "-5", "x", "1.5", "9" * 100_001],
+        ids=["zero", "negative", "word", "fraction", "past-int-limit"],
+    )
+    def test_bad_integer_exits_2(self, capsys, argv, value):
+        # argparse reads the integer; the command's own check takes its domain
+        try:
+            code = cli.main([a.replace("{}", value) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("spec", ["C14", "D14"])
     def test_spectrum_past_limit_exits_2(self, capsys, monkeypatch, spec):

@@ -19,6 +19,7 @@ from lehmer_psi.engine import (
     N_FLOOR_RAISED,
     PI2_HIGH,
     PI2_LOW,
+    SMALL_PRIMES,
     abundancy_bound,
     certified_close,
     chain_upper,
@@ -29,6 +30,7 @@ from lehmer_psi.engine import (
     lehmer_check,
     make_profile,
     min_k,
+    parse_profile_spec,
     profile_from_factorization,
     two_power_threshold,
     universal_k_floor,
@@ -161,6 +163,22 @@ class TestProfiles:
             make_profile(divides=[7], not_divides=[7])
         with pytest.raises(DomainError):
             make_profile(divides=[2])
+
+    def test_describe_round_trips_through_the_profile_dsl(self):
+        # every divides / does-not-divide / unknown assignment to the small
+        # primes, under each q; the inconsistent ones are rejected by make_profile
+        profiles = []
+        for q in (None, 3, 5, 7, 11, 13, 17, 101, 10007):
+            for marks in itertools.product("d!?", repeat=len(SMALL_PRIMES)):
+                divides = [p for p, m in zip(SMALL_PRIMES, marks) if m == "d"]
+                not_divides = [p for p, m in zip(SMALL_PRIMES, marks) if m == "!"]
+                try:
+                    profiles.append(make_profile(q=q, divides=divides, not_divides=not_divides))
+                except DomainError:
+                    pass
+        assert len(profiles) == 680
+        for p in profiles:
+            assert parse_profile_spec(p.describe()) == p
 
     def test_q_derived_when_determined(self):
         assert make_profile(divides=[5], not_divides=[3]).q == 5

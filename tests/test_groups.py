@@ -75,6 +75,28 @@ class TestParser:
         with pytest.raises(GroupSpecSyntaxError):
             parse_group_spec("C")
 
+    @pytest.mark.parametrize(
+        "spec, message, position",
+        [
+            ("", "expected a group atom", 0),
+            ("C2 x", "expected a group atom", 4),
+            ("c2", "expected C<n>, D<2m> or Q8, found 'c'", 0),
+            ("C", "missing order after 'C'", 1),
+            ("Q9", "only Q8 is available, got Q9", 0),
+            ("D5", "dihedral order must be even and >= 2, got 5", 0),
+            ("C0", "cyclic group order must be positive, got 0", 0),
+            ("C2 y C3", "expected 'x' or end of input, found 'y'", 3),
+            ("C" + "9" * 100_001, "cannot read the 100001-digit order after 'C'", 0),
+        ],
+        ids=["empty", "trailing-x", "lowercase", "no-order", "Q9", "D5", "C0", "bad-operator",
+             "past-int-limit"],
+    )
+    def test_error_table(self, spec, message, position):
+        with pytest.raises(GroupSpecSyntaxError) as err:
+            parse_group_spec(spec)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
     def test_roundtrip_examples(self):
         for text in ("C1", "C15", "D6", "Q8", "C2 x C2 x C15", "C3 x D6 x Q8"):
             g = parse_group_spec(text)
