@@ -26,6 +26,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXTRA_ROUNDS = 52  # 12 + 52 = 64 rounds, error < 4**-64
 
 _TRIAL_DIVISION_LIMIT = 10_000
+# Brent rho steps one factor call may take in all: about 1.7 s at 59 digits,
+# over 100 times the most any benchmark query or test needs
+_RHO_STEP_LIMIT = 1 << 21
 
 
 class DomainError(ValueError):
@@ -129,10 +132,11 @@ class Factorization:
         return iter(self.factors)
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    """One nontrivial factor of composite n (Brent cycle detection, batched gcd)."""
+def _brent_rho(n: int, rng: random.Random, left: int) -> tuple[int, int]:
+    """One nontrivial factor of composite n (Brent cycle detection, batched
+    gcd) and the rho steps left of `left`; DomainError rather than overrun it."""
     if n % 2 == 0:
-        return 2
+        return 2, left
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -140,6 +144,10 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            left -= 2 * r  # r steps to x, then batches of at most r more
+            if left < 0:
+                raise DomainError(f"no factor of a {len(str(n))}-digit cofactor "
+                                  f"within {_RHO_STEP_LIMIT} Brent rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -158,24 +166,25 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, left
         # cycle degenerated; retry with new parameters
 
 
-def _factor_large(n: int, out: dict[int, int]) -> None:
+def _factor_large(n: int, out: dict[int, int], left: int) -> int:
+    """Add the prime factors of n to out; returns the rho steps still left."""
     if n == 1:
-        return
+        return left
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
-        return
-    d = _brent_rho(n, random.Random(n))
-    _factor_large(d, out)
-    _factor_large(n // d, out)
+        return left
+    d, left = _brent_rho(n, random.Random(n), left)
+    return _factor_large(n // d, out, _factor_large(d, out, left))
 
 
 def factor(n: int) -> Factorization:
     """Factor a positive integer: a 6k+-1 trial-division wheel up to
-    min(sqrt(n), 10**4), then Brent rho on a composite cofactor."""
+    min(sqrt(n), 10**4), then Brent rho on a composite cofactor, which raises
+    DomainError past _RHO_STEP_LIMIT steps in all."""
     if n < 1:
         raise DomainError(f"cannot factor {n}")
     out: dict[int, int] = {}
@@ -192,7 +201,7 @@ def factor(n: int) -> Factorization:
                 rem //= p
         d += 6
     if d * d <= rem:  # stopped at the limit: Brent rho takes the cofactor
-        _factor_large(rem, out)
+        _factor_large(rem, out, _RHO_STEP_LIMIT)
     elif rem > 1:  # no factor below d remains, so rem is prime
         out[rem] = 1
     return Factorization._proven(n, tuple(sorted(out.items())))

@@ -217,9 +217,10 @@ def cmd_scan(args) -> int:
         for h in cp.iter_hits():
             _emit(csv_line(hit_row(h)))
     else:
-        _emit(f"scanned [{cp.lo}, {cp.hi}]: {cp.hit_count()} hits, {len(cp.composites)} composite")
-        for n, k, composite in cp.iter_hits():
-            _emit(f"{n} k={k} {'composite' if composite else 'prime'}")
+        # a finished scan holds no composite: the first one aborts it above
+        _emit(f"scanned [{cp.lo}, {cp.hi}]: {cp.hit_count()} hits, 0 composite")
+        for n, k, _ in cp.iter_hits():
+            _emit(f"{n} k={k} prime")
     return 0
 
 

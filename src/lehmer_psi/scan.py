@@ -3,19 +3,20 @@ over Carmichael numbers, the constants regression suite, and persistence.
 
 Checkpoints are single JSON documents with a CRC32 over the canonical payload,
 written atomically (temp file, fsync, rename), so an interrupted scan resumes
-to byte-identical results. A checkpoint holds the range, the resume point and
-the composite hits; the prime hits are rebuilt from the sieve.
+to byte-identical results. A checkpoint holds only the range and the resume
+point: a composite hit aborts the scan before the resume point passes its
+segment, so every hit of a finished scan is a prime, rebuilt from the sieve,
+and every run that reaches a composite hit aborts at the same n.
 
 A checkpointed scan writes at most once per CHECKPOINT_INTERVAL seconds, and
-always at the end, before a composite abort and when any exception (an
-interrupt included) leaves the loop. So after an exception the file holds the
-last completed segment; only a kill or a power loss loses work, at most one
+always at the end and when any exception (an interrupt or a composite abort
+included) leaves the loop. So after an exception the file holds the last
+completed segment; only a kill or a power loss loses work, at most one
 interval of it.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import tempfile
@@ -33,11 +34,15 @@ from .arith import DomainError
 from .bounds import upper_coefficient
 from .carmichael import carmichael_in_range
 from .engine import (
+    GENERIC_PROFILE,
     N_FLOOR_BASE,
+    abundancy_bound,
     certified_close,
     chain_upper,
     k_ladder,
     lehmer_check,
+    make_profile,
+    min_k,
     two_power_threshold,
     witness_double_prime,
 )
@@ -45,7 +50,7 @@ from .groups import parse_group_spec, psi, psi_cyclic
 from .sieve import primes_upto, segments, totient_range
 
 SCAN_LIMIT = 10**8
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_SEGMENT = 1 << 18  # integers per segment of a scan; no option sets it
 MAX_SEGMENT = 1 << 22  # each segment holds three int32 arrays of this length
 HIT_WINDOW = 1 << 20  # integers per prime sieve when hit rows are rebuilt
@@ -80,19 +85,10 @@ class ScanCheckpoint:
     lo: int
     hi: int
     next: int
-    composites: tuple[tuple[int, int, bool], ...] = ()  # (n, exact_k, True)
 
     def __post_init__(self):
         if not (self.lo <= self.next <= self.hi + 1):
             raise CheckpointError(f"next={self.next} outside [{self.lo}, {self.hi + 1}]")
-        for n, k, composite in self.composites:
-            if not self.lo <= n < self.next or composite is not True:
-                raise CheckpointError(
-                    f"composite hit {(n, k, composite)} must lie in "
-                    f"[{self.lo}, {self.next}) and be flagged True"
-                )
-        if list(self.composites) != sorted(self.composites):
-            raise CheckpointError("composites not sorted")
 
     def _prime_windows(self):
         """The primes of [lo, next), one array per HIT_WINDOW integers."""
@@ -102,16 +98,15 @@ class ScanCheckpoint:
     def iter_hits(self):
         """(n, exact_k, is_composite) for every n in [lo, next) with
         phi(n) | (n - 1), ascending: each prime p as (p, 1, False), sieved one
-        window at a time, merged with the composite hits."""
+        window at a time; a scan aborts on any composite hit."""
         # a window's array is freed once listed and its list once iterated,
         # so at most one of each is alive
         windows = map(np.ndarray.tolist, self._prime_windows())
-        primes = zip(chain.from_iterable(windows), repeat(1), repeat(False))
-        return heapq.merge(primes, self.composites) if self.composites else primes
+        return zip(chain.from_iterable(windows), repeat(1), repeat(False))
 
     def hit_count(self) -> int:
         """len(hits), counted one prime window at a time."""
-        return len(self.composites) + sum(len(window) for window in self._prime_windows())
+        return sum(len(window) for window in self._prime_windows())
 
     @cached_property
     def hits(self) -> tuple[tuple[int, int, bool], ...]:
@@ -124,7 +119,6 @@ class ScanCheckpoint:
             "lo": self.lo,
             "hi": self.hi,
             "next": self.next,
-            "composites": [[n, k, bool(c)] for n, k, c in self.composites],
         }
 
     def to_json(self) -> str:
@@ -149,15 +143,11 @@ class ScanCheckpoint:
             raise CheckpointError("checkpoint payload is not an object")
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise CheckpointError(f"unsupported schema_version {payload.get('schema_version')}")
-        try:
-            lo, hi, next_ = (payload[key] for key in ("lo", "hi", "next"))
-            composites = tuple((n, k, c) for n, k, c in payload["composites"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed checkpoint payload: {exc!r}") from exc
-        numbers = (lo, hi, next_, *(v for n, k, _ in composites for v in (n, k)))
-        if not all(type(v) is int for v in numbers):
-            raise CheckpointError("checkpoint bounds and hit entries must be integers")
-        return cls(lo=lo, hi=hi, next=next_, composites=composites)
+        if set(payload) != {"schema_version", "lo", "hi", "next"}:
+            raise CheckpointError(f"malformed checkpoint payload: keys {sorted(payload)}")
+        if not all(type(v) is int for v in payload.values()):
+            raise CheckpointError("checkpoint fields must be integers")
+        return cls(lo=payload["lo"], hi=payload["hi"], next=payload["next"])
 
 
 def write_checkpoint(cp: ScanCheckpoint, path: str) -> None:
@@ -190,8 +180,8 @@ def read_checkpoint(path: str) -> ScanCheckpoint:
     return ScanCheckpoint.from_json(text)
 
 
-def _segment_hits(bounds: tuple[int, int]) -> list[tuple[int, int, bool]]:
-    """The composite n in [lo, hi] with phi(n) | (n - 1), as (n, k, True).
+def _segment_hits(bounds: tuple[int, int]) -> list[int]:
+    """The composite n in [lo, hi] with phi(n) | (n - 1), ascending.
     phi(n) = n - 1 holds exactly for primes, and the prime rows of
     ScanCheckpoint.hits come from the sieve, so the two must agree here."""
     lo, hi = bounds
@@ -201,8 +191,7 @@ def _segment_hits(bounds: tuple[int, int]) -> list[tuple[int, int, bool]]:
     if not np.array_equal(np.flatnonzero(prime) + lo, primes_upto(hi, lo)):
         raise RuntimeError(f"totient kernel and prime sieve disagree on [{lo}, {hi}]")
     m %= phis  # in place: each new window-sized array costs page faults
-    hits = np.flatnonzero((m == 0) & ~prime).tolist()
-    return [(i + lo, (i + lo - 1) // int(phis[i]), True) for i in hits]
+    return (np.flatnonzero((m == 0) & ~prime) + lo).tolist()
 
 
 def scan_totient_divisibility(
@@ -215,15 +204,17 @@ def scan_totient_divisibility(
     on_segment=None,
 ) -> ScanCheckpoint:
     """Scan [lo, hi] for n with phi(n) | (n - 1). Every prime appears as a hit
-    with exact_k = 1; a composite hit runs lehmer_check and aborts loudly.
+    with exact_k = 1; a composite hit raises CounterexampleFound with its
+    lehmer_check verdict before cp passes its segment, so the result holds
+    primes only, and a rerun from any checkpoint aborts at the same n.
     Results are independent of segmentation and interruptions.
 
     With checkpoint_path, the checkpoint is written when CHECKPOINT_INTERVAL
-    seconds have passed since the last write (or the start), for a segment
-    with a composite hit before the abort, and on leaving the loop, normally
-    or by any exception, if the last completed segment is not yet on disk.
-    A write that raised is not retried. When on_segment(cp) runs, the file
-    may still hold an earlier checkpoint than cp.
+    seconds have passed since the last write (or the start), and on leaving
+    the loop, normally or by any exception (a composite abort included), if
+    the last completed segment is not yet on disk. A write that raised is not
+    retried. When on_segment(cp) runs, the file may still hold an earlier
+    checkpoint than cp.
     """
     if not 2 <= lo <= hi <= SCAN_LIMIT:
         raise DomainError(f"need 2 <= lo <= hi <= {SCAN_LIMIT}, got [{lo}, {hi}]")
@@ -237,15 +228,14 @@ def scan_totient_divisibility(
     # saved is the last cp a write was tried for: set first, so a failed write is not retried
     saved, last_write = cp, _clock()
     try:
-        for (_, seg_end), composites in zip(windows, map(_segment_hits, windows)):
-            cp = replace(cp, next=seg_end + 1, composites=cp.composites + tuple(composites))
-            if checkpoint_path and (composites or _clock() - last_write >= CHECKPOINT_INTERVAL):
+        for (_, seg_end), found in zip(windows, map(_segment_hits, windows)):
+            if found:
+                raise CounterexampleFound(found[0], lehmer_check(found[0]))
+            cp = replace(cp, next=seg_end + 1)
+            if checkpoint_path and _clock() - last_write >= CHECKPOINT_INTERVAL:
                 saved = cp
                 write_checkpoint(cp, checkpoint_path)
                 last_write = _clock()
-            if composites:
-                n = composites[0][0]
-                raise CounterexampleFound(n, lehmer_check(n))
             if on_segment is not None:
                 on_segment(cp)
     finally:
@@ -257,13 +247,10 @@ def scan_totient_divisibility(
 # ---------------------------------------------------------------------------
 # Report emission (JSON Lines; CSV mirrors the same columns)
 
-_PRIME_RULES = ("prime",)
-_COMPOSITE_RULES = ("composite",)
-
-
 def hit_row(hit: tuple[int, int, bool]) -> tuple:
-    n, k, composite = hit
-    return ("hit", n, k, None, _COMPOSITE_RULES if composite else _PRIME_RULES, None, None)
+    """The row of a hit of iter_hits, each a prime (p, 1, False)."""
+    n, k, _ = hit
+    return ("hit", n, k, None, ("prime",), None, None)
 
 
 def verdict_row(verdict) -> tuple:
@@ -271,7 +258,7 @@ def verdict_row(verdict) -> tuple:
     return ("verdict", verdict.n, verdict.exact_k, verdict.min_k, verdict.applied_rules, lhs, rhs)
 
 
-# A report has few distinct rule traces (two for hits, 14 among the 43
+# A report has few distinct rule traces (one for hits, 14 among the 43
 # verdicts to 10^6), so each JSON rules list is rendered once; the cap bounds
 # the memory.
 RULES_CACHE_SIZE = 256
@@ -423,24 +410,22 @@ def verify_constants() -> list[ConstantCheck]:
         chain_upper((5, 7), 17, 2),
         Fraction(1007, 4080),
     )
-    checks.append(
-        ConstantCheck(
-            "abundancy-24",
-            "24/pi^2 matches 2.431708 within 5e-7",
-            "24/pi^2",
-            "2.431708 +- 5e-7",
-            certified_close(24, Fraction(2431708, 10**6), Fraction(5, 10**7)),
+    for check_id, profile, printed, tolerance, expected in (
+        ("abundancy-24", GENERIC_PROFILE, Fraction(2431708, 10**6), Fraction(5, 10**7),
+         "2.431708 +- 5e-7"),
+        ("abundancy-715715", make_profile(not_divides=[3, 5, 7, 11, 13]),
+         Fraction(39343, 10**4), Fraction(5, 10**5), "3.9343 +- 5e-5"),
+    ):
+        c = abundancy_bound(profile, min_k(profile).k)
+        checks.append(
+            ConstantCheck(
+                check_id,
+                f"c/pi^2 at min_k of the profile {profile.describe()} matches {expected}",
+                f"{c}/pi^2",
+                expected,
+                certified_close(c, printed, tolerance),
+            )
         )
-    )
-    checks.append(
-        ConstantCheck(
-            "abundancy-715715",
-            "715715/(18432 pi^2) matches 3.9343 within 5e-5",
-            "715715/18432/pi^2",
-            "3.9343 +- 5e-5",
-            certified_close(Fraction(715715, 18432), Fraction(39343, 10**4), Fraction(5, 10**5)),
-        )
-    )
     as_printed = upper_coefficient("vi", l=3, mode="as-printed") * psi_cyclic(6)
     actual = psi(parse_group_spec("D6"))
     checks.append(

@@ -31,6 +31,21 @@ class TestBasicCommands:
         assert run(capsys, "phi", "561")[1].strip() == "320"
         assert run(capsys, "sigma", "561")[1].strip() == "864"
 
+    # two primes near 10^29: far past what Brent rho finds within its step budget
+    HARD_SEMIPRIME = "10000000000000000000000000069800000000000000000000000120901"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["factor", HARD_SEMIPRIME], ["psi", "--group", "C" + HARD_SEMIPRIME]],
+        ids=["factor", "psi"],
+    )
+    def test_factoring_past_the_rho_budget_exits_2(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Brent rho steps" in err and "Traceback" not in err
+
     def test_psi_group(self, capsys):
         code, out, _ = run(capsys, "psi", "--group", "Q8 x C3")
         assert code == 0
@@ -282,13 +297,27 @@ class TestScanCommand:
     def test_scan_composite_hit_exits_3(self, capsys, monkeypatch, tmp_path):
         import lehmer_psi.scan as scan_module
 
-        monkeypatch.setattr(
-            scan_module, "_segment_hits", lambda bounds: [(561, 2, True)]
-        )
+        monkeypatch.setattr(scan_module, "_segment_hits", lambda bounds: [561])
         code, _, err = run(capsys, "scan", "--from", "2", "--to", "600",
                            "--checkpoint", str(tmp_path / "cp.json"))
         assert code == 3
         assert "COMPOSITE" in err
+
+    def test_scan_composite_hit_exits_3_on_every_rerun(self, capsys, monkeypatch, tmp_path):
+        import lehmer_psi.scan as scan_module
+
+        self._segments_of_700(monkeypatch)
+        # 2821 = 7 * 13 * 31 lies in the fifth segment, [2802, 3501]; injected
+        monkeypatch.setattr(
+            scan_module, "_segment_hits", lambda b: [2821] if b[0] <= 2821 <= b[1] else []
+        )
+        path = str(tmp_path / "cp.json")
+        for _ in range(3):
+            code, out, err = run(capsys, "scan", "--from", "2", "--to", "5000",
+                                 "--checkpoint", path)
+            assert (code, out) == (3, "")
+            assert "AT n=2821;" in err
+            assert scan_module.read_checkpoint(path).next == 2802
 
     @staticmethod
     def _checkpoint_with_crc(path, payload):
@@ -299,11 +328,12 @@ class TestScanCommand:
 
     def test_scan_checkpoint_missing_key_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cp.json"
-        self._checkpoint_with_crc(path, {"schema_version": 2, "lo": 2, "hi": 100, "next": 50})
+        self._checkpoint_with_crc(path, {"schema_version": 3, "lo": 2, "hi": 100})
         code, out, err = run(capsys, "scan", "--from", "2", "--to", "100",
                              "--checkpoint", str(path))
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+        assert "unsupported schema_version" not in err  # past the schema check
         assert out == ""
 
     def test_scan_checkpoint_version_1_exits_2(self, capsys, tmp_path):
@@ -317,17 +347,15 @@ class TestScanCommand:
         assert err.startswith("error:") and "schema_version 1" in err and "Traceback" not in err
         assert out == ""
 
-    def test_scan_checkpoint_composite_outside_its_range_exits_2(self, capsys, tmp_path):
+    def test_scan_checkpoint_version_2_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cp.json"
         self._checkpoint_with_crc(
-            path,
-            {"schema_version": 2, "lo": 2, "hi": 100, "next": 101,
-             "composites": [[10**9, 7, True]]},
+            path, {"schema_version": 2, "lo": 2, "hi": 100, "next": 50, "composites": []}
         )
         code, out, err = run(capsys, "scan", "--from", "2", "--to", "100",
                              "--checkpoint", str(path))
         assert code == 2
-        assert err.startswith("error:") and "1000000000" in err and "Traceback" not in err
+        assert err.startswith("error:") and "schema_version 2" in err and "Traceback" not in err
         assert out == ""
 
     def test_scan_checkpoint_write_failure_names_the_path(self, capsys, tmp_path):

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import lehmer_psi.scan as scan_module
 from lehmer_psi import cli
 from lehmer_psi.arith import DomainError, euler_phi, factor
-from lehmer_psi.engine import lehmer_check
 from lehmer_psi.scan import (
     CSV_HEADER,
     CheckpointError,
@@ -68,9 +67,9 @@ class _SegmentFailsAt:
         return _real_segment_hits(bounds)
 
 
-def _hit_at_561(bounds):
-    """A _segment_hits that reports 561 as a composite hit, and nothing else."""
-    return [(561, 2, True)] if bounds[0] <= 561 <= bounds[1] else []
+def _hit_at(n):
+    """A _segment_hits that reports n as a composite hit, and nothing else."""
+    return lambda bounds: [n] if bounds[0] <= n <= bounds[1] else []
 
 
 class TestScan:
@@ -222,11 +221,11 @@ class TestScanProperties:
 
 class TestCheckpoint:
     def test_roundtrip_identity(self):
-        cp = ScanCheckpoint(lo=2, hi=100, next=50, composites=((15, 7, True), (21, 5, True)))
+        cp = ScanCheckpoint(lo=2, hi=100, next=50)
         assert ScanCheckpoint.from_json(cp.to_json()) == cp
 
     def test_crc_corruption_detected(self):
-        cp = ScanCheckpoint(lo=2, hi=100, next=50, composites=((15, 7, True),))
+        cp = ScanCheckpoint(lo=2, hi=100, next=50)
         doc = json.loads(cp.to_json())
         doc["payload"]["next"] = 51
         with pytest.raises(CheckpointError):
@@ -253,9 +252,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="schema_version 1"):
             ScanCheckpoint.from_json(_with_crc(payload))
 
-    @pytest.mark.parametrize("key", ["lo", "hi", "next", "composites"])
+    def test_version_2_document_rejected(self):
+        # schema 2 added composite hits, which a scan now never records
+        payload = {"schema_version": 2, "lo": 2, "hi": 10, "next": 11, "composites": []}
+        with pytest.raises(CheckpointError, match="schema_version 2"):
+            ScanCheckpoint.from_json(_with_crc(payload))
+
+    @pytest.mark.parametrize("key", ["lo", "hi", "next"])
     def test_missing_key_with_valid_crc(self, key):
-        cp = ScanCheckpoint(lo=2, hi=100, next=50, composites=((15, 7, True),))
+        cp = ScanCheckpoint(lo=2, hi=100, next=50)
         assert ScanCheckpoint.from_json(_with_crc(cp.payload())) == cp
         payload = cp.payload()
         del payload[key]
@@ -266,14 +271,41 @@ class TestCheckpoint:
         "payload",
         [
             [1, 2],
-            {"schema_version": 2, "lo": 2, "hi": 9, "next": 2, "composites": [[4, 3]]},
-            {"schema_version": 2, "lo": 2, "hi": 100, "next": 50.5, "composites": []},
-            {"schema_version": 2, "lo": "2", "hi": 100, "next": 50, "composites": []},
-            {"schema_version": 2, "lo": 2, "hi": 1000, "next": 1000, "composites": [[561.9, 1.5, True]]},
-            {"schema_version": 2, "lo": 2, "hi": 1000, "next": 1000, "composites": [["561", "1", True]]},
+            {"schema_version": 3, "lo": 2, "hi": 9, "next": 2, "composites": [[4, 3]]},
+            {"schema_version": 3, "lo": 2, "hi": 100, "next": 50.5},
+            {"schema_version": 3, "lo": "2", "hi": 100, "next": 50},
+            {"schema_version": 3, "lo": 2, "hi": 1000.0, "next": 1000},
+            {"schema_version": 3, "lo": 2, "hi": 1000, "next": True},
         ],
     )
     def test_malformed_payload_with_valid_crc(self, payload):
+        with pytest.raises(CheckpointError) as err:
+            ScanCheckpoint.from_json(_with_crc(payload))
+        assert "unsupported schema_version" not in str(err.value)  # past the schema check
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        bounds=st.lists(st.integers(2, 10**9), min_size=3, max_size=3).map(sorted),
+    )
+    def test_altered_payload_raises_only_checkpoint_error(self, data, bounds):
+        lo, next_, hi = bounds
+        payload = ScanCheckpoint(lo=lo, hi=hi, next=next_).payload()
+        key = data.draw(st.sampled_from(sorted(payload)))
+        change = data.draw(st.sampled_from(["drop", "retype", "extra"]))
+        if change == "drop":
+            del payload[key]
+        elif change == "retype":
+            payload[key] = data.draw(
+                st.none() | st.booleans() | st.text(max_size=3)
+                | st.lists(st.integers(), max_size=2) | st.floats(allow_nan=False)
+                | st.dictionaries(st.text(max_size=2), st.integers())
+            )
+        else:
+            extra = data.draw(st.dictionaries(st.text(max_size=8), st.integers() | st.none(),
+                                              min_size=1))
+            payload.update({k: v for k, v in extra.items() if k not in payload}
+                           or {"composites": []})
         with pytest.raises(CheckpointError):
             ScanCheckpoint.from_json(_with_crc(payload))
 
@@ -281,22 +313,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             ScanCheckpoint(lo=10, hi=20, next=5)
         with pytest.raises(CheckpointError):
-            ScanCheckpoint(lo=2, hi=20, next=2, composites=((15, 7, True), (9, 4, True)))
-        with pytest.raises(CheckpointError, match="not sorted"):
-            ScanCheckpoint(lo=2, hi=20, next=21, composites=((15, 7, True), (9, 4, True)))
-
-    @pytest.mark.parametrize(
-        "composite",
-        [(10**9, 7, True), (1, 7, True), (50, 7, True), (15, 7, False), (15, 7, 1)],
-        ids=["past-hi", "below-lo", "at-next", "flag-false", "flag-int"],
-    )
-    def test_composite_outside_the_scanned_range_or_not_flagged(self, composite):
-        with pytest.raises(CheckpointError, match="composite hit"):
-            ScanCheckpoint(lo=2, hi=100, next=50, composites=(composite,))
-        payload = {"schema_version": 2, "lo": 2, "hi": 100, "next": 50,
-                   "composites": [list(composite)]}
-        with pytest.raises(CheckpointError, match="composite hit"):
-            ScanCheckpoint.from_json(_with_crc(payload))
+            ScanCheckpoint(lo=2, hi=20, next=22)
 
     def test_write_failure_names_the_checkpoint_path(self, tmp_path):
         path = str(tmp_path / "missing-dir" / "cp.json")
@@ -305,30 +322,16 @@ class TestCheckpoint:
         assert str(err.value).startswith(f"cannot write checkpoint to {path}: ")
 
     def test_file_roundtrip(self, tmp_path):
-        cp = ScanCheckpoint(lo=2, hi=10, next=11, composites=((4, 3, True),))
+        cp = ScanCheckpoint(lo=2, hi=10, next=11)
         path = str(tmp_path / "cp.json")
         write_checkpoint(cp, path)
         assert read_checkpoint(path) == cp
 
-    def test_composites_merged_into_hits_in_order(self, tmp_path):
-        cp = ScanCheckpoint(lo=2, hi=100, next=30, composites=((15, 7, True), (21, 5, True)))
-        path = str(tmp_path / "cp.json")
-        write_checkpoint(cp, path)
-        assert read_checkpoint(path).hits == (
-            (2, 1, False), (3, 1, False), (5, 1, False), (7, 1, False), (11, 1, False),
-            (13, 1, False), (15, 7, True), (17, 1, False), (19, 1, False), (21, 5, True),
-            (23, 1, False), (29, 1, False),
-        )
-        assert ScanCheckpoint(lo=2, hi=100, next=2).hits == ()
-
     def test_iter_hits_across_windows_from_lo_above_2(self, monkeypatch):
         lo = 1001
         edge = lo + scan_module.HIT_WINDOW  # the first integer of the second window
-        # composites are made up: only the merge at the window edge is checked
-        composites = ((1105, 3, True), (edge - 1, 2, True), (edge + 1, 5, True))
-        cp = ScanCheckpoint(lo=lo, hi=edge + 5000, next=edge + 5001, composites=composites)
-        reference = sorted([(p, 1, False) for p in primes_upto(edge + 5000, lo).tolist()]
-                           + list(composites))
+        cp = ScanCheckpoint(lo=lo, hi=edge + 5000, next=edge + 5001)
+        reference = [(p, 1, False) for p in primes_upto(edge + 5000, lo).tolist()]
         assert list(cp.iter_hits()) == list(cp.hits) == reference
         assert cp.hit_count() == len(reference)
         monkeypatch.setattr(scan_module, "HIT_WINDOW", 97)
@@ -348,7 +351,7 @@ class TestCheckpoint:
             path = str(tmp_path / f"cp{hi}.json")
             scan_totient_divisibility(2, hi, checkpoint_path=path)
             cp = read_checkpoint(path)
-            assert (cp.next, cp.composites) == (hi + 1, ())
+            assert cp.next == hi + 1
             crc_digits = len(str(json.loads(Path(path).read_text())["crc32"]))
             sizes[hi] = os.path.getsize(path) - crc_digits
         assert sizes[10**6] - sizes[10**3] == 6  # three more digits in each of hi and next
@@ -395,8 +398,7 @@ class TestCheckpointWritePolicy:
 
     LO, HI, SEGMENT = 2, 6145, 512  # 12 segments
     FINISHED = (
-        '{"crc32":961535773,"payload":{"composites":[],"hi":6145,"lo":2,'
-        '"next":6146,"schema_version":2}}'
+        '{"crc32":2073854070,"payload":{"hi":6145,"lo":2,"next":6146,"schema_version":3}}'
     )
 
     @pytest.fixture
@@ -472,20 +474,6 @@ class TestCheckpointWritePolicy:
             assert read_checkpoint(str(path)).next == failed[0]
             assert len(writes) == 1
 
-    def test_composite_hit_is_on_disk_before_its_verdict_runs(self, tmp_path, monkeypatch, clock):
-        monkeypatch.setattr(scan_module, "_segment_hits", _hit_at_561)
-        path = str(tmp_path / "cp.json")
-        on_disk = []
-
-        def verdict(n):
-            on_disk.append(read_checkpoint(path).composites)
-            return lehmer_check(n)
-
-        monkeypatch.setattr(scan_module, "lehmer_check", verdict)
-        with pytest.raises(CounterexampleFound):
-            self.scan(path)
-        assert on_disk == [((561, 2, True),)]
-
     def test_a_failed_write_is_not_retried(self, tmp_path, monkeypatch):
         attempts = []
 
@@ -505,22 +493,16 @@ class TestCheckpointWritePolicy:
 
 class TestCounterexampleAbort:
     def test_composite_hit_aborts_loudly(self, tmp_path, monkeypatch):
-        def fake_segment(bounds):
-            lo, hi = bounds
-            hits = []
-            if lo <= 561 <= hi:
-                hits.append((561, 2, True))  # impossible in reality; injected
-            return hits
-
-        monkeypatch.setattr(scan_module, "_segment_hits", fake_segment)
+        # impossible in reality; injected
+        monkeypatch.setattr(scan_module, "_segment_hits", _hit_at(561))
         path = str(tmp_path / "cp.json")
         with pytest.raises(CounterexampleFound) as err:
-            scan_totient_divisibility(2, 1000, checkpoint_path=path)
+            scan_totient_divisibility(2, 1000, segment_size=100, checkpoint_path=path)
         assert err.value.n == 561
         assert err.value.verdict.is_carmichael
-        # the hit was persisted before the abort
+        # the segments before the hit were persisted before the abort, and no more
         cp = read_checkpoint(path)
-        assert (561, 2, True) in cp.hits
+        assert cp.next == 502 and cp.hits == _brute_force_hits(501)
 
 
 # report rows of the schema's types: strings with quotes, backslashes, control
@@ -577,7 +559,7 @@ class TestReports:
         assert scan_module._json_rules.cache_info().currsize == cap
 
     def test_jsonl_key_order(self):
-        row = hit_row((561, 2, True))
+        row = hit_row((7, 1, False))
         line = jsonl_line(row)
         assert list(json.loads(line).keys()) == list(REPORT_KEYS)
 
