@@ -170,7 +170,7 @@ def cmd_lehmer_check(args) -> int:
         for note in verdict.notes:
             _emit(f"  note: {note}")
     else:
-        _emit(json.dumps(verdict.as_dict()))
+        _emit(verdict.to_json())
     return 0
 
 
@@ -178,17 +178,15 @@ def cmd_min_k(args) -> int:
     profile = parse_profile_spec(args.profile)
     result = min_k(profile)
     if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "profile": profile.describe(),
-                    "min_k": result.k,
-                    "n_floor": str(result.n_floor_used),
-                    "rules": list(result.applied_rules),
-                    "excluded": [res.as_dict() for res in result.exclusions],
-                }
-            )
+        head = json.dumps(
+            {
+                "profile": profile.describe(),
+                "min_k": result.k,
+                "n_floor": str(result.n_floor_used),
+                "rules": list(result.applied_rules),
+            }
         )
+        _emit(head[:-1] + ', "excluded": [' + ", ".join(res.to_json() for res in result.exclusions) + "]}")
     else:
         _emit(f"profile: {profile.describe()}")
         _emit(f"min_k = {result.k}")

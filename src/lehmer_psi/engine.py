@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .arith import (
@@ -369,16 +371,20 @@ class ExclusionResult(NamedTuple):
         chains = [j for j in self.justifications if j.kind == CHAIN and j.excluded]
         return max(chains, key=lambda j: j.rhs, default=None)
 
-    def as_dict(self) -> dict:
+    def to_json(self) -> str:
+        """{"k": k, "justifications": [{"world", "rule", "lhs", "rhs", "excluded"}, ...]}
+        as json.dumps writes it: default separators, ASCII only, "p/q" sides."""
+        esc = encode_basestring_ascii
         shared = lhs = None  # the chain worlds share one witness floor pair: render it once
         rows = []
         for world, _, rule, lhs_pair, rhs_pair, excluded in self.justifications:
             if lhs_pair is not shared:
                 shared, lhs = lhs_pair, ratio_str(*lhs_pair)
             rows.append(
-                {"world": world, "rule": rule, "lhs": lhs, "rhs": ratio_str(*rhs_pair), "excluded": excluded}
+                f'{{"world": {esc(world)}, "rule": {esc(rule)}, "lhs": "{lhs}", '
+                f'"rhs": "{ratio_str(*rhs_pair)}", "excluded": {"true" if excluded else "false"}}}'
             )
-        return {"k": self.k, "justifications": rows}
+        return f'{{"k": {self.k}, "justifications": [{", ".join(rows)}]}}'
 
 
 def exclude_k(profile: LehmerProfile, k: int) -> ExclusionResult:
@@ -566,24 +572,16 @@ class LehmerVerdict:
                 return ratio_str(*j.lhs_pair), ratio_str(*j.rhs_pair)
         return None
 
-    def as_dict(self) -> dict:
+    def to_json(self) -> str:
+        """The verdict as json.dumps writes its fields in declaration order, the
+        abundancy coefficient as "p/q" and each excluded k by its to_json()."""
         c = self.abundancy_coefficient
-        return {
-            "n": self.n,
-            "prime": self.prime,
-            "factors": [list(pa) for pa in self.factors],
-            "is_carmichael": self.is_carmichael,
-            "phi": self.phi,
-            "phi_divides": self.phi_divides,
-            "exact_k": self.exact_k,
-            "counterexample": self.counterexample,
-            "min_k": self.min_k,
-            "excluded_k": [res.as_dict() for res in self.excluded_k],
-            "abundancy_coefficient": None if c is None else ratio_str(c.numerator, c.denominator),
-            "witness": self.witness,
-            "applied_rules": list(self.applied_rules),
-            "notes": list(self.notes),
-        }
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        fields["abundancy_coefficient"] = None if c is None else ratio_str(c.numerator, c.denominator)
+        fields["excluded_k"] = []
+        # no field before excluded_k holds a string, so its key is the first match
+        head, key, tail = json.dumps(fields).partition('"excluded_k": [')
+        return head + key + ", ".join(res.to_json() for res in self.excluded_k) + tail
 
 
 def lehmer_check(n: int) -> LehmerVerdict:

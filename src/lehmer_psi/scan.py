@@ -76,7 +76,7 @@ class CounterexampleFound(RuntimeError):
         self.verdict = verdict
         super().__init__(
             f"COMPOSITE SOLUTION OF phi(n) | (n-1) AT n={n}; "
-            f"this contradicts known results, verify immediately: {verdict.as_dict()}"
+            f"this contradicts known results, verify immediately: {verdict.to_json()}"
         )
 
 

@@ -4,7 +4,8 @@ group element enumeration. These deliberately avoid the package's
 divisor-lattice machinery so spectra and psi values are checked against
 actual group multiplication. psi_prime and psi_double_prime are the
 normalized order sums psi' and psi'', by their definitions over the
-package's psi.
+package's psi. exclusion_as_dict and verdict_as_dict build the dicts whose
+json.dumps the engine's to_json renderers must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from math import isqrt
 
 import numpy as np
 
+from lehmer_psi.arith import ratio_str
 from lehmer_psi.groups import (
     Cyclic,
     Dihedral,
@@ -216,3 +218,39 @@ def brute_spectrum(g: GroupSpec) -> Counter:
 def brute_psi(g: GroupSpec) -> int:
     return sum(order * count for order, count in brute_spectrum(g).items())
 
+
+
+# --- the JSON documents of exclusions and verdicts, as dicts ----------------
+
+def exclusion_as_dict(res) -> dict:
+    """An ExclusionResult as the dict its to_json() renders."""
+    shared = lhs = None  # the chain worlds share one witness floor pair: render it once
+    rows = []
+    for world, _, rule, lhs_pair, rhs_pair, excluded in res.justifications:
+        if lhs_pair is not shared:
+            shared, lhs = lhs_pair, ratio_str(*lhs_pair)
+        rows.append(
+            {"world": world, "rule": rule, "lhs": lhs, "rhs": ratio_str(*rhs_pair), "excluded": excluded}
+        )
+    return {"k": res.k, "justifications": rows}
+
+
+def verdict_as_dict(v) -> dict:
+    """A LehmerVerdict as the dict its to_json() renders."""
+    c = v.abundancy_coefficient
+    return {
+        "n": v.n,
+        "prime": v.prime,
+        "factors": [list(pa) for pa in v.factors],
+        "is_carmichael": v.is_carmichael,
+        "phi": v.phi,
+        "phi_divides": v.phi_divides,
+        "exact_k": v.exact_k,
+        "counterexample": v.counterexample,
+        "min_k": v.min_k,
+        "excluded_k": [exclusion_as_dict(res) for res in v.excluded_k],
+        "abundancy_coefficient": None if c is None else ratio_str(c.numerator, c.denominator),
+        "witness": v.witness,
+        "applied_rules": list(v.applied_rules),
+        "notes": list(v.notes),
+    }

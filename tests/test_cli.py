@@ -302,6 +302,10 @@ class TestScanCommand:
                            "--checkpoint", str(tmp_path / "cp.json"))
         assert code == 3
         assert "COMPOSITE" in err
+        # the verdict is the JSON document lehmer-check prints, parseable as is
+        verdict = err.split("verify immediately: ", 1)[1]
+        assert verdict == run(capsys, "lehmer-check", "561")[1]
+        assert json.loads(verdict)["n"] == 561
 
     def test_scan_composite_hit_exits_3_on_every_rerun(self, capsys, monkeypatch, tmp_path):
         import lehmer_psi.scan as scan_module

@@ -1,13 +1,16 @@
 import dataclasses
-import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import psi_double_prime
+from conftest import exclusion_as_dict, psi_double_prime, verdict_as_dict
+from test_reference_output import LEHMER_CHECK_DIGESTS
 import lehmer_psi.engine as engine_module
+from lehmer_psi import cli
 from lehmer_psi.arith import DomainError, euler_phi, factor, is_prime, sigma
 from lehmer_psi.bounds import witness_lower_bound
 from lehmer_psi.carmichael import carmichael_in_range
@@ -15,6 +18,8 @@ from lehmer_psi.engine import (
     CHAIN,
     CONGRUENCE,
     GENERIC_PROFILE,
+    ExclusionResult,
+    Justification,
     N_FLOOR_BASE,
     N_FLOOR_RAISED,
     PI2_HIGH,
@@ -72,7 +77,7 @@ def _swept_min_k(profile):
         printed = k_ladder(profile.q, mode="as-printed", R=4)
         if printed.k_floor is not None and printed.k_floor != ladder.k_floor:
             rules.append(f"ladder(as-printed, R=4) would claim k >= {printed.k_floor}; not applied")
-    return floor_k, tuple(rules), profile.n_floor, [res.as_dict() for res in exclusions]
+    return floor_k, tuple(rules), profile.n_floor, tuple(exclusions)
 
 
 def _symbolic_profiles(qs, n_floor=N_FLOOR_BASE):
@@ -330,21 +335,16 @@ class TestMinK:
         assert len(profiles) == 105
         for profile in profiles:
             result = min_k(profile)
-            got = (result.k, result.applied_rules, result.n_floor_used,
-                   [res.as_dict() for res in result.exclusions])
+            got = (result.k, result.applied_rules, result.n_floor_used, result.exclusions)
             assert got == _swept_min_k(profile), profile.n
 
     @pytest.mark.parametrize("n_floor", [N_FLOOR_BASE, N_FLOOR_RAISED], ids=["base", "raised"])
-    def test_symbolic_floors_match_the_sweep(self, monkeypatch, n_floor):
-        # at 10^8171 each k's witness floor takes ~2.5 ms to render; min_k and
-        # the oracle render the same values, so render each value once
-        monkeypatch.setattr(engine_module, "ratio_str", functools.cache(engine_module.ratio_str))
+    def test_symbolic_floors_match_the_sweep(self, n_floor):
         profiles = _symbolic_profiles((None, 17, 101, 10007), n_floor)
         assert len(profiles) > 100
         for profile in profiles:
             result = min_k(profile)
-            got = (result.k, result.applied_rules, result.n_floor_used,
-                   [res.as_dict() for res in result.exclusions])
+            got = (result.k, result.applied_rules, result.n_floor_used, result.exclusions)
             assert got == _swept_min_k(profile), profile.describe()
 
     def test_world_constants_give_the_chain_bound(self):
@@ -612,7 +612,7 @@ class TestLehmerCheck:
             assert calls == [n]
 
     def test_verdict_serialization(self):
-        d = lehmer_check(561).as_dict()
+        d = json.loads(lehmer_check(561).to_json())
         assert d["n"] == 561
         assert d["min_k"] == 4
         assert d["excluded_k"][0]["k"] == 2
@@ -634,3 +634,53 @@ class TestJustificationReproducibility:
         j = res.chain_justification()
         assert "split=[5, 7]" in j.rule and "tail=17" in j.rule
         assert j.rhs == Fraction(1007, 4080)
+
+
+# exclusions whose strings hold quotes, backslashes, control characters and
+# non-ASCII text, with ints of up to 3000 digits; consecutive worlds may share
+# one lhs pair object, as the chain worlds share the witness floor
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é∤') | st.characters(), max_size=12)
+_INT = st.integers(-(10**3000) + 1, 10**3000 - 1) | st.integers(-(10**6), 10**6)
+_PAIRS = st.tuples(_INT, _INT)
+
+
+@st.composite
+def _exclusions(draw):
+    shared = draw(_PAIRS)
+    rows = st.builds(Justification, _TEXT, _TEXT, _TEXT, st.just(shared) | _PAIRS, _PAIRS, st.booleans())
+    return ExclusionResult(draw(_INT), draw(st.booleans()), tuple(draw(st.lists(rows, max_size=5))))
+
+
+class TestJsonRendering:
+    """to_json() and min-k JSON equal json.dumps of the dicts in conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(res=_exclusions())
+    def test_exclusion_json_matches_json_dumps(self, res):
+        assert res.to_json() == json.dumps(exclusion_as_dict(res))
+
+    def test_verdict_json_matches_the_dict_oracle(self):
+        # primes, even and non-squarefree n (no excluded k) and every branch
+        # of the exclusion trace, up to the 14 425 k of q = 100981
+        for n in [*range(2, 3000), *carmichael_in_range(2, 10**6), *LEHMER_CHECK_DIGESTS]:
+            v = lehmer_check(n)
+            assert v.to_json() == json.dumps(verdict_as_dict(v)), n
+
+    def test_min_k_json_matches_the_dict_oracle(self, capsys):
+        # congruence rows, k excluded in many worlds, and the floor, which
+        # some world does not exclude
+        for profile in _symbolic_profiles((None, 17, 101)):
+            spec = profile.describe()
+            assert cli.main(["min-k", "--profile", spec, "--format", "json"]) == 0
+            result = min_k(profile)
+            doc = {
+                "profile": spec,
+                "min_k": result.k,
+                "n_floor": str(result.n_floor_used),
+                "rules": list(result.applied_rules),
+                "excluded": [exclusion_as_dict(res) for res in result.exclusions],
+            }
+            assert capsys.readouterr().out == json.dumps(doc) + "\n", spec
+            at_floor = exclude_k(dataclasses.replace(profile, n_floor=result.n_floor_used), result.k)
+            assert not at_floor.excluded
+            assert at_floor.to_json() == json.dumps(exclusion_as_dict(at_floor)), spec

@@ -166,6 +166,27 @@ class TestScan:
         assert max(peaks.values()) < 8 << 20, peaks
         assert peaks[4 * 10**6] <= 1.5 * peaks[10**6], peaks
 
+    def test_cli_large_verdict_memory(self):
+        # lehmer-check renders its 14 425 excluded k straight to JSON text;
+        # building a dict per k and passing the tree to json.dumps peaked at
+        # 26.2 MiB for these 4.18 MB
+        class ByteCount:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = ByteCount()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert cli.main(["lehmer-check", "6178246534322281"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size == 4_184_130
+        assert peak < 20 << 20, peak
+
     def test_prime_rows_cross_checked_against_the_totient_kernel(self, monkeypatch):
         original = scan_module.totient_range
 
