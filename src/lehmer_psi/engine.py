@@ -9,6 +9,8 @@ exceeds the chain bound A/k + B, that k is excluded: exactly k <= K* =
 floor((L - A)/B). With the classical congruence "3 | n forces k = 1 (mod 3)"
 each world solves for its floor, and min_k is the least of them, taken at
 n > 10**8171 for a symbolic profile once the universal floor k >= 3 holds.
+min_k then records why each k below its floor is excluded in one sweep: every
+world walks the whole k range once, and exclude_k is the sweep's one-k case.
 For q >= 17 the k ladder's top rung is R = ceil(q/c - q) for its coefficient c.
 
 Caveat, surfaced in every trace that leans on a chain: the stated witness
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import NamedTuple
 
 from .arith import (
@@ -264,14 +267,6 @@ class _World:
         s = (1 + sum(Fraction(1, p * (p - 1)) for p in self.divides)) * (self.tail - 1)
         return f"{qs}; " + ", ".join(bits), rule, covers, s.numerator, s.denominator
 
-    def upper(self, k: int) -> tuple[int, int]:
-        """chain_upper(divides, tail, k) = 7(a + d*k)/(16*d*tail*k), as a
-        (numerator, denominator) pair in lowest terms."""
-        a, d = self._chain[3:]
-        num, den = 7 * (a + d * k), 16 * d * self.tail * k
-        g = math.gcd(num, den)
-        return num // g, den // g
-
     def k_floor(self, lower: Fraction) -> int:
         """Least k >= 2 not excluded under the witness floor lower/k: the chain
         excludes k <= K* = floor((16*d*tail*lower - 7a)/(7d)), the congruence
@@ -281,17 +276,27 @@ class _World:
         k = max(2, (16 * d * self.tail * num - 7 * a * den) // (7 * d * den) + 1)
         return k + (1 - k) % 3 if 3 in self.divides else k
 
-    def justify(self, k: int, lower: tuple[int, int]) -> Justification:
-        """Why this world does or does not exclude k: the congruence rule when 3 | n
-        and k is not 1 mod 3, else the witness floor `lower` (a pair in lowest
-        terms) against upper(k), compared by one cross-multiplication."""
-        label, prefix, suffix = self._chain[:3]
-        if 3 in self.divides and k % 3 != 1:
-            rule = f"{CONGRUENCE}: k={k} is {k % 3} (mod 3), 1 required"
-            return Justification(label, CONGRUENCE, rule, (k % 3, 1), (1, 1), True)
-        upper = self.upper(k)
-        excluded = lower[0] * upper[1] >= upper[0] * lower[1]
-        return Justification(label, CHAIN, f"{prefix}{k}{suffix}", lower, upper, excluded)
+    def sweep(self, ks: range, lowers: list[tuple[int, int]]) -> list[Justification]:
+        """This world's verdict on each k of ks: the congruence rule when 3 | n
+        and k is not 1 mod 3, else the witness floor at k (the pair of lowers
+        in step with ks) against chain_upper(divides, tail, k) =
+        7(a + d*k)/(16*d*tail*k), both sides in lowest terms and compared by
+        one cross-multiplication."""
+        label, prefix, suffix, a, d = self._chain
+        m = 16 * d * self.tail
+        three = 3 in self.divides
+        column = []
+        for k, lower in zip(ks, lowers):
+            if three and k % 3 != 1:
+                rule = f"{CONGRUENCE}: k={k} is {k % 3} (mod 3), 1 required"
+                column.append(Justification(label, CONGRUENCE, rule, (k % 3, 1), (1, 1), True))
+                continue
+            num, den = 7 * (a + d * k), m * k
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            excluded = lower[0] * den >= num * lower[1]
+            column.append(Justification(label, CHAIN, f"{prefix}{k}{suffix}", lower, (num, den), excluded))
+        return column
 
 
 def _make_world(
@@ -387,17 +392,32 @@ class ExclusionResult(NamedTuple):
         return f'{{"k": {self.k}, "justifications": [{", ".join(rows)}]}}'
 
 
+_EXCLUDED = attrgetter("excluded")
+
+
+def _exclusions(profile: LehmerProfile, ks: range) -> list[ExclusionResult]:
+    """exclude_k for each k of ks, in one pass: the witness floor pair at each
+    k is built once and shared by every world's justification, each world
+    sweeps all of ks (_World.sweep), and the columns are zipped into one
+    ExclusionResult per k."""
+    floor = profile.witness_floor  # in lowest terms, so only k can share a factor with it
+    num, den = floor.numerator, floor.denominator
+    lowers = []
+    for k in ks:
+        g = math.gcd(num, k)
+        lowers.append((num, den * k) if g == 1 else (num // g, den * (k // g)))
+    columns = [world.sweep(ks, lowers) for world in profile.worlds]
+    return [ExclusionResult(k, all(map(_EXCLUDED, justs)), justs) for k, justs in zip(ks, zip(*columns))]
+
+
 def exclude_k(profile: LehmerProfile, k: int) -> ExclusionResult:
     """Decide whether k*phi(n) = n - 1 is impossible for every candidate
     matching the profile: each world justifies its own verdict against the
-    witness floor at k (_World.justify), and k is excluded if every world does."""
+    witness floor at k, and k is excluded if every world does. This is the
+    one-k case of the sweep min_k makes over every k below its floor."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    floor = profile.witness_floor  # in lowest terms, so only k can share a factor with it
-    g = math.gcd(floor.numerator, k)
-    lower = floor.numerator // g, floor.denominator * (k // g)
-    justs = tuple([world.justify(k, lower) for world in profile.worlds])
-    return ExclusionResult(k, all(j.excluded for j in justs), justs)
+    return _exclusions(profile, range(k, k + 1))[0]
 
 
 @dataclass(frozen=True)
@@ -421,9 +441,10 @@ def universal_k_floor() -> int:
 
 def min_k(profile: LehmerProfile) -> MinKResult:
     """Smallest k >= 2 not excluded for the profile, with the rule trace:
-    exclude_k must exclude each k below the closed-form floor, and not the
-    floor. A symbolic profile is solved at n > 10**8171 alone once the
-    universal floor reaches 3; a higher n_floor only excludes more k."""
+    one sweep over the worlds must exclude each k below the closed-form floor,
+    and exclude_k must not exclude the floor. A symbolic profile is solved at
+    n > 10**8171 alone once the universal floor reaches 3; a higher n_floor
+    only excludes more k."""
     rules = []
     if profile.n is None and profile.n_floor < N_FLOOR_RAISED and universal_k_floor() >= 3:
         profile = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
@@ -432,12 +453,16 @@ def min_k(profile: LehmerProfile) -> MinKResult:
     floor_k = _k_floor(profile)
     if floor_k >= _SWEEP_GUARD:
         raise DomainError(f"exclusion sweep reached its guard of k < {_SWEEP_GUARD} without a floor")
-    exclusions = [exclude_k(profile, k) for k in range(2, floor_k)]
+    exclusions = _exclusions(profile, range(2, floor_k))
     if not all(res.excluded for res in exclusions) or exclude_k(profile, floor_k).excluded:
         raise AssertionError(f"closed-form k floor {floor_k} is wrong for {profile.describe()}")
-    for res in exclusions:
+    # a world's rule kind depends on k only through k mod 3, so the first three
+    # k give the suffix of every rule line
+    suffixes = {}
+    for res in exclusions[:3]:
         kinds = sorted({j.kind for j in res.justifications if j.excluded})
-        rules.append(f"k={res.k} excluded in all {len(res.justifications)} worlds via {', '.join(kinds)}")
+        suffixes[res.k % 3] = f" excluded in all {len(res.justifications)} worlds via {', '.join(kinds)}"
+    rules += [f"k={res.k}{suffixes[res.k % 3]}" for res in exclusions]
     if any(res.chain_justification() is not None for res in exclusions):
         rules.append(
             "caveat: chain exclusions assume the stated witness floor phi(n)/(2n); "

@@ -296,12 +296,13 @@ class TestMinK:
                     assert exclude_k(raised, k).excluded, (profile.describe(), k)
 
     def test_worlds_built_and_swept_once_per_call(self, monkeypatch):
-        # one world build, one closed-form floor, and exclude_k once for each
-        # k from 2 up to the floor (the floor itself is the surviving check)
+        # one world build, one closed-form floor, and the sweep receives each
+        # k from 2 up to the floor once (the floor itself, through exclude_k,
+        # is the surviving check)
         universal_k_floor()  # cached; its own floor is not counted
         builds, floors, swept = [], [], []
         enumerate_original = engine_module.enumerate_worlds
-        floor_original, exclude_original = engine_module._k_floor, engine_module.exclude_k
+        floor_original, sweep_original = engine_module._k_floor, engine_module._exclusions
 
         def counting_enumerate(profile):
             builds.append(profile)
@@ -311,13 +312,13 @@ class TestMinK:
             floors.append(profile)
             return floor_original(profile)
 
-        def counting_exclude(profile, k):
-            swept.append(k)
-            return exclude_original(profile, k)
+        def counting_sweep(profile, ks):
+            swept.extend(ks)
+            return sweep_original(profile, ks)
 
         monkeypatch.setattr(engine_module, "enumerate_worlds", counting_enumerate)
         monkeypatch.setattr(engine_module, "_k_floor", counting_floor)
-        monkeypatch.setattr(engine_module, "exclude_k", counting_exclude)
+        monkeypatch.setattr(engine_module, "_exclusions", counting_sweep)
         profiles = [profile_from_factorization(factor(n)) for n in (561, 2465, 29341, 41041)]
         for profile in profiles + [GENERIC_PROFILE, make_profile(q=5), make_profile(q=101)]:
             builds.clear()
@@ -347,8 +348,26 @@ class TestMinK:
             got = (result.k, result.applied_rules, result.n_floor_used, result.exclusions)
             assert got == _swept_min_k(profile), profile.describe()
 
+    @pytest.mark.parametrize("n_floor", [N_FLOOR_BASE, N_FLOOR_RAISED], ids=["base", "raised"])
+    def test_exclude_k_is_the_one_k_case_of_the_sweep(self, n_floor):
+        # min_k sweeps every world over all k below its floor at once; exclude_k
+        # at each k, the floor included, must agree with it, and the chain
+        # justifications of one k share a single witness floor pair object
+        profiles = _carmichael_profiles(10**7) + sorted(
+            _symbolic_profiles((None, 17, 101, 10007), n_floor), key=lambda p: p.describe())
+        assert len(profiles) > 200
+        for profile in profiles:
+            result = min_k(profile)
+            solved = dataclasses.replace(profile, n_floor=result.n_floor_used)
+            at_floor = exclude_k(solved, result.k)
+            assert not at_floor.excluded, profile.describe()
+            for k, res in enumerate([*result.exclusions, at_floor], start=2):
+                assert exclude_k(solved, k) == res, (profile.describe(), k)
+                lhs_pairs = {id(j.lhs_pair) for j in res.justifications if j.kind == CHAIN}
+                assert len(lhs_pairs) <= 1, (profile.describe(), k)
+
     def test_world_constants_give_the_chain_bound(self):
-        # _World.upper is the one home of the chain bound; every justification
+        # _World.sweep is the one home of the chain bound; every justification
         # exclude_k records, for each world and witness floor once, reproduces
         # the Fraction route: both sides in lowest terms, a chain's floor L/k
         # against chain_upper, the congruence's k mod 3 against 1
@@ -356,11 +375,7 @@ class TestMinK:
         profiles = _carmichael_profiles(10**7) + symbolic
         worlds = {world for profile in profiles for world in profile.worlds}
         assert len(worlds) > 50
-        bounds = {}
-        for world in worlds:
-            for k in range(2, 301):
-                bound = bounds[world, k] = chain_upper(world.divides, world.tail, k)
-                assert world.upper(k) == (bound.numerator, bound.denominator), (world, k)
+        bounds = {(world, k): chain_upper(world.divides, world.tail, k) for world in worlds for k in range(2, 301)}
         seen = set()
         for profile in profiles:
             fresh = [i for i, world in enumerate(profile.worlds)

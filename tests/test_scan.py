@@ -187,6 +187,27 @@ class TestScan:
         assert sink.size == 4_184_130
         assert peak < 20 << 20, peak
 
+    def test_cli_symbolic_min_k_memory(self):
+        # each of the 1 429 excluded k of q = 10007 holds a witness floor pair
+        # of about 8 172 digits a side; the 953 k prime to the floor's
+        # numerator share that numerator, where a copy per k peaked at 10.9 MiB
+        class ByteCount:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = ByteCount()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert cli.main(["min-k", "--profile", "q=10007"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size == 76_493
+        assert peak < 9 << 20, peak
+
     def test_prime_rows_cross_checked_against_the_totient_kernel(self, monkeypatch):
         original = scan_module.totient_range
 
