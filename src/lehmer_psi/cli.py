@@ -186,7 +186,7 @@ def cmd_min_k(args) -> int:
                 "rules": list(result.applied_rules),
             }
         )
-        _emit(head[:-1] + ', "excluded": [' + ", ".join(res.to_json() for res in result.exclusions) + "]}")
+        _emit(f'{head[:-1]}, "excluded": {result.columns.to_json()}}}')
     else:
         _emit(f"profile: {profile.describe()}")
         _emit(f"min_k = {result.k}")

@@ -10,7 +10,9 @@ floor((L - A)/B). With the classical congruence "3 | n forces k = 1 (mod 3)"
 each world solves for its floor, and min_k is the least of them, taken at
 n > 10**8171 for a symbolic profile once the universal floor k >= 3 holds.
 min_k then records why each k below its floor is excluded in one sweep: every
-world walks the whole k range once, and exclude_k is the sweep's one-k case.
+world walks the whole k range once into integer columns (ExclusionColumns),
+from which the JSON, the chain queries and, on first read, the per-k records
+come; exclude_k is the sweep's one-k case.
 For q >= 17 the k ladder's top rung is R = ceil(q/c - q) for its coefficient c.
 
 Caveat, surfaced in every trace that leans on a chain: the stated witness
@@ -276,27 +278,29 @@ class _World:
         k = max(2, (16 * d * self.tail * num - 7 * a * den) // (7 * d * den) + 1)
         return k + (1 - k) % 3 if 3 in self.divides else k
 
-    def sweep(self, ks: range, lowers: list[tuple[int, int]]) -> list[Justification]:
-        """This world's verdict on each k of ks: the congruence rule when 3 | n
-        and k is not 1 mod 3, else the witness floor at k (the pair of lowers
-        in step with ks) against chain_upper(divides, tail, k) =
-        7(a + d*k)/(16*d*tail*k), both sides in lowest terms and compared by
-        one cross-multiplication."""
-        label, prefix, suffix, a, d = self._chain
+    def sweep(
+        self, ks: range, lowers: list[tuple[int, int]]
+    ) -> tuple[list[tuple[int, int] | None], list[int]]:
+        """This world's column over ks: None where the congruence rule excludes
+        k (3 | n and k not 1 mod 3), else chain_upper(divides, tail, k) =
+        7(a + d*k)/(16*d*tail*k) as a pair in lowest terms, which excludes k
+        when the witness floor at k (the pair of lowers in step with ks) meets
+        it by one cross-multiplication. Also returns the k it does not exclude."""
+        a, d = self._chain[3:]
         m = 16 * d * self.tail
         three = 3 in self.divides
-        column = []
-        for k, lower in zip(ks, lowers):
+        column, misses = [], []
+        for k, (low, high) in zip(ks, lowers):
             if three and k % 3 != 1:
-                rule = f"{CONGRUENCE}: k={k} is {k % 3} (mod 3), 1 required"
-                column.append(Justification(label, CONGRUENCE, rule, (k % 3, 1), (1, 1), True))
+                column.append(None)
                 continue
             num, den = 7 * (a + d * k), m * k
             g = math.gcd(num, den)
             num, den = num // g, den // g
-            excluded = lower[0] * den >= num * lower[1]
-            column.append(Justification(label, CHAIN, f"{prefix}{k}{suffix}", lower, (num, den), excluded))
-        return column
+            column.append((num, den))
+            if low * den < num * high:
+                misses.append(k)
+        return column, misses
 
 
 def _make_world(
@@ -371,43 +375,110 @@ class ExclusionResult(NamedTuple):
     excluded: bool
     justifications: tuple[Justification, ...]
 
-    def chain_justification(self) -> Justification | None:
-        """The tightest chain-based justification (largest upper bound)."""
-        chains = [j for j in self.justifications if j.kind == CHAIN and j.excluded]
-        return max(chains, key=lambda j: j.rhs, default=None)
-
-    def to_json(self) -> str:
-        """{"k": k, "justifications": [{"world", "rule", "lhs", "rhs", "excluded"}, ...]}
-        as json.dumps writes it: default separators, ASCII only, "p/q" sides."""
-        esc = encode_basestring_ascii
-        shared = lhs = None  # the chain worlds share one witness floor pair: render it once
-        rows = []
-        for world, _, rule, lhs_pair, rhs_pair, excluded in self.justifications:
-            if lhs_pair is not shared:
-                shared, lhs = lhs_pair, ratio_str(*lhs_pair)
-            rows.append(
-                f'{{"world": {esc(world)}, "rule": {esc(rule)}, "lhs": "{lhs}", '
-                f'"rhs": "{ratio_str(*rhs_pair)}", "excluded": {"true" if excluded else "false"}}}'
-            )
-        return f'{{"k": {self.k}, "justifications": [{", ".join(rows)}]}}'
-
 
 _EXCLUDED = attrgetter("excluded")
 
 
-def _exclusions(profile: LehmerProfile, ks: range) -> list[ExclusionResult]:
-    """exclude_k for each k of ks, in one pass: the witness floor pair at each
-    k is built once and shared by every world's justification, each world
-    sweeps all of ks (_World.sweep), and the columns are zipped into one
-    ExclusionResult per k."""
+class ExclusionColumns(NamedTuple):
+    """The verdicts of a profile's worlds on each k of ks, as integer columns.
+    lowers holds the witness floor pair at each k, which every chain world
+    shares; its first member is the floor's numerator object itself when k is
+    prime to it. rhs holds one column per world: the chain bound pair at each
+    k, or None where the congruence rule excludes k. misses holds, per world,
+    the k of ks it does not exclude. The JSON, the chain queries and the
+    ExclusionResult records are all read from these columns."""
+
+    worlds: tuple[_World, ...]
+    numerator: int
+    ks: range
+    lowers: tuple[tuple[int, int], ...]
+    rhs: tuple[tuple[tuple[int, int] | None, ...], ...]
+    misses: tuple[frozenset[int], ...]
+
+    def records(self) -> tuple[ExclusionResult, ...]:
+        """One ExclusionResult per k, as exclude_k returns it: a Justification
+        per world, the chain ones sharing the k's lowers pair."""
+        columns = []
+        for world, column, missed in zip(self.worlds, self.rhs, self.misses):
+            label, prefix, suffix = world._chain[:3]
+            columns.append([
+                Justification(label, CHAIN, f"{prefix}{k}{suffix}", lower, rhs, k not in missed)
+                if rhs is not None else Justification(
+                    label, CONGRUENCE, f"{CONGRUENCE}: k={k} is {k % 3} (mod 3), 1 required",
+                    (k % 3, 1), (1, 1), True)
+                for k, lower, rhs in zip(self.ks, self.lowers, column)
+            ])
+        rows = zip(self.ks, zip(*columns))
+        return tuple(ExclusionResult(k, all(map(_EXCLUDED, js)), js) for k, js in rows)
+
+    def to_json(self) -> str:
+        """The records as the JSON array json.dumps writes (default separators,
+        ASCII only, "p/q" sides): [{"k", "justifications": [{"world", "rule",
+        "lhs", "rhs", "excluded"}, ...]}, ...]. Each world's escaped label and
+        rule text, and the floor's shared numerator, are rendered once."""
+        esc = encode_basestring_ascii
+        top = self.numerator
+        top_text = str(top)
+        worlds = []
+        for world, column, missed in zip(self.worlds, self.rhs, self.misses):
+            label, prefix, suffix = world._chain[:3]
+            head = f'{{"world": {esc(label)}, "rule": '
+            congruence = head + esc(f"{CONGRUENCE}: k=")[:-1]
+            worlds.append((head + esc(prefix)[:-1], esc(suffix)[1:], congruence, column, missed))
+        docs, sep = [], "["  # the brackets go into the items: join makes the one copy
+        for i, k in enumerate(self.ks):
+            low, high = self.lowers[i]
+            lhs = f"{top_text}/{high}" if low is top else ratio_str(low, high)
+            rows = []
+            for chain, tail, congruence, column, missed in worlds:
+                rhs = column[i]
+                if rhs is None:
+                    r = k % 3
+                    rows.append(f'{congruence}{k} is {r} (mod 3), 1 required", "lhs": "{ratio_str(r, 1)}", '
+                                f'"rhs": "{ratio_str(1, 1)}", "excluded": true}}')
+                else:
+                    rows.append(f'{chain}{k}{tail}, "lhs": "{lhs}", "rhs": "{ratio_str(*rhs)}", '
+                                f'"excluded": {"false" if k in missed else "true"}}}')
+            docs.append(f'{sep}{{"k": {k}, "justifications": [{", ".join(rows)}]}}')
+            sep = ", "
+        docs.append("]" if docs else "[]")
+        return "".join(docs)
+
+    def uses_chain(self) -> bool:
+        """Whether some world excludes some k by the chain rule, and so rests
+        on the stated witness floor phi(n)/(2n), which holds only when 3 | n."""
+        return any(
+            rhs is not None and k not in missed
+            for column, missed in zip(self.rhs, self.misses)
+            for k, rhs in zip(self.ks, column)
+        )
+
+    def binding(self) -> tuple[str, str] | None:
+        """lhs/rhs strings of the tightest chain exclusion (the largest bound)
+        of the last k that some world excludes by the chain rule."""
+        for i in reversed(range(len(self.ks))):
+            chains = [column[i] for column, missed in zip(self.rhs, self.misses)
+                      if column[i] is not None and self.ks[i] not in missed]
+            if chains:
+                tightest = max(chains, key=lambda pair: Fraction(*pair))
+                return ratio_str(*self.lowers[i]), ratio_str(*tightest)
+        return None
+
+
+def _exclusions(profile: LehmerProfile, ks: range) -> ExclusionColumns:
+    """The columns of the profile's worlds over ks, one pass (_World.sweep)
+    per world. The witness floor pair at each k is built once; when k is
+    prime to the floor's numerator it keeps that numerator object rather than
+    a copy of it."""
     floor = profile.witness_floor  # in lowest terms, so only k can share a factor with it
     num, den = floor.numerator, floor.denominator
     lowers = []
     for k in ks:
         g = math.gcd(num, k)
         lowers.append((num, den * k) if g == 1 else (num // g, den * (k // g)))
-    columns = [world.sweep(ks, lowers) for world in profile.worlds]
-    return [ExclusionResult(k, all(map(_EXCLUDED, justs)), justs) for k, justs in zip(ks, zip(*columns))]
+    columns, misses = zip(*(world.sweep(ks, lowers) for world in profile.worlds))
+    columns, misses = tuple(map(tuple, columns)), tuple(map(frozenset, misses))
+    return ExclusionColumns(profile.worlds, num, ks, tuple(lowers), columns, misses)
 
 
 def exclude_k(profile: LehmerProfile, k: int) -> ExclusionResult:
@@ -417,15 +488,22 @@ def exclude_k(profile: LehmerProfile, k: int) -> ExclusionResult:
     one-k case of the sweep min_k makes over every k below its floor."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    return _exclusions(profile, range(k, k + 1))[0]
+    return _exclusions(profile, range(k, k + 1)).records()[0]
 
 
 @dataclass(frozen=True)
 class MinKResult:
+    """The floor k and the exclusion columns of every k below it;
+    exclusions, their ExclusionResult records, is built on first read."""
+
     k: int
-    exclusions: tuple[ExclusionResult, ...]
+    columns: ExclusionColumns
     applied_rules: tuple[str, ...]
     n_floor_used: int
+
+    @cached_property
+    def exclusions(self) -> tuple[ExclusionResult, ...]:
+        return self.columns.records()
 
 
 def _k_floor(profile: LehmerProfile) -> int:
@@ -441,10 +519,10 @@ def universal_k_floor() -> int:
 
 def min_k(profile: LehmerProfile) -> MinKResult:
     """Smallest k >= 2 not excluded for the profile, with the rule trace:
-    one sweep over the worlds must exclude each k below the closed-form floor,
-    and exclude_k must not exclude the floor. A symbolic profile is solved at
-    n > 10**8171 alone once the universal floor reaches 3; a higher n_floor
-    only excludes more k."""
+    one sweep over the worlds, kept as integer columns, must exclude each k
+    below the closed-form floor, and exclude_k must not exclude the floor. A
+    symbolic profile is solved at n > 10**8171 alone once the universal floor
+    reaches 3; a higher n_floor only excludes more k."""
     rules = []
     if profile.n is None and profile.n_floor < N_FLOOR_RAISED and universal_k_floor() >= 3:
         profile = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
@@ -453,17 +531,17 @@ def min_k(profile: LehmerProfile) -> MinKResult:
     floor_k = _k_floor(profile)
     if floor_k >= _SWEEP_GUARD:
         raise DomainError(f"exclusion sweep reached its guard of k < {_SWEEP_GUARD} without a floor")
-    exclusions = _exclusions(profile, range(2, floor_k))
-    if not all(res.excluded for res in exclusions) or exclude_k(profile, floor_k).excluded:
+    columns = _exclusions(profile, range(2, floor_k))
+    if any(columns.misses) or exclude_k(profile, floor_k).excluded:
         raise AssertionError(f"closed-form k floor {floor_k} is wrong for {profile.describe()}")
     # a world's rule kind depends on k only through k mod 3, so the first three
     # k give the suffix of every rule line
     suffixes = {}
-    for res in exclusions[:3]:
-        kinds = sorted({j.kind for j in res.justifications if j.excluded})
-        suffixes[res.k % 3] = f" excluded in all {len(res.justifications)} worlds via {', '.join(kinds)}"
-    rules += [f"k={res.k}{suffixes[res.k % 3]}" for res in exclusions]
-    if any(res.chain_justification() is not None for res in exclusions):
+    for k, *column in zip(columns.ks[:3], *columns.rhs):
+        kinds = sorted({CONGRUENCE if rhs is None else CHAIN for rhs in column})
+        suffixes[k % 3] = f" excluded in all {len(column)} worlds via {', '.join(kinds)}"
+    rules += [f"k={k}{suffixes[k % 3]}" for k in columns.ks]
+    if columns.uses_chain():
         rules.append(
             "caveat: chain exclusions assume the stated witness floor phi(n)/(2n); "
             "the independently provable floor is 7*phi(n)/(16n), which does not "
@@ -475,7 +553,7 @@ def min_k(profile: LehmerProfile) -> MinKResult:
         printed = k_ladder(profile.q, mode="as-printed", R=4)
         if printed.k_floor is not None and printed.k_floor != ladder.k_floor:
             rules.append(f"ladder(as-printed, R=4) would claim k >= {printed.k_floor}; not applied")
-    return MinKResult(floor_k, tuple(exclusions), tuple(rules), profile.n_floor)
+    return MinKResult(floor_k, columns, tuple(rules), profile.n_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -577,36 +655,39 @@ class LehmerVerdict:
     exact_k: int | None
     counterexample: bool
     min_k: int | None
-    excluded_k: tuple[ExclusionResult, ...]
+    columns: ExclusionColumns | None
     abundancy_coefficient: Fraction | None
     witness: str | None
     applied_rules: tuple[str, ...]
     notes: tuple[str, ...]
 
+    @cached_property
+    def excluded_k(self) -> tuple[ExclusionResult, ...]:
+        """The ExclusionResult of each excluded k, built from the columns on
+        first read."""
+        return () if self.columns is None else self.columns.records()
+
     def uses_stated_floor(self) -> bool:
         """Whether min_k rests on a chain exclusion, and so on the stated
         witness floor phi(n)/(2n), which holds only when 3 | n."""
-        return any(res.chain_justification() is not None for res in self.excluded_k)
+        return self.columns is not None and self.columns.uses_chain()
 
     def binding_inequality(self) -> tuple[str, str] | None:
         """lhs/rhs strings of the tightest chain exclusion of the last
         excluded k, for the report schema."""
-        for res in reversed(self.excluded_k):
-            j = res.chain_justification()
-            if j is not None:
-                return ratio_str(*j.lhs_pair), ratio_str(*j.rhs_pair)
-        return None
+        return None if self.columns is None else self.columns.binding()
 
     def to_json(self) -> str:
         """The verdict as json.dumps writes its fields in declaration order, the
-        abundancy coefficient as "p/q" and each excluded k by its to_json()."""
+        abundancy coefficient as "p/q" and the columns as the excluded_k array."""
         c = self.abundancy_coefficient
         fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         fields["abundancy_coefficient"] = None if c is None else ratio_str(c.numerator, c.denominator)
-        fields["excluded_k"] = []
-        # no field before excluded_k holds a string, so its key is the first match
-        head, key, tail = json.dumps(fields).partition('"excluded_k": [')
-        return head + key + ", ".join(res.to_json() for res in self.excluded_k) + tail
+        fields["columns"] = None
+        # no field before columns holds a string, so its key is the first match
+        head, _, tail = json.dumps(fields).partition('"columns": null')
+        excluded = "[]" if self.columns is None else self.columns.to_json()
+        return f'{head}"excluded_k": {excluded}{tail}'
 
 
 def lehmer_check(n: int) -> LehmerVerdict:
@@ -626,8 +707,7 @@ def lehmer_check(n: int) -> LehmerVerdict:
     exact_k = (n - 1) // phi if phi_divides else None
     prime = f.factors == ((n, 1),)
     cert = None if prime else korselt_check(f)
-    floor_k = abundancy = witness = None
-    excluded: tuple[ExclusionResult, ...] = ()
+    floor_k = abundancy = witness = columns = None
     rules: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
     if prime:
@@ -640,7 +720,7 @@ def lehmer_check(n: int) -> LehmerVerdict:
     else:
         profile = profile_from_factorization(f)
         result = min_k(profile)
-        floor_k, excluded, rules = result.k, result.exclusions, result.applied_rules
+        floor_k, columns, rules = result.k, result.columns, result.applied_rules
         if phi_divides and exact_k < floor_k:
             raise AssertionError(
                 f"n={n}: exact multiplier {exact_k} violates the k floor {floor_k}"
@@ -657,7 +737,7 @@ def lehmer_check(n: int) -> LehmerVerdict:
         exact_k=exact_k,
         counterexample=phi_divides and not prime,
         min_k=floor_k,
-        excluded_k=excluded,
+        columns=columns,
         abundancy_coefficient=abundancy,
         witness=witness,
         applied_rules=rules,

@@ -5,7 +5,9 @@ divisor-lattice machinery so spectra and psi values are checked against
 actual group multiplication. psi_prime and psi_double_prime are the
 normalized order sums psi' and psi'', by their definitions over the
 package's psi. exclusion_as_dict and verdict_as_dict build the dicts whose
-json.dumps the engine's to_json renderers must equal byte for byte.
+json.dumps the engine's to_json renderers must equal byte for byte, and
+chain_justification, uses_stated_floor and binding_inequality read an
+exclusion trace from its records, as the engine's column readers must.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from math import isqrt
 import numpy as np
 
 from lehmer_psi.arith import ratio_str
+from lehmer_psi.engine import CHAIN
 from lehmer_psi.groups import (
     Cyclic,
     Dihedral,
@@ -254,3 +257,27 @@ def verdict_as_dict(v) -> dict:
         "applied_rules": list(v.applied_rules),
         "notes": list(v.notes),
     }
+
+
+# --- the chain queries of an exclusion trace, read from its records ---------
+
+def chain_justification(res):
+    """The tightest chain-based justification (largest upper bound) of an
+    ExclusionResult, or None."""
+    chains = [j for j in res.justifications if j.kind == CHAIN and j.excluded]
+    return max(chains, key=lambda j: j.rhs, default=None)
+
+
+def uses_stated_floor(exclusions) -> bool:
+    """Whether some excluded k rests on a chain exclusion: what
+    LehmerVerdict.uses_stated_floor answers and when min_k adds its caveat."""
+    return any(chain_justification(res) is not None for res in exclusions)
+
+
+def binding_inequality(exclusions) -> tuple[str, str] | None:
+    """lhs/rhs strings of the tightest chain exclusion of the last excluded k."""
+    for res in reversed(exclusions):
+        j = chain_justification(res)
+        if j is not None:
+            return ratio_str(*j.lhs_pair), ratio_str(*j.rhs_pair)
+    return None

@@ -1,13 +1,23 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import exclusion_as_dict, psi_double_prime, verdict_as_dict
+from conftest import (
+    binding_inequality,
+    chain_justification,
+    exclusion_as_dict,
+    psi_double_prime,
+    uses_stated_floor,
+    verdict_as_dict,
+)
 from test_reference_output import LEHMER_CHECK_DIGESTS
 import lehmer_psi.engine as engine_module
 from lehmer_psi import cli
@@ -18,6 +28,7 @@ from lehmer_psi.engine import (
     CHAIN,
     CONGRUENCE,
     GENERIC_PROFILE,
+    ExclusionColumns,
     ExclusionResult,
     Justification,
     N_FLOOR_BASE,
@@ -65,7 +76,7 @@ def _swept_min_k(profile):
     for res in exclusions:
         kinds = sorted({j.rule.split(":")[0].split(" ")[0] for j in res.justifications if j.excluded})
         rules.append(f"k={res.k} excluded in all {len(res.justifications)} worlds via {', '.join(kinds)}")
-    if any(res.chain_justification() is not None for res in exclusions):
+    if uses_stated_floor(exclusions):
         rules.append(
             "caveat: chain exclusions assume the stated witness floor phi(n)/(2n); "
             "the independently provable floor is 7*phi(n)/(16n), which does not "
@@ -240,7 +251,7 @@ class TestExcludeK:
         profile = profile_from_factorization(factor(2465))  # 5 * 17 * 29
         res = exclude_k(profile, 2)
         assert res.excluded
-        j = res.chain_justification()
+        j = chain_justification(res)
         assert j.lhs == Fraction(2464, 2 * 2 * 2465)
 
 
@@ -412,6 +423,57 @@ class TestMinK:
         result = min_k(profile)
         assert (profile.q, result.k, len(result.exclusions)) == (100981, 14427, 14425)
         assert len(built) < 100
+
+    def test_min_k_builds_no_records(self, monkeypatch):
+        # lehmer-check and min-k decide, render and query every excluded k from
+        # integer columns; only the floor's check through exclude_k builds its
+        # ExclusionResult, with one Justification per world. The records of
+        # the excluded k are built from the columns when first read, once.
+        built = []
+
+        class CountingResult(ExclusionResult):
+            __slots__ = ()
+
+            def __new__(cls, *args):
+                built.append(args[0])
+                return super().__new__(cls, *args)
+
+        class CountingJustification(Justification):
+            __slots__ = ()
+
+            def __new__(cls, *args):
+                built.append(args[1])
+                return super().__new__(cls, *args)
+
+        class ByteCount(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(engine_module, "ExclusionResult", CountingResult)
+        monkeypatch.setattr(engine_module, "Justification", CountingJustification)
+        n = 6178246534322281
+        concrete, symbolic = profile_from_factorization(factor(n)), make_profile(q=10007)
+        cases = [
+            (["lehmer-check", str(n)], concrete),
+            (["lehmer-check", str(n), "--format", "text"], concrete),
+            (["min-k", "--profile", "q=10007", "--format", "json"], symbolic),
+        ]
+        for argv, profile in cases:
+            floor_k = min_k(profile).k
+            built.clear()
+            with contextlib.redirect_stdout(ByteCount()):
+                assert cli.main(argv) == 0
+            assert built == [CHAIN] * len(profile.worlds) + [floor_k], argv
+        # both profiles have one world: a record is one ExclusionResult and one Justification
+        for profile, read in ((concrete, lambda: lehmer_check(n).excluded_k),
+                              (symbolic, lambda: min_k(symbolic).exclusions)):
+            swept = _swept_min_k(profile)[3]
+            built.clear()
+            records = read()
+            assert records == swept
+            assert built.count(CHAIN) == len(records) + 1 and len(built) == 2 * (len(records) + 1)
+        result = min_k(concrete)
+        assert result.exclusions is result.exclusions
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_wrong_floor_is_caught(self, monkeypatch, shift):
@@ -626,6 +688,28 @@ class TestLehmerCheck:
             lehmer_check(n)
             assert calls == [n]
 
+    def test_column_readers_match_the_record_oracle(self):
+        # uses_stated_floor, binding_inequality and min_k's caveat read the
+        # exclusion columns; conftest reads the same answers from the records
+        def caveat(rules):
+            return any(rule.startswith("caveat: ") for rule in rules)
+
+        for n in [*range(2, 3000), *carmichael_in_range(2, 10**7)]:
+            v = lehmer_check(n)
+            stated = uses_stated_floor(v.excluded_k)
+            assert (v.uses_stated_floor(), caveat(v.applied_rules)) == (stated, stated), n
+            assert v.binding_inequality() == binding_inequality(v.excluded_k), n
+        for profile in _symbolic_profiles((None, 17, 101)):
+            result = min_k(profile)
+            assert caveat(result.applied_rules) == uses_stated_floor(result.exclusions), profile.describe()
+            assert result.columns.binding() == binding_inequality(result.exclusions), profile.describe()
+            # at the floor some world does not exclude k, and its chain row must not count
+            solved = dataclasses.replace(profile, n_floor=result.n_floor_used)
+            at_floor = engine_module._exclusions(solved, range(result.k, result.k + 1))
+            records = at_floor.records()
+            got = (at_floor.uses_chain(), at_floor.binding())
+            assert got == (uses_stated_floor(records), binding_inequality(records)), profile.describe()
+
     def test_verdict_serialization(self):
         d = json.loads(lehmer_check(561).to_json())
         assert d["n"] == 561
@@ -646,33 +730,42 @@ class TestJustificationReproducibility:
 
     def test_chain_parameters_recorded(self):
         res = exclude_k(make_profile(q=5, divides=[7], not_divides=[13]), 2)
-        j = res.chain_justification()
+        j = chain_justification(res)
         assert "split=[5, 7]" in j.rule and "tail=17" in j.rule
         assert j.rhs == Fraction(1007, 4080)
 
 
-# exclusions whose strings hold quotes, backslashes, control characters and
-# non-ASCII text, with ints of up to 3000 digits; consecutive worlds may share
-# one lhs pair object, as the chain worlds share the witness floor
+# exclusion columns whose world labels and rule texts hold quotes,
+# backslashes, control characters and non-ASCII text, with ints of up to 3000
+# digits; a k's lowers pair may hold the floor's numerator object itself, as
+# the k prime to it do, and a world may leave some k unexcluded
 _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é∤') | st.characters(), max_size=12)
 _INT = st.integers(-(10**3000) + 1, 10**3000 - 1) | st.integers(-(10**6), 10**6)
 _PAIRS = st.tuples(_INT, _INT)
 
 
 @st.composite
-def _exclusions(draw):
-    shared = draw(_PAIRS)
-    rows = st.builds(Justification, _TEXT, _TEXT, _TEXT, st.just(shared) | _PAIRS, _PAIRS, st.booleans())
-    return ExclusionResult(draw(_INT), draw(st.booleans()), tuple(draw(st.lists(rows, max_size=5))))
+def _columns(draw):
+    top = draw(_INT)
+    start = draw(st.integers(2, 10**6))
+    ks = range(start, start + draw(st.integers(0, 4)))
+    lowers = tuple((top, draw(_INT)) if draw(st.booleans()) else draw(_PAIRS) for _ in ks)
+    # the columns read only the label and the rule text before and after k
+    worlds = tuple(SimpleNamespace(_chain=(draw(_TEXT), draw(_TEXT), draw(_TEXT)))
+                   for _ in range(draw(st.integers(1, 4))))
+    rhs = tuple(tuple(draw(st.none() | _PAIRS) for _ in ks) for _ in worlds)
+    misses = tuple(frozenset(k for k in ks if draw(st.booleans())) for _ in worlds)
+    return ExclusionColumns(worlds, top, ks, lowers, rhs, misses)
 
 
 class TestJsonRendering:
-    """to_json() and min-k JSON equal json.dumps of the dicts in conftest."""
+    """ExclusionColumns.to_json(), LehmerVerdict.to_json() and min-k JSON equal
+    json.dumps of the dicts in conftest."""
 
     @settings(max_examples=300, deadline=None)
-    @given(res=_exclusions())
-    def test_exclusion_json_matches_json_dumps(self, res):
-        assert res.to_json() == json.dumps(exclusion_as_dict(res))
+    @given(columns=_columns())
+    def test_columns_json_matches_json_dumps(self, columns):
+        assert columns.to_json() == json.dumps([exclusion_as_dict(res) for res in columns.records()])
 
     def test_verdict_json_matches_the_dict_oracle(self):
         # primes, even and non-squarefree n (no excluded k) and every branch
@@ -696,6 +789,8 @@ class TestJsonRendering:
                 "excluded": [exclusion_as_dict(res) for res in result.exclusions],
             }
             assert capsys.readouterr().out == json.dumps(doc) + "\n", spec
-            at_floor = exclude_k(dataclasses.replace(profile, n_floor=result.n_floor_used), result.k)
-            assert not at_floor.excluded
-            assert at_floor.to_json() == json.dumps(exclusion_as_dict(at_floor)), spec
+            solved = dataclasses.replace(profile, n_floor=result.n_floor_used)
+            at_floor = engine_module._exclusions(solved, range(result.k, result.k + 1))
+            (record,) = at_floor.records()
+            assert any(at_floor.misses) and record == exclude_k(solved, result.k), spec
+            assert at_floor.to_json() == json.dumps([exclusion_as_dict(record)]), spec
