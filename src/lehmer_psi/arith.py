@@ -14,8 +14,8 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, localco
 from fractions import Fraction
 from math import gcd
 
-# Justification rationals carry divisor floors around 10**8171; the default
-# int/str conversion cap (4300 digits) would make them unprintable.
+# Witness floors at n > 10**8171 are ratios of 8172-digit integers; the
+# default int/str conversion cap (4300 digits) would make them unprintable.
 if sys.get_int_max_str_digits() < 100_000:
     sys.set_int_max_str_digits(100_000)
 

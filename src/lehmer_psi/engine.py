@@ -11,8 +11,8 @@ each world solves for its floor, and min_k is the least of them, taken at
 n > 10**8171 for a symbolic profile once the universal floor k >= 3 holds.
 min_k then records why each k below its floor is excluded in one sweep: every
 world walks the whole k range once into integer columns (ExclusionColumns),
-from which the JSON, the chain queries and, on first read, the per-k records
-come; exclude_k is the sweep's one-k case.
+from which the JSON and the chain queries are read; exclude_k is the sweep's
+one-k case.
 For q >= 17 the k ladder's top rung is R = ceil(q/c - q) for its coefficient c.
 
 Caveat, surfaced in every trace that leans on a chain: the stated witness
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import NamedTuple
 
 from .arith import (
@@ -245,7 +244,7 @@ def profile_from_factorization(f: Factorization | int) -> LehmerProfile:
 # ---------------------------------------------------------------------------
 # Worlds: complete divisibility assignments consistent with a profile
 
-# The kinds of rule a world excludes k by (Justification.kind).
+# The kinds of rule a world excludes k by.
 CHAIN = "order-sum-chain"
 CONGRUENCE = "k-congruence-3"
 
@@ -279,18 +278,19 @@ class _World:
         return k + (1 - k) % 3 if 3 in self.divides else k
 
     def sweep(
-        self, ks: range, lowers: list[tuple[int, int]]
+        self, ks: range, floor: Fraction
     ) -> tuple[list[tuple[int, int] | None], list[int]]:
         """This world's column over ks: None where the congruence rule excludes
         k (3 | n and k not 1 mod 3), else chain_upper(divides, tail, k) =
         7(a + d*k)/(16*d*tail*k) as a pair in lowest terms, which excludes k
-        when the witness floor at k (the pair of lowers in step with ks) meets
-        it by one cross-multiplication. Also returns the k it does not exclude."""
+        when the witness floor at k, floor/k, meets it by one
+        cross-multiplication. Also returns the k it does not exclude."""
         a, d = self._chain[3:]
         m = 16 * d * self.tail
         three = 3 in self.divides
+        low, high = floor.numerator, floor.denominator
         column, misses = [], []
-        for k, (low, high) in zip(ks, lowers):
+        for k in ks:
             if three and k % 3 != 1:
                 column.append(None)
                 continue
@@ -298,7 +298,7 @@ class _World:
             g = math.gcd(num, den)
             num, den = num // g, den // g
             column.append((num, den))
-            if low * den < num * high:
+            if low * den < num * k * high:
                 misses.append(k)
         return column, misses
 
@@ -344,80 +344,28 @@ def enumerate_worlds(profile: LehmerProfile) -> list[_World]:
 # ---------------------------------------------------------------------------
 # Per-k exclusion
 
-class Justification(NamedTuple):
-    """One world's verdict on k under its rule of kind CHAIN or CONGRUENCE,
-    with the inequality lhs >= rhs it records. Each side is kept as a
-    (numerator, denominator) pair in lowest terms with a positive
-    denominator; lhs and rhs give them as Fractions. The congruence rule
-    records k mod 3 against 1."""
-
-    world: str
-    kind: str
-    rule: str
-    lhs_pair: tuple[int, int]
-    rhs_pair: tuple[int, int]
-    excluded: bool
-
-    @property
-    def lhs(self) -> Fraction:
-        return Fraction(*self.lhs_pair)
-
-    @property
-    def rhs(self) -> Fraction:
-        return Fraction(*self.rhs_pair)
-
-
-class ExclusionResult(NamedTuple):
-    """Whether k is excluded in every world of a profile, with one
-    Justification per world; their sides are pairs in lowest terms."""
-
-    k: int
-    excluded: bool
-    justifications: tuple[Justification, ...]
-
-
-_EXCLUDED = attrgetter("excluded")
-
-
 class ExclusionColumns(NamedTuple):
     """The verdicts of a profile's worlds on each k of ks, as integer columns.
-    lowers holds the witness floor pair at each k, which every chain world
-    shares; its first member is the floor's numerator object itself when k is
-    prime to it. rhs holds one column per world: the chain bound pair at each
-    k, or None where the congruence rule excludes k. misses holds, per world,
-    the k of ks it does not exclude. The JSON, the chain queries and the
-    ExclusionResult records are all read from these columns."""
+    floor is the profile's witness floor L, so the floor at k is L/k. rhs
+    holds one column per world: the chain bound pair at each k in lowest
+    terms, or None where the congruence rule excludes k. misses holds, per
+    world, the k of ks it does not exclude. The JSON and the chain queries
+    are read from these columns."""
 
     worlds: tuple[_World, ...]
-    numerator: int
+    floor: Fraction
     ks: range
-    lowers: tuple[tuple[int, int], ...]
     rhs: tuple[tuple[tuple[int, int] | None, ...], ...]
     misses: tuple[frozenset[int], ...]
 
-    def records(self) -> tuple[ExclusionResult, ...]:
-        """One ExclusionResult per k, as exclude_k returns it: a Justification
-        per world, the chain ones sharing the k's lowers pair."""
-        columns = []
-        for world, column, missed in zip(self.worlds, self.rhs, self.misses):
-            label, prefix, suffix = world._chain[:3]
-            columns.append([
-                Justification(label, CHAIN, f"{prefix}{k}{suffix}", lower, rhs, k not in missed)
-                if rhs is not None else Justification(
-                    label, CONGRUENCE, f"{CONGRUENCE}: k={k} is {k % 3} (mod 3), 1 required",
-                    (k % 3, 1), (1, 1), True)
-                for k, lower, rhs in zip(self.ks, self.lowers, column)
-            ])
-        rows = zip(self.ks, zip(*columns))
-        return tuple(ExclusionResult(k, all(map(_EXCLUDED, js)), js) for k, js in rows)
-
     def to_json(self) -> str:
-        """The records as the JSON array json.dumps writes (default separators,
+        """The columns as the JSON array json.dumps writes (default separators,
         ASCII only, "p/q" sides): [{"k", "justifications": [{"world", "rule",
         "lhs", "rhs", "excluded"}, ...]}, ...]. Each world's escaped label and
-        rule text, and the floor's shared numerator, are rendered once."""
+        rule text, and the floor's numerator, are rendered once; the floor L/k
+        is reduced by one gcd of k with L's numerator (L is in lowest terms)."""
         esc = encode_basestring_ascii
-        top = self.numerator
+        top, bottom = self.floor.numerator, self.floor.denominator
         top_text = str(top)
         worlds = []
         for world, column, missed in zip(self.worlds, self.rhs, self.misses):
@@ -427,8 +375,8 @@ class ExclusionColumns(NamedTuple):
             worlds.append((head + esc(prefix)[:-1], esc(suffix)[1:], congruence, column, missed))
         docs, sep = [], "["  # the brackets go into the items: join makes the one copy
         for i, k in enumerate(self.ks):
-            low, high = self.lowers[i]
-            lhs = f"{top_text}/{high}" if low is top else ratio_str(low, high)
+            g = math.gcd(top, k)
+            lhs = f"{top_text}/{bottom * k}" if g == 1 else ratio_str(top // g, bottom * (k // g))
             rows = []
             for chain, tail, congruence, column, missed in worlds:
                 rhs = column[i]
@@ -461,49 +409,39 @@ class ExclusionColumns(NamedTuple):
                       if column[i] is not None and self.ks[i] not in missed]
             if chains:
                 tightest = max(chains, key=lambda pair: Fraction(*pair))
-                return ratio_str(*self.lowers[i]), ratio_str(*tightest)
+                num, den, k = self.floor.numerator, self.floor.denominator, self.ks[i]
+                g = math.gcd(num, k)
+                return ratio_str(num // g, den * (k // g)), ratio_str(*tightest)
         return None
 
 
 def _exclusions(profile: LehmerProfile, ks: range) -> ExclusionColumns:
     """The columns of the profile's worlds over ks, one pass (_World.sweep)
-    per world. The witness floor pair at each k is built once; when k is
-    prime to the floor's numerator it keeps that numerator object rather than
-    a copy of it."""
-    floor = profile.witness_floor  # in lowest terms, so only k can share a factor with it
-    num, den = floor.numerator, floor.denominator
-    lowers = []
-    for k in ks:
-        g = math.gcd(num, k)
-        lowers.append((num, den * k) if g == 1 else (num // g, den * (k // g)))
-    columns, misses = zip(*(world.sweep(ks, lowers) for world in profile.worlds))
+    per world against the profile's witness floor."""
+    floor = profile.witness_floor
+    columns, misses = zip(*(world.sweep(ks, floor) for world in profile.worlds))
     columns, misses = tuple(map(tuple, columns)), tuple(map(frozenset, misses))
-    return ExclusionColumns(profile.worlds, num, ks, tuple(lowers), columns, misses)
+    return ExclusionColumns(profile.worlds, floor, ks, columns, misses)
 
 
-def exclude_k(profile: LehmerProfile, k: int) -> ExclusionResult:
+def exclude_k(profile: LehmerProfile, k: int) -> ExclusionColumns:
     """Decide whether k*phi(n) = n - 1 is impossible for every candidate
-    matching the profile: each world justifies its own verdict against the
-    witness floor at k, and k is excluded if every world does. This is the
-    one-k case of the sweep min_k makes over every k below its floor."""
+    matching the profile: each world judges k against the witness floor at k,
+    and k is excluded when no world misses it. This is the one-k case of the
+    sweep min_k makes over every k below its floor."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    return _exclusions(profile, range(k, k + 1)).records()[0]
+    return _exclusions(profile, range(k, k + 1))
 
 
 @dataclass(frozen=True)
 class MinKResult:
-    """The floor k and the exclusion columns of every k below it;
-    exclusions, their ExclusionResult records, is built on first read."""
+    """The floor k and the exclusion columns of every k below it."""
 
     k: int
     columns: ExclusionColumns
     applied_rules: tuple[str, ...]
     n_floor_used: int
-
-    @cached_property
-    def exclusions(self) -> tuple[ExclusionResult, ...]:
-        return self.columns.records()
 
 
 def _k_floor(profile: LehmerProfile) -> int:
@@ -530,9 +468,9 @@ def min_k(profile: LehmerProfile) -> MinKResult:
         rules.append("n-floor-escalation: universal k >= 3 implies n > 10^8171; swept again")
     floor_k = _k_floor(profile)
     if floor_k >= _SWEEP_GUARD:
-        raise DomainError(f"exclusion sweep reached its guard of k < {_SWEEP_GUARD} without a floor")
+        raise DomainError(f"k floor {floor_k} lies past the exclusion sweep's guard of k < {_SWEEP_GUARD}")
     columns = _exclusions(profile, range(2, floor_k))
-    if any(columns.misses) or exclude_k(profile, floor_k).excluded:
+    if any(columns.misses) or not any(exclude_k(profile, floor_k).misses):
         raise AssertionError(f"closed-form k floor {floor_k} is wrong for {profile.describe()}")
     # a world's rule kind depends on k only through k mod 3, so the first three
     # k give the suffix of every rule line
@@ -660,12 +598,6 @@ class LehmerVerdict:
     witness: str | None
     applied_rules: tuple[str, ...]
     notes: tuple[str, ...]
-
-    @cached_property
-    def excluded_k(self) -> tuple[ExclusionResult, ...]:
-        """The ExclusionResult of each excluded k, built from the columns on
-        first read."""
-        return () if self.columns is None else self.columns.records()
 
     def uses_stated_floor(self) -> bool:
         """Whether min_k rests on a chain exclusion, and so on the stated

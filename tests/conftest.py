@@ -4,10 +4,12 @@ group element enumeration. These deliberately avoid the package's
 divisor-lattice machinery so spectra and psi values are checked against
 actual group multiplication. psi_prime and psi_double_prime are the
 normalized order sums psi' and psi'', by their definitions over the
-package's psi. exclusion_as_dict and verdict_as_dict build the dicts whose
-json.dumps the engine's to_json renderers must equal byte for byte, and
+package's psi. exclusion_oracle rebuilds each excluded k's entry by the
+Fraction route, sharing no code with the engine's sweep; swept_exclusions
+walks it up to the k floor, as_json_dicts and verdict_as_dict give the dicts
+whose json.dumps the engine's to_json renderers must equal byte for byte, and
 chain_justification, uses_stated_floor and binding_inequality read an
-exclusion trace from its records, as the engine's column readers must.
+exclusion trace from its entries, as the engine's column readers must.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from math import isqrt
 import numpy as np
 
 from lehmer_psi.arith import ratio_str
-from lehmer_psi.engine import CHAIN
+from lehmer_psi.engine import (
+    CHAIN,
+    CONGRUENCE,
+    SMALL_PRIMES,
+    chain_upper,
+    enumerate_worlds,
+    profile_from_factorization,
+)
 from lehmer_psi.groups import (
     Cyclic,
     Dihedral,
@@ -223,24 +232,67 @@ def brute_psi(g: GroupSpec) -> int:
 
 
 
-# --- the JSON documents of exclusions and verdicts, as dicts ----------------
+# --- the exclusion trace, rebuilt by the Fraction route ---------------------
 
-def exclusion_as_dict(res) -> dict:
-    """An ExclusionResult as the dict its to_json() renders."""
-    shared = lhs = None  # the chain worlds share one witness floor pair: render it once
+def exclusion_oracle(profile, k) -> dict:
+    """The excluded_k entry of k for the profile, {"k", "justifications":
+    [{"world", "rule", "lhs", "rhs", "excluded"}, ...]} with "lhs" and "rhs"
+    as Fractions: per world of enumerate_worlds, k mod 3 against 1 when 3 | n
+    and k is not 1 mod 3, else the witness floor L/k against chain_upper,
+    excluded when it meets it. Labels and rules are rebuilt from the world's
+    fields."""
+    lhs = profile.witness_floor / k
     rows = []
-    for world, _, rule, lhs_pair, rhs_pair, excluded in res.justifications:
-        if lhs_pair is not shared:
-            shared, lhs = lhs_pair, ratio_str(*lhs_pair)
-        rows.append(
-            {"world": world, "rule": rule, "lhs": lhs, "rhs": ratio_str(*rhs_pair), "excluded": excluded}
-        )
-    return {"k": res.k, "justifications": rows}
+    for world in enumerate_worlds(profile):
+        q = f"q={world.q_eval}" if world.q_exact else f"q>={world.q_eval}"
+        bits = [f"{p}|n" for p in world.divides]
+        bits += [f"{p}!|n" for p in SMALL_PRIMES if p not in world.divides]
+        label = f"{q}; " + ", ".join(bits)
+        if 3 in world.divides and k % 3 != 1:
+            rule = f"{CONGRUENCE}: k={k} is {k % 3} (mod 3), 1 required"
+            rows.append({"world": label, "rule": rule, "lhs": Fraction(k % 3), "rhs": Fraction(1), "excluded": True})
+        else:
+            covers = "" if world.q_exact else f" (covers all q >= {world.q_eval})"
+            rule = f"{CHAIN} split={list(world.divides)} tail={world.tail} k={k}{covers}"
+            rhs = chain_upper(world.divides, world.tail, k)
+            rows.append({"world": label, "rule": rule, "lhs": lhs, "rhs": rhs, "excluded": lhs >= rhs})
+    return {"k": k, "justifications": rows}
+
+
+def excluded(entry) -> bool:
+    """Whether every world of an entry excludes its k."""
+    return all(j["excluded"] for j in entry["justifications"])
+
+
+def swept_exclusions(profile) -> tuple[int, list[dict]]:
+    """(floor, entries): the oracle entries of k = 2, 3, ... while every world
+    excludes k; the floor is the first k that some world does not."""
+    entries, k = [], 2
+    while excluded(entry := exclusion_oracle(profile, k)):
+        entries.append(entry)
+        k += 1
+    return k, entries
+
+
+def _pq(x: Fraction) -> str:
+    return ratio_str(x.numerator, x.denominator)
+
+
+def as_json_dicts(entries) -> list[dict]:
+    """Oracle entries as the dicts to_json renders, "lhs" and "rhs" as "p/q"."""
+    return [
+        {"k": entry["k"], "justifications": [
+            {**j, "lhs": _pq(j["lhs"]), "rhs": _pq(j["rhs"])} for j in entry["justifications"]]}
+        for entry in entries
+    ]
 
 
 def verdict_as_dict(v) -> dict:
-    """A LehmerVerdict as the dict its to_json() renders."""
+    """A LehmerVerdict as the dict its to_json() renders, its excluded_k from
+    the oracle for an odd squarefree composite n."""
     c = v.abundancy_coefficient
+    applies = not v.prime and v.n % 2 == 1 and all(a == 1 for _, a in v.factors)
+    entries = swept_exclusions(profile_from_factorization(v.n))[1] if applies else []
     return {
         "n": v.n,
         "prime": v.prime,
@@ -251,7 +303,7 @@ def verdict_as_dict(v) -> dict:
         "exact_k": v.exact_k,
         "counterexample": v.counterexample,
         "min_k": v.min_k,
-        "excluded_k": [exclusion_as_dict(res) for res in v.excluded_k],
+        "excluded_k": as_json_dicts(entries),
         "abundancy_coefficient": None if c is None else ratio_str(c.numerator, c.denominator),
         "witness": v.witness,
         "applied_rules": list(v.applied_rules),
@@ -259,25 +311,25 @@ def verdict_as_dict(v) -> dict:
     }
 
 
-# --- the chain queries of an exclusion trace, read from its records ---------
+# --- the chain queries of an exclusion trace, read from its entries ---------
 
-def chain_justification(res):
-    """The tightest chain-based justification (largest upper bound) of an
-    ExclusionResult, or None."""
-    chains = [j for j in res.justifications if j.kind == CHAIN and j.excluded]
-    return max(chains, key=lambda j: j.rhs, default=None)
+def chain_justification(entry):
+    """The tightest chain row (largest upper bound) of an entry that excludes
+    its k, or None; "lhs" and "rhs" are Fractions."""
+    chains = [j for j in entry["justifications"] if j["rule"].startswith(CHAIN) and j["excluded"]]
+    return max(chains, key=lambda j: j["rhs"], default=None)
 
 
-def uses_stated_floor(exclusions) -> bool:
+def uses_stated_floor(entries) -> bool:
     """Whether some excluded k rests on a chain exclusion: what
     LehmerVerdict.uses_stated_floor answers and when min_k adds its caveat."""
-    return any(chain_justification(res) is not None for res in exclusions)
+    return any(chain_justification(entry) is not None for entry in entries)
 
 
-def binding_inequality(exclusions) -> tuple[str, str] | None:
+def binding_inequality(entries) -> tuple[str, str] | None:
     """lhs/rhs strings of the tightest chain exclusion of the last excluded k."""
-    for res in reversed(exclusions):
-        j = chain_justification(res)
+    for entry in reversed(entries):
+        j = chain_justification(entry)
         if j is not None:
-            return ratio_str(*j.lhs_pair), ratio_str(*j.rhs_pair)
+            return _pq(j["lhs"]), _pq(j["rhs"])
     return None

@@ -164,7 +164,7 @@ class TestLehmerCommands:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         guard = engine._SWEEP_GUARD
-        assert err == f"error: exclusion sweep reached its guard of k < {guard} without a floor\n"
+        assert err == f"error: k floor 100297 lies past the exclusion sweep's guard of k < {guard}\n"
 
     def test_precision_option_is_gone(self, capsys):
         for argv in (

@@ -1,6 +1,4 @@
-import contextlib
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -11,10 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    as_json_dicts,
     binding_inequality,
     chain_justification,
-    exclusion_as_dict,
+    excluded,
+    exclusion_oracle,
     psi_double_prime,
+    swept_exclusions,
     uses_stated_floor,
     verdict_as_dict,
 )
@@ -25,12 +26,9 @@ from lehmer_psi.arith import DomainError, euler_phi, factor, is_prime, sigma
 from lehmer_psi.bounds import witness_lower_bound
 from lehmer_psi.carmichael import carmichael_in_range
 from lehmer_psi.engine import (
-    CHAIN,
     CONGRUENCE,
     GENERIC_PROFILE,
     ExclusionColumns,
-    ExclusionResult,
-    Justification,
     N_FLOOR_BASE,
     N_FLOOR_RAISED,
     PI2_HIGH,
@@ -55,27 +53,46 @@ from lehmer_psi.engine import (
 )
 
 
-def _sweep(profile):
-    """The k-by-k sweep that min_k used before its closed-form floor, kept as
-    the oracle: exclude_k for k = 2, 3, ... until some world survives."""
-    exclusions = []
-    k = 2
-    while (res := exclude_k(profile, k)).excluded:
-        exclusions.append(res)
-        k += 1
-    return k, exclusions
+def _decisions(entries):
+    """Per k, each world's chain bound pair (None for the congruence rule)
+    and whether it excludes k, read from oracle entries."""
+    return tuple(
+        (entry["k"], tuple(
+            (None if j["rule"].startswith(CONGRUENCE) else j["rhs"].as_integer_ratio(), j["excluded"])
+            for j in entry["justifications"]))
+        for entry in entries
+    )
+
+
+def _column_decisions(columns):
+    """The same decisions read from exclusion columns."""
+    return tuple(
+        (k, tuple((column[i], k not in missed) for column, missed in zip(columns.rhs, columns.misses)))
+        for i, k in enumerate(columns.ks)
+    )
+
+
+def _entries(columns):
+    """columns.to_json() read back, "lhs" and "rhs" as Fractions."""
+    entries = json.loads(columns.to_json())
+    for entry in entries:
+        for j in entry["justifications"]:
+            j["lhs"], j["rhs"] = Fraction(j["lhs"]), Fraction(j["rhs"])
+    return entries
 
 
 def _swept_min_k(profile):
-    """min_k built on the sweep: (k, applied_rules, n_floor_used, exclusions)."""
+    """min_k built on the k-by-k sweep it used before its closed-form floor,
+    kept as the oracle: (k, applied_rules, n_floor_used, decisions)."""
     rules = []
-    if profile.n is None and profile.n_floor < N_FLOOR_RAISED and _sweep(GENERIC_PROFILE)[0] >= 3:
+    if profile.n is None and profile.n_floor < N_FLOOR_RAISED and swept_exclusions(GENERIC_PROFILE)[0] >= 3:
         profile = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
         rules.append("n-floor-escalation: universal k >= 3 implies n > 10^8171; swept again")
-    floor_k, exclusions = _sweep(profile)
-    for res in exclusions:
-        kinds = sorted({j.rule.split(":")[0].split(" ")[0] for j in res.justifications if j.excluded})
-        rules.append(f"k={res.k} excluded in all {len(res.justifications)} worlds via {', '.join(kinds)}")
+    floor_k, exclusions = swept_exclusions(profile)
+    for entry in exclusions:
+        rows = entry["justifications"]
+        kinds = sorted({j["rule"].split(":")[0].split(" ")[0] for j in rows if j["excluded"]})
+        rules.append(f"k={entry['k']} excluded in all {len(rows)} worlds via {', '.join(kinds)}")
     if uses_stated_floor(exclusions):
         rules.append(
             "caveat: chain exclusions assume the stated witness floor phi(n)/(2n); "
@@ -88,7 +105,7 @@ def _swept_min_k(profile):
         printed = k_ladder(profile.q, mode="as-printed", R=4)
         if printed.k_floor is not None and printed.k_floor != ladder.k_floor:
             rules.append(f"ladder(as-printed, R=4) would claim k >= {printed.k_floor}; not applied")
-    return floor_k, tuple(rules), profile.n_floor, tuple(exclusions)
+    return floor_k, tuple(rules), profile.n_floor, _decisions(exclusions)
 
 
 def _symbolic_profiles(qs, n_floor=N_FLOOR_BASE):
@@ -217,31 +234,43 @@ class TestProfiles:
 
 class TestExcludeK:
     def test_q3_k2_excluded_by_congruence(self):
-        res = exclude_k(make_profile(q=3), 2)
-        assert res.excluded
-        assert all("k-congruence-3" in j.rule for j in res.justifications if j.excluded)
+        (res,) = _entries(exclude_k(make_profile(q=3), 2))
+        assert excluded(res)
+        assert all("k-congruence-3" in j["rule"] for j in res["justifications"] if j["excluded"])
 
     def test_q5_without_7_k2_excluded(self):
-        res = exclude_k(make_profile(q=5, not_divides=[7]), 2)
-        assert res.excluded
-        for j in res.justifications:
-            assert j.lhs >= j.rhs  # the recorded inequality reproduces
+        (res,) = _entries(exclude_k(make_profile(q=5, not_divides=[7]), 2))
+        assert excluded(res)
+        for j in res["justifications"]:
+            assert j["lhs"] >= j["rhs"]  # the recorded inequality reproduces
 
     def test_q17_k3_excluded_at_raised_floor(self):
-        res = exclude_k(dataclasses.replace(make_profile(q=17), n_floor=N_FLOOR_RAISED), 3)
-        assert res.excluded
-        j = res.justifications[0]
-        assert j.rhs == Fraction(133, 816)
-        assert j.lhs == Fraction(1, 6) * (1 - Fraction(1, N_FLOOR_RAISED))
+        (res,) = _entries(exclude_k(dataclasses.replace(make_profile(q=17), n_floor=N_FLOOR_RAISED), 3))
+        assert excluded(res)
+        j = res["justifications"][0]
+        assert j["rhs"] == Fraction(133, 816)
+        assert j["lhs"] == Fraction(1, 6) * (1 - Fraction(1, N_FLOOR_RAISED))
 
     def test_q7_k2_excluded_via_divisor_split(self):
         res = exclude_k(make_profile(q=7), 2)
-        assert res.excluded
+        assert not any(res.misses)
 
     def test_not_excluded_cases(self):
-        assert not exclude_k(make_profile(q=5, not_divides=[7]), 3).excluded
+        assert any(exclude_k(make_profile(q=5, not_divides=[7]), 3).misses)
         raised = dataclasses.replace(make_profile(q=17), n_floor=N_FLOOR_RAISED)
-        assert not exclude_k(raised, 4).excluded
+        assert any(exclude_k(raised, 4).misses)
+
+    @pytest.mark.parametrize("q, n_floor, k", [(23, 92, 4), (29, 232, 5), (43, 43, 6), (67, 134, 10)])
+    def test_floor_meeting_the_chain_bound_excludes(self, q, n_floor, k):
+        # (1 - 1/n_floor)/(2k) equals the one world's chain bound 7(q - 1 + k)/(16qk)
+        # exactly, and a floor that meets the bound excludes k
+        profile = dataclasses.replace(make_profile(q=q), n_floor=n_floor)
+        (row,) = exclusion_oracle(profile, k)["justifications"]
+        assert row["lhs"] == row["rhs"] and row["excluded"]
+        ks = range(2, k + 2)
+        oracle = [exclusion_oracle(profile, i) for i in ks]
+        assert _column_decisions(engine_module._exclusions(profile, ks)) == _decisions(oracle)
+        assert not any(exclude_k(profile, k).misses)
 
     def test_rejects_k_below_two(self):
         with pytest.raises(DomainError):
@@ -249,10 +278,10 @@ class TestExcludeK:
 
     def test_concrete_uses_exact_n(self):
         profile = profile_from_factorization(factor(2465))  # 5 * 17 * 29
-        res = exclude_k(profile, 2)
-        assert res.excluded
+        (res,) = _entries(exclude_k(profile, 2))
+        assert excluded(res)
         j = chain_justification(res)
-        assert j.lhs == Fraction(2464, 2 * 2 * 2465)
+        assert j["lhs"] == Fraction(2464, 2 * 2 * 2465)
 
 
 class TestMinK:
@@ -269,7 +298,7 @@ class TestMinK:
 
     def test_congruence_rule_in_trace(self):
         result = min_k(make_profile(divides=[3]))
-        assert any("k-congruence-3" in j.rule for res in result.exclusions for j in res.justifications)
+        assert any("k-congruence-3" in j["rule"] for res in _entries(result.columns) for j in res["justifications"])
 
     def test_q5_exact_floors(self):
         assert min_k(make_profile(q=5, divides=[7, 13])).k == 3
@@ -303,8 +332,8 @@ class TestMinK:
         for profile in profiles:
             raised = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
             for k in range(2, 21):
-                if exclude_k(profile, k).excluded:
-                    assert exclude_k(raised, k).excluded, (profile.describe(), k)
+                if not any(exclude_k(profile, k).misses):
+                    assert not any(exclude_k(raised, k).misses), (profile.describe(), k)
 
     def test_worlds_built_and_swept_once_per_call(self, monkeypatch):
         # one world build, one closed-form floor, and the sweep receives each
@@ -336,7 +365,7 @@ class TestMinK:
             floors.clear()
             swept.clear()
             result = min_k(profile)
-            assert len(result.exclusions) >= 1
+            assert len(result.columns.ks) >= 1
             assert (len(builds), len(floors)) == (1, 1), profile.describe()
             assert swept == list(range(2, result.k + 1)), profile.describe()
             if profile.n is None:
@@ -347,7 +376,7 @@ class TestMinK:
         assert len(profiles) == 105
         for profile in profiles:
             result = min_k(profile)
-            got = (result.k, result.applied_rules, result.n_floor_used, result.exclusions)
+            got = (result.k, result.applied_rules, result.n_floor_used, _column_decisions(result.columns))
             assert got == _swept_min_k(profile), profile.n
 
     @pytest.mark.parametrize("n_floor", [N_FLOOR_BASE, N_FLOOR_RAISED], ids=["base", "raised"])
@@ -356,14 +385,13 @@ class TestMinK:
         assert len(profiles) > 100
         for profile in profiles:
             result = min_k(profile)
-            got = (result.k, result.applied_rules, result.n_floor_used, result.exclusions)
+            got = (result.k, result.applied_rules, result.n_floor_used, _column_decisions(result.columns))
             assert got == _swept_min_k(profile), profile.describe()
 
     @pytest.mark.parametrize("n_floor", [N_FLOOR_BASE, N_FLOOR_RAISED], ids=["base", "raised"])
     def test_exclude_k_is_the_one_k_case_of_the_sweep(self, n_floor):
         # min_k sweeps every world over all k below its floor at once; exclude_k
-        # at each k, the floor included, must agree with it, and the chain
-        # justifications of one k share a single witness floor pair object
+        # at each k, the floor included, must agree with it
         profiles = _carmichael_profiles(10**7) + sorted(
             _symbolic_profiles((None, 17, 101, 10007), n_floor), key=lambda p: p.describe())
         assert len(profiles) > 200
@@ -371,17 +399,19 @@ class TestMinK:
             result = min_k(profile)
             solved = dataclasses.replace(profile, n_floor=result.n_floor_used)
             at_floor = exclude_k(solved, result.k)
-            assert not at_floor.excluded, profile.describe()
-            for k, res in enumerate([*result.exclusions, at_floor], start=2):
-                assert exclude_k(solved, k) == res, (profile.describe(), k)
-                lhs_pairs = {id(j.lhs_pair) for j in res.justifications if j.kind == CHAIN}
-                assert len(lhs_pairs) <= 1, (profile.describe(), k)
+            assert any(at_floor.misses), profile.describe()
+            columns = result.columns
+            for i, k in enumerate(columns.ks):
+                one = columns._replace(ks=range(k, k + 1), rhs=tuple(c[i:i + 1] for c in columns.rhs),
+                                       misses=tuple(m & {k} for m in columns.misses))
+                assert exclude_k(solved, k) == one, (profile.describe(), k)
+            assert at_floor == engine_module._exclusions(solved, range(result.k, result.k + 1))
 
     def test_world_constants_give_the_chain_bound(self):
-        # _World.sweep is the one home of the chain bound; every justification
-        # exclude_k records, for each world and witness floor once, reproduces
-        # the Fraction route: both sides in lowest terms, a chain's floor L/k
-        # against chain_upper, the congruence's k mod 3 against 1
+        # _World.sweep is the one home of the chain bound; every column entry
+        # exclude_k returns, for each world and witness floor once, reproduces
+        # the Fraction route: the chain bound as a pair in lowest terms and
+        # excluded when the floor L/k meets it, None for the congruence rule
         symbolic = sorted(_symbolic_profiles((None, 17, 101, 10007)), key=lambda p: -len(p.worlds))
         profiles = _carmichael_profiles(10**7) + symbolic
         worlds = {world for profile in profiles for world in profile.worlds}
@@ -396,16 +426,15 @@ class TestMinK:
                 continue
             for k in range(2, 301):
                 res, floor = exclude_k(profile, k), profile.witness_floor / k
+                assert (res.floor, res.ks) == (profile.witness_floor, range(k, k + 1))
                 for i in fresh:
-                    world, j = profile.worlds[i], res.justifications[i]
-                    lhs, rhs = j.lhs, j.rhs
-                    assert (j.lhs_pair, j.rhs_pair) == (
-                        (lhs.numerator, lhs.denominator), (rhs.numerator, rhs.denominator))
+                    world, (rhs,), missed = profile.worlds[i], res.rhs[i], res.misses[i]
                     if 3 in world.divides and k % 3 != 1:
-                        assert (j.kind, lhs, rhs, j.excluded) == (CONGRUENCE, k % 3, 1, True)
+                        assert (rhs, k in missed) == (None, False), (world, k)
                     else:
-                        assert (j.kind, lhs, rhs) == (CHAIN, floor, bounds[world, k]), (world, k)
-                        assert j.excluded == (lhs >= rhs), (world, k)
+                        bound = bounds[world, k]
+                        assert rhs == (bound.numerator, bound.denominator), (world, k)
+                        assert (k not in missed) == (floor >= bound), (world, k)
         assert len(seen) > 100
 
     def test_min_k_builds_no_fraction_per_excluded_k(self, monkeypatch):
@@ -421,59 +450,8 @@ class TestMinK:
         monkeypatch.setattr(engine_module, "Fraction", CountingFraction)
         profile = profile_from_factorization(factor(6178246534322281))
         result = min_k(profile)
-        assert (profile.q, result.k, len(result.exclusions)) == (100981, 14427, 14425)
+        assert (profile.q, result.k, len(result.columns.ks)) == (100981, 14427, 14425)
         assert len(built) < 100
-
-    def test_min_k_builds_no_records(self, monkeypatch):
-        # lehmer-check and min-k decide, render and query every excluded k from
-        # integer columns; only the floor's check through exclude_k builds its
-        # ExclusionResult, with one Justification per world. The records of
-        # the excluded k are built from the columns when first read, once.
-        built = []
-
-        class CountingResult(ExclusionResult):
-            __slots__ = ()
-
-            def __new__(cls, *args):
-                built.append(args[0])
-                return super().__new__(cls, *args)
-
-        class CountingJustification(Justification):
-            __slots__ = ()
-
-            def __new__(cls, *args):
-                built.append(args[1])
-                return super().__new__(cls, *args)
-
-        class ByteCount(io.TextIOBase):
-            def write(self, text):
-                return len(text)
-
-        monkeypatch.setattr(engine_module, "ExclusionResult", CountingResult)
-        monkeypatch.setattr(engine_module, "Justification", CountingJustification)
-        n = 6178246534322281
-        concrete, symbolic = profile_from_factorization(factor(n)), make_profile(q=10007)
-        cases = [
-            (["lehmer-check", str(n)], concrete),
-            (["lehmer-check", str(n), "--format", "text"], concrete),
-            (["min-k", "--profile", "q=10007", "--format", "json"], symbolic),
-        ]
-        for argv, profile in cases:
-            floor_k = min_k(profile).k
-            built.clear()
-            with contextlib.redirect_stdout(ByteCount()):
-                assert cli.main(argv) == 0
-            assert built == [CHAIN] * len(profile.worlds) + [floor_k], argv
-        # both profiles have one world: a record is one ExclusionResult and one Justification
-        for profile, read in ((concrete, lambda: lehmer_check(n).excluded_k),
-                              (symbolic, lambda: min_k(symbolic).exclusions)):
-            swept = _swept_min_k(profile)[3]
-            built.clear()
-            records = read()
-            assert records == swept
-            assert built.count(CHAIN) == len(records) + 1 and len(built) == 2 * (len(records) + 1)
-        result = min_k(concrete)
-        assert result.exclusions is result.exclusions
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_wrong_floor_is_caught(self, monkeypatch, shift):
@@ -690,25 +668,30 @@ class TestLehmerCheck:
 
     def test_column_readers_match_the_record_oracle(self):
         # uses_stated_floor, binding_inequality and min_k's caveat read the
-        # exclusion columns; conftest reads the same answers from the records
+        # exclusion columns; conftest reads the same answers from the oracle
         def caveat(rules):
             return any(rule.startswith("caveat: ") for rule in rules)
 
         for n in [*range(2, 3000), *carmichael_in_range(2, 10**7)]:
             v = lehmer_check(n)
-            stated = uses_stated_floor(v.excluded_k)
+            if v.columns is None:
+                assert (v.uses_stated_floor(), v.binding_inequality()) == (False, None), n
+                continue
+            entries = swept_exclusions(profile_from_factorization(factor(n)))[1]
+            stated = uses_stated_floor(entries)
             assert (v.uses_stated_floor(), caveat(v.applied_rules)) == (stated, stated), n
-            assert v.binding_inequality() == binding_inequality(v.excluded_k), n
+            assert v.binding_inequality() == binding_inequality(entries), n
         for profile in _symbolic_profiles((None, 17, 101)):
             result = min_k(profile)
-            assert caveat(result.applied_rules) == uses_stated_floor(result.exclusions), profile.describe()
-            assert result.columns.binding() == binding_inequality(result.exclusions), profile.describe()
-            # at the floor some world does not exclude k, and its chain row must not count
             solved = dataclasses.replace(profile, n_floor=result.n_floor_used)
+            entries = swept_exclusions(solved)[1]
+            assert caveat(result.applied_rules) == uses_stated_floor(entries), profile.describe()
+            assert result.columns.binding() == binding_inequality(entries), profile.describe()
+            # at the floor some world does not exclude k, and its chain row must not count
             at_floor = engine_module._exclusions(solved, range(result.k, result.k + 1))
-            records = at_floor.records()
+            entry = [exclusion_oracle(solved, result.k)]
             got = (at_floor.uses_chain(), at_floor.binding())
-            assert got == (uses_stated_floor(records), binding_inequality(records)), profile.describe()
+            assert got == (uses_stated_floor(entry), binding_inequality(entry)), profile.describe()
 
     def test_verdict_serialization(self):
         d = json.loads(lehmer_check(561).to_json())
@@ -723,22 +706,23 @@ class TestJustificationReproducibility:
         profile = make_profile(q=5, divides=[7], not_divides=[13])
         first = exclude_k(profile, 2)
         second = exclude_k(profile, 2)
-        assert first == second
-        for j in first.justifications:
+        assert first == second and first.to_json() == second.to_json()
+        for j in _entries(first)[0]["justifications"]:
             # the recorded inequality must hold as recorded
-            assert (j.lhs >= j.rhs) == j.excluded or "congruence" in j.rule
+            assert (j["lhs"] >= j["rhs"]) == j["excluded"] or "congruence" in j["rule"]
 
     def test_chain_parameters_recorded(self):
-        res = exclude_k(make_profile(q=5, divides=[7], not_divides=[13]), 2)
+        (res,) = _entries(exclude_k(make_profile(q=5, divides=[7], not_divides=[13]), 2))
         j = chain_justification(res)
-        assert "split=[5, 7]" in j.rule and "tail=17" in j.rule
-        assert j.rhs == Fraction(1007, 4080)
+        assert "split=[5, 7]" in j["rule"] and "tail=17" in j["rule"]
+        assert j["rhs"] == Fraction(1007, 4080)
 
 
 # exclusion columns whose world labels and rule texts hold quotes,
 # backslashes, control characters and non-ASCII text, with ints of up to 3000
-# digits; a k's lowers pair may hold the floor's numerator object itself, as
-# the k prime to it do, and a world may leave some k unexcluded
+# digits; a floor's numerator may share a factor with k or be prime to it (the
+# renderer then prints it from its one decimal text), and a world may leave
+# some k unexcluded
 _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é∤') | st.characters(), max_size=12)
 _INT = st.integers(-(10**3000) + 1, 10**3000 - 1) | st.integers(-(10**6), 10**6)
 _PAIRS = st.tuples(_INT, _INT)
@@ -746,16 +730,35 @@ _PAIRS = st.tuples(_INT, _INT)
 
 @st.composite
 def _columns(draw):
-    top = draw(_INT)
-    start = draw(st.integers(2, 10**6))
+    start = draw(st.integers(2, 10**6) | st.integers(2, 12))
     ks = range(start, start + draw(st.integers(0, 4)))
-    lowers = tuple((top, draw(_INT)) if draw(st.booleans()) else draw(_PAIRS) for _ in ks)
+    floor = Fraction(draw(_INT) * draw(st.integers(1, 12)), draw(_INT.filter(bool)))
     # the columns read only the label and the rule text before and after k
     worlds = tuple(SimpleNamespace(_chain=(draw(_TEXT), draw(_TEXT), draw(_TEXT)))
                    for _ in range(draw(st.integers(1, 4))))
     rhs = tuple(tuple(draw(st.none() | _PAIRS) for _ in ks) for _ in worlds)
     misses = tuple(frozenset(k for k in ks if draw(st.booleans())) for _ in worlds)
-    return ExclusionColumns(worlds, top, ks, lowers, rhs, misses)
+    return ExclusionColumns(worlds, floor, ks, rhs, misses)
+
+
+def _columns_as_dicts(columns):
+    """The dicts whose json.dumps columns.to_json() must equal, read from the
+    columns field by field: the floor at k as the Fraction floor/k."""
+    docs = []
+    for i, k in enumerate(columns.ks):
+        lhs = columns.floor / k
+        rows = []
+        for world, column, missed in zip(columns.worlds, columns.rhs, columns.misses):
+            label, prefix, suffix = world._chain[:3]
+            if column[i] is None:
+                rule = f"{CONGRUENCE}: k={k} is {k % 3} (mod 3), 1 required"
+                rows.append({"world": label, "rule": rule, "lhs": f"{k % 3}/1", "rhs": "1/1", "excluded": True})
+            else:
+                rows.append({"world": label, "rule": f"{prefix}{k}{suffix}",
+                             "lhs": f"{lhs.numerator}/{lhs.denominator}", "rhs": "{}/{}".format(*column[i]),
+                             "excluded": k not in missed})
+        docs.append({"k": k, "justifications": rows})
+    return docs
 
 
 class TestJsonRendering:
@@ -765,7 +768,7 @@ class TestJsonRendering:
     @settings(max_examples=300, deadline=None)
     @given(columns=_columns())
     def test_columns_json_matches_json_dumps(self, columns):
-        assert columns.to_json() == json.dumps([exclusion_as_dict(res) for res in columns.records()])
+        assert columns.to_json() == json.dumps(_columns_as_dicts(columns))
 
     def test_verdict_json_matches_the_dict_oracle(self):
         # primes, even and non-squarefree n (no excluded k) and every branch
@@ -781,16 +784,15 @@ class TestJsonRendering:
             spec = profile.describe()
             assert cli.main(["min-k", "--profile", spec, "--format", "json"]) == 0
             result = min_k(profile)
+            solved = dataclasses.replace(profile, n_floor=result.n_floor_used)
             doc = {
                 "profile": spec,
                 "min_k": result.k,
                 "n_floor": str(result.n_floor_used),
                 "rules": list(result.applied_rules),
-                "excluded": [exclusion_as_dict(res) for res in result.exclusions],
+                "excluded": as_json_dicts(swept_exclusions(solved)[1]),
             }
             assert capsys.readouterr().out == json.dumps(doc) + "\n", spec
-            solved = dataclasses.replace(profile, n_floor=result.n_floor_used)
             at_floor = engine_module._exclusions(solved, range(result.k, result.k + 1))
-            (record,) = at_floor.records()
-            assert any(at_floor.misses) and record == exclude_k(solved, result.k), spec
-            assert at_floor.to_json() == json.dumps([exclusion_as_dict(record)]), spec
+            assert any(at_floor.misses) and at_floor == exclude_k(solved, result.k), spec
+            assert at_floor.to_json() == json.dumps(as_json_dicts([exclusion_oracle(solved, result.k)])), spec

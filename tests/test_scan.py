@@ -188,9 +188,9 @@ class TestScan:
         assert peak < 20 << 20, peak
 
     def test_cli_symbolic_min_k_memory(self):
-        # each of the 1 429 excluded k of q = 10007 holds a witness floor pair
-        # of about 8 172 digits a side; the 953 k prime to the floor's
-        # numerator share that numerator, where a copy per k peaked at 10.9 MiB
+        # the witness floor of q = 10007 is a ratio of two integers of about
+        # 8 172 digits; its 1 429 excluded k are decided against it by
+        # cross-multiplication, so no floor pair of that size is kept per k
         class ByteCount:
             size = 0
 
@@ -206,7 +206,7 @@ class TestScan:
         finally:
             tracemalloc.stop()
         assert sink.size == 76_493
-        assert peak < 9 << 20, peak
+        assert peak < 2 << 20, peak
 
     def test_prime_rows_cross_checked_against_the_totient_kernel(self, monkeypatch):
         original = scan_module.totient_range
