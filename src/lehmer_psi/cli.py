@@ -22,16 +22,17 @@ from .groups import order_spectrum, parse_group_spec, psi, psi_cyclic
 from .scan import (
     CounterexampleFound,
     CSV_HEADER,
-    csv_line,
     hit_row,
     jsonl_line,
     read_checkpoint,
+    row_affixes,
     scan_totient_divisibility,
     verify_constants,
 )
 
 USAGE_ERROR = 2
 VERIFICATION_ERROR = 3
+ROW_CHUNK = 1 << 12  # prime rows per write of scan; bounds the text held at once
 
 
 def _emit(line: str = "") -> None:
@@ -206,19 +207,22 @@ def cmd_scan(args) -> int:
     except CounterexampleFound as exc:
         sys.stderr.write(str(exc) + "\n")
         return VERIFICATION_ERROR
-    # rows come from iter_hits, never the whole hits tuple: memory stays one window
-    if args.format == "json":
-        for h in cp.iter_hits():
-            _emit(jsonl_line(hit_row(h)))
-    elif args.format == "csv":
-        _emit(CSV_HEADER)
-        for h in cp.iter_hits():
-            _emit(csv_line(hit_row(h)))
-    else:
+    if args.format == "text":
         # a finished scan holds no composite: the first one aborts it above
         _emit(f"scanned [{cp.lo}, {cp.hi}]: {cp.hit_count()} hits, 0 composite")
-        for n, k, _ in cp.iter_hits():
-            _emit(f"{n} k={k} prime")
+        pre, post = "", " k=1 prime"
+    else:
+        if args.format == "csv":
+            _emit(CSV_HEADER)
+        pre, post = row_affixes(hit_row((cp.lo, 1, False)), args.format)
+    # every row is a prime's, the same text around its n: each window of
+    # primes is written ROW_CHUNK rows at a time and its list freed before
+    # the next window is sieved, so memory stays one window
+    sep = post + "\n" + pre
+    for primes in cp.prime_windows():
+        for start in range(0, len(primes), ROW_CHUNK):
+            _emit(pre + sep.join(map(str, primes[start:start + ROW_CHUNK])) + post)
+        del primes
     return 0
 
 

@@ -60,7 +60,6 @@ _clock = time.monotonic  # the clock the scan loop reads; tests replace it
 
 # a report row is a tuple of these seven values, in this order
 REPORT_KEYS = ("type", "n", "exact_k", "min_k", "rules", "lhs", "rhs")
-_JSON_TEMPLATE = "{" + ",".join(f'"{key}":%s' for key in REPORT_KEYS) + "}"
 
 
 class CheckpointError(DomainError):
@@ -90,23 +89,26 @@ class ScanCheckpoint:
         if not (self.lo <= self.next <= self.hi + 1):
             raise CheckpointError(f"next={self.next} outside [{self.lo}, {self.hi + 1}]")
 
-    def _prime_windows(self):
+    def _window_arrays(self):
         """The primes of [lo, next), one array per HIT_WINDOW integers."""
         windows = segments(self.lo, self.next - 1, HIT_WINDOW)
         return (primes_upto(end, start) for start, end in windows)
+
+    def prime_windows(self):
+        """The primes of [lo, next), ascending, one list per HIT_WINDOW
+        integers; each window's array is freed once listed."""
+        return map(np.ndarray.tolist, self._window_arrays())
 
     def iter_hits(self):
         """(n, exact_k, is_composite) for every n in [lo, next) with
         phi(n) | (n - 1), ascending: each prime p as (p, 1, False), sieved one
         window at a time; a scan aborts on any composite hit."""
-        # a window's array is freed once listed and its list once iterated,
-        # so at most one of each is alive
-        windows = map(np.ndarray.tolist, self._prime_windows())
-        return zip(chain.from_iterable(windows), repeat(1), repeat(False))
+        # a window's list is freed once iterated, so at most one is alive
+        return zip(chain.from_iterable(self.prime_windows()), repeat(1), repeat(False))
 
     def hit_count(self) -> int:
         """len(hits), counted one prime window at a time."""
-        return sum(len(window) for window in self._prime_windows())
+        return sum(len(window) for window in self._window_arrays())
 
     @cached_property
     def hits(self) -> tuple[tuple[int, int, bool], ...]:
@@ -258,48 +260,57 @@ def verdict_row(verdict) -> tuple:
     return ("verdict", verdict.n, verdict.exact_k, verdict.min_k, verdict.applied_rules, lhs, rhs)
 
 
-# A report has few distinct rule traces (one for hits, 14 among the 43
-# verdicts to 10^6), so each JSON rules list is rendered once; the cap bounds
-# the memory.
+# A report has few row shapes (every field but n: one for all hits, 41 among
+# the 43 verdicts to 10^6), so the text of a row on either side of its n is
+# rendered once per shape and format; the cap bounds the memory. Shapes are
+# compared by value, so each field must be of its schema type (True would
+# take the entry of 1).
 RULES_CACHE_SIZE = 256
+# the JSON text of a row after its n, REPORT_KEYS[1]; %s is a cell
+_JSON_POST = "".join(f',"{key}":%s' for key in REPORT_KEYS[2:]) + "}"
 
 
 @lru_cache(maxsize=RULES_CACHE_SIZE)
-def _json_rules(rules: tuple[str, ...]) -> str:
-    return "[" + ",".join(map(encode_basestring_ascii, rules)) + "]"
-
-
-def jsonl_line(row: tuple) -> str:
-    """row as json.dumps(dict(zip(REPORT_KEYS, row)), separators=(",", ":"))
-    gives it. Each value is rendered by its schema type: type, lhs and rhs are
-    str, n, exact_k and min_k int (which the template's %s passes to str),
-    rules a sequence of str; any may be None."""
-    type_, n, exact_k, min_k, rules, lhs, rhs = row
-    esc = encode_basestring_ascii
-    return _JSON_TEMPLATE % (
-        "null" if type_ is None else esc(type_),
-        "null" if n is None else n,
-        "null" if exact_k is None else exact_k,
-        "null" if min_k is None else min_k,
-        "null" if rules is None else _json_rules(tuple(rules)),
-        "null" if lhs is None else esc(lhs),
-        "null" if rhs is None else esc(rhs),
-    )
-
-
-def csv_line(row: tuple) -> str:
-    """The cells of jsonl_line by the same types: None is empty, and only
-    rules is quoted, its entries joined by ";"."""
-    type_, n, exact_k, min_k, rules, lhs, rhs = row
-    return ",".join((
-        "" if type_ is None else str(type_),
-        "" if n is None else str(n),
+def _affixes(fmt: str, type_, exact_k, min_k, rules, lhs, rhs) -> tuple[str, str]:
+    """The text of a row of this shape in fmt ("json" or "csv") before and
+    after its n, built from the cells on each side, each by its type."""
+    if fmt == "json":
+        esc = encode_basestring_ascii
+        return '{"type":' + ("null" if type_ is None else esc(type_)) + ',"n":', _JSON_POST % (
+            "null" if exact_k is None else exact_k,
+            "null" if min_k is None else min_k,
+            "null" if rules is None else "[" + ",".join(map(esc, rules)) + "]",
+            "null" if lhs is None else esc(lhs),
+            "null" if rhs is None else esc(rhs),
+        )
+    return ("" if type_ is None else str(type_)) + ",", "," + ",".join((
         "" if exact_k is None else str(exact_k),
         "" if min_k is None else str(min_k),
         "" if rules is None else '"' + ";".join(rules).replace('"', '""') + '"',
         "" if lhs is None else str(lhs),
         "" if rhs is None else str(rhs),
     ))
+
+
+def row_affixes(row: tuple, fmt: str) -> tuple[str, str]:
+    """The text of row in fmt ("json" or "csv") before and after its n cell.
+    A JSON line is row as json.dumps(dict(zip(REPORT_KEYS, row)),
+    separators=(",", ":")) gives it; a CSV line holds the same cells, None
+    empty and only rules quoted, its entries joined by ";". Each value is
+    rendered by its schema type: type, lhs and rhs are str, n, exact_k and
+    min_k int (which %s passes to str), rules a sequence of str; any may be
+    None."""
+    type_, _, exact_k, min_k, rules, lhs, rhs = row
+    return _affixes(fmt, type_, exact_k, min_k, None if rules is None else tuple(rules), lhs, rhs)
+
+
+def jsonl_line(row: tuple) -> str:
+    """row as one JSON line (row_affixes): one cache lookup, then n."""
+    type_, n, exact_k, min_k, rules, lhs, rhs = row
+    pre, post = _affixes(
+        "json", type_, exact_k, min_k, None if rules is None else tuple(rules), lhs, rhs
+    )
+    return pre + ("null" if n is None else str(n)) + post
 
 
 CSV_HEADER = ",".join(REPORT_KEYS)

@@ -10,11 +10,14 @@ walks it up to the k floor, as_json_dicts and verdict_as_dict give the dicts
 whose json.dumps the engine's to_json renderers must equal byte for byte, and
 chain_justification, uses_stated_floor and binding_inequality read an
 exclusion trace from its entries, as the engine's column readers must.
+json_row and csv_row render a report row cell by cell, as the cached row
+text of the scan's reports must.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -40,6 +43,7 @@ from lehmer_psi.groups import (
     psi,
     psi_cyclic,
 )
+from lehmer_psi.scan import REPORT_KEYS
 from lehmer_psi.sieve import primes_upto
 
 
@@ -333,3 +337,24 @@ def binding_inequality(entries) -> tuple[str, str] | None:
         if j is not None:
             return _pq(j["lhs"]), _pq(j["rhs"])
     return None
+
+
+# --- report rows, one cell at a time ----------------------------------------
+
+def json_row(row: tuple) -> str:
+    """A report row as json.dumps gives it, keys in schema order."""
+    return json.dumps(dict(zip(REPORT_KEYS, row)), separators=(",", ":"))
+
+
+def csv_row(row: tuple) -> str:
+    """A report row as CSV: one loop over the keys, None empty, and only rules
+    quoted, its entries joined by ";"."""
+    cells = []
+    for key, value in zip(REPORT_KEYS, row, strict=True):
+        if value is None:
+            cells.append("")
+        elif key == "rules":
+            cells.append('"' + ";".join(value).replace('"', '""') + '"')
+        else:
+            cells.append(str(value))
+    return ",".join(cells)

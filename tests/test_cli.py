@@ -1,13 +1,15 @@
 import argparse
 import functools
+import gc
 import json
 import time
 import tracemalloc
 
 import pytest
 
+from conftest import csv_row, json_row
 from lehmer_psi import bounds, cli, engine, groups
-from lehmer_psi.scan import ConstantCheck
+from lehmer_psi.scan import CSV_HEADER, ConstantCheck, hit_row, jsonl_line
 
 
 def run(capsys, *argv):
@@ -235,17 +237,80 @@ class TestScanCommand:
         assert lines[0] == "type,n,exact_k,min_k,rules,lhs,rhs"
         assert len(lines) == 5  # header + 2,3,5,7
 
-    @pytest.mark.parametrize(
-        "fmt, header", [("json", []), ("csv", ["emit"])], ids=["json", "csv"]
-    )
-    def test_scan_rows_are_rendered_as_printed(self, capsys, monkeypatch, fmt, header):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_scan_rows_are_rendered_as_printed(self, capsys, monkeypatch, fmt):
+        # each prime window's rows are written before the next window is
+        # sieved, and no list of an earlier window is still alive then
+        import lehmer_psi.scan as scan_module
+
+        argv = ["scan", "--from", "2", "--to", "5000", "--format", fmt]
+        whole = run(capsys, *argv)
+        monkeypatch.setattr(scan_module, "HIT_WINDOW", 700)  # rows from 8 prime windows
         events = []
-        hit_row, emit = cli.hit_row, cli._emit
-        monkeypatch.setattr(cli, "hit_row", lambda hit: events.append("row") or hit_row(hit))
-        monkeypatch.setattr(cli, "_emit", lambda line="": events.append("emit") or emit(line))
-        code, _, _ = run(capsys, "scan", "--from", "2", "--to", "30", "--format", fmt)
-        assert code == 0
-        assert events == header + ["row", "emit"] * 10
+        scan, sieve, emit = cli.scan_totient_divisibility, scan_module.primes_upto, cli._emit
+
+        def scanned(*args, **kwargs):
+            cp = scan(*args, **kwargs)
+            events.append("scanned")
+            return cp
+
+        def sieved(hi, lo=2):
+            if "scanned" in events:
+                windows = [e for e in events if isinstance(e, tuple)]
+                if windows:
+                    previous = sieve(windows[-1][2], windows[-1][1]).tolist()
+                    alive = [o for o in gc.get_objects()
+                             if type(o) is list and o is not previous and o == previous]
+                    assert alive == []
+                events.append(("sieve", lo, hi))
+            return sieve(hi, lo)
+
+        def emitted(line=""):
+            events.append(line)
+            emit(line)
+
+        monkeypatch.setattr(cli, "scan_totient_divisibility", scanned)
+        monkeypatch.setattr(scan_module, "primes_upto", sieved)
+        monkeypatch.setattr(cli, "_emit", emitted)
+        assert run(capsys, *argv) == whole
+        rows = events[events.index("scanned") + 1 + (fmt == "csv"):]
+        windows = []
+        for event in rows:
+            if isinstance(event, tuple):
+                windows.append((event, []))
+            else:
+                windows[-1][1].extend(event.split("\n"))
+        assert [w[0] for w in windows] == [("sieve", lo, min(lo + 699, 5000))
+                                           for lo in range(2, 5001, 700)]
+        for (_, lo, hi), lines in windows:
+            ns = [json.loads(line)["n"] if fmt == "json" else int(line.split(",")[1])
+                  for line in lines]
+            assert ns == sieve(hi, lo).tolist()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("span", ["0", "1", "chunk-1", "chunk", "chunk+1", "window-edge"])
+    def test_scan_chunks_match_the_per_row_renderers(self, capsys, fmt, span):
+        # 0, 1 and ROW_CHUNK +- 1 primes, or a range across the first
+        # HIT_WINDOW edge: the joined chunks are the per-row lines joined
+        import lehmer_psi.scan as scan_module
+
+        chunk = cli.ROW_CHUNK
+        count = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}
+        if span == "window-edge":
+            lo, hi = 1000, 1000 + scan_module.HIT_WINDOW + 5000
+        elif count[span] == 0:
+            lo, hi = 24, 28
+        else:
+            lo, hi = 2, scan_module.primes_upto(50_000)[count[span] - 1]
+        code, out, _ = run(capsys, "scan", "--from", str(lo), "--to", str(hi), "--format", fmt)
+        rows = [hit_row((p, 1, False)) for p in scan_module.primes_upto(hi, lo).tolist()]
+        assert len(rows) == count.get(span, len(rows))
+        if fmt == "json":
+            expected = "".join(jsonl_line(row) + "\n" for row in rows)
+            assert expected == "".join(json_row(row) + "\n" for row in rows)
+        else:
+            expected = "".join(line + "\n" for line in [CSV_HEADER] + list(map(csv_row, rows)))
+        assert (code, out) == (0, expected)
 
     @staticmethod
     def _segments_of_700(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lehmer_psi.scan as scan_module
+from conftest import csv_row, json_row
 from lehmer_psi import cli
 from lehmer_psi.arith import DomainError, euler_phi, factor
 from lehmer_psi.scan import (
@@ -21,10 +22,10 @@ from lehmer_psi.scan import (
     SCAN_LIMIT,
     ScanCheckpoint,
     batch_verdicts,
-    csv_line,
     hit_row,
     jsonl_line,
     read_checkpoint,
+    row_affixes,
     scan_totient_divisibility,
     verdict_row,
     verify_constants,
@@ -143,8 +144,9 @@ class TestScan:
         assert peak < 16 << 20, peak
 
     def test_cli_scan_memory_does_not_grow_with_the_range(self):
-        # cli scan prints rows from iter_hits, one HIT_WINDOW prime sieve at a
-        # time; printing from the hits tuple peaked at 8.6 MiB at 10^6 and at
+        # cli scan writes the rows of one HIT_WINDOW prime window at a time,
+        # in chunks, and frees its list before the next window is sieved;
+        # printing from the hits tuple peaked at 8.6 MiB at 10^6 and at
         # 30 MiB at 4*10^6, one Python tuple per prime
         class LineCount:
             lines = 0
@@ -562,43 +564,53 @@ _ROWS = st.tuples(
 )
 
 
-def _csv_reference(row: tuple) -> str:
-    """The reference for csv_line: one loop over the keys, branching on rules."""
-    cells = []
-    for key, value in zip(REPORT_KEYS, row, strict=True):
-        if value is None:
-            cells.append("")
-        elif key == "rules":
-            cells.append('"' + ";".join(value).replace('"', '""') + '"')
-        else:
-            cells.append(str(value))
-    return ",".join(cells)
+def _csv_line(row: tuple) -> str:
+    """row as CSV from its cached affixes, as cli scan writes a prime row."""
+    pre, post = row_affixes(row, "csv")
+    return pre + ("" if row[1] is None else str(row[1])) + post
+
+
+# a renderer that fills a rendered placeholder n (a NUL, a digit run) and
+# splits there breaks on a cell that holds the same text
+_SPLIT_TRAPS = [
+    ("a\x00b", 0, 1, None, ["\x00", "0"], "1,2", '"x"'),
+    ("123456789", 123456789, 123456789, 123, ("123456789", "9;8"), "123456789", "0"),
+    ("0123456789" * 3, 0, 9, 99, ["-1"], "-1", "1" * 30),
+    ('"', None, 0, None, [], ",", "\x00\x00"),
+    ("", -1, None, -1, ['a"b', ","], "", None),
+    ("\x00", 10**40, 10**40, 10**40, None, "\x00" + "1" * 40, "10" * 20),
+]
 
 
 class TestReports:
     @settings(max_examples=300, deadline=None)
     @given(row=_ROWS)
     def test_jsonl_line_matches_json_dumps(self, row):
-        reference = json.dumps(dict(zip(REPORT_KEYS, row)), separators=(",", ":"))
-        assert jsonl_line(row) == reference
+        assert jsonl_line(row) == json_row(row)
 
     @settings(max_examples=300, deadline=None)
     @given(row=_ROWS)
-    def test_csv_line_matches_the_untyped_renderer(self, row):
-        assert csv_line(row) == _csv_reference(row)
+    def test_csv_affixes_match_the_untyped_renderer(self, row):
+        assert _csv_line(row) == csv_row(row)
+
+    @pytest.mark.parametrize("row", _SPLIT_TRAPS, ids=range(len(_SPLIT_TRAPS)))
+    def test_affixes_hold_cells_that_look_like_a_placeholder(self, row):
+        pre, post = row_affixes(row, "json")
+        assert jsonl_line(row) == json_row(row)
+        assert pre + ("null" if row[1] is None else str(row[1])) + post == json_row(row)
+        assert _csv_line(row) == csv_row(row)
 
     def test_rules_cache_is_bounded_and_changes_no_output(self):
         cap = scan_module.RULES_CACHE_SIZE
-        scan_module._json_rules.cache_clear()
+        scan_module._affixes.cache_clear()
         rows = [("verdict", i, None, i, [f"rule-{i}", 'q"' + str(i)], None, None)
                 for i in range(cap + 50)]
-        for _ in range(2):  # the second pass renders rules the cache evicted
+        for _ in range(2):  # the second pass renders shapes the cache evicted
             for row in rows:
                 as_tuple = row[:4] + (tuple(row[4]),) + row[5:]
-                reference = json.dumps(dict(zip(REPORT_KEYS, row)), separators=(",", ":"))
-                assert jsonl_line(row) == jsonl_line(as_tuple) == reference
-                assert csv_line(row) == csv_line(as_tuple) == _csv_reference(row)
-        assert scan_module._json_rules.cache_info().currsize == cap
+                assert jsonl_line(row) == jsonl_line(as_tuple) == json_row(row)
+                assert _csv_line(row) == _csv_line(as_tuple) == csv_row(row)
+        assert scan_module._affixes.cache_info().currsize == cap
 
     def test_jsonl_key_order(self):
         row = hit_row((7, 1, False))
@@ -608,7 +620,7 @@ class TestReports:
     def test_csv_mirrors_columns(self):
         assert CSV_HEADER.split(",") == list(REPORT_KEYS)
         row = hit_row((7, 1, False))
-        cells = csv_line(row).split(",")
+        cells = _csv_line(row).split(",")
         assert cells[0] == "hit" and cells[1] == "7"
 
     def test_verdict_row(self):
