@@ -344,6 +344,19 @@ def enumerate_worlds(profile: LehmerProfile) -> list[_World]:
 # ---------------------------------------------------------------------------
 # Per-k exclusion
 
+# The decimal text of the last few integers of over _CACHED_BITS bits that
+# decimal_text rendered. Python converts an int to decimal in quadratic time,
+# and every escalated symbolic profile renders the same ones: its witness
+# floor (1 - 10**-8171)/2 and its n_floor 10**8171.
+_CACHED_BITS = 4096
+_big_decimal = lru_cache(maxsize=8)(str)
+
+
+def decimal_text(n: int) -> str:
+    """str(n), kept across calls for an integer of over _CACHED_BITS bits."""
+    return _big_decimal(n) if n.bit_length() > _CACHED_BITS else str(n)
+
+
 class ExclusionColumns(NamedTuple):
     """The verdicts of a profile's worlds on each k of ks, as integer columns.
     floor is the profile's witness floor L, so the floor at k is L/k. rhs
@@ -362,11 +375,17 @@ class ExclusionColumns(NamedTuple):
         """The columns as the JSON array json.dumps writes (default separators,
         ASCII only, "p/q" sides): [{"k", "justifications": [{"world", "rule",
         "lhs", "rhs", "excluded"}, ...]}, ...]. Each world's escaped label and
-        rule text, and the floor's numerator, are rendered once; the floor L/k
-        is reduced by one gcd of k with L's numerator (L is in lowest terms)."""
+        rule text are rendered once. The floor L/k is reduced by g, the gcd of
+        k with L's numerator top (L is in lowest terms): top // g is rendered
+        once per g, and the denominator bottom * (k // g), with bottom =
+        cofactor * 10**z, as the small product cofactor * (k // g) followed by
+        z zeros."""
         esc = encode_basestring_ascii
         top, bottom = self.floor.numerator, self.floor.denominator
-        top_text = str(top)
+        tops = {1: decimal_text(top)}  # top // g in decimal, per gcd class g
+        bottom_text = decimal_text(bottom)
+        digits = bottom_text.rstrip("0")
+        cofactor, zeros = int(digits), "0" * (len(bottom_text) - len(digits))
         worlds = []
         for world, column, missed in zip(self.worlds, self.rhs, self.misses):
             label, prefix, suffix = world._chain[:3]
@@ -376,7 +395,9 @@ class ExclusionColumns(NamedTuple):
         docs, sep = [], "["  # the brackets go into the items: join makes the one copy
         for i, k in enumerate(self.ks):
             g = math.gcd(top, k)
-            lhs = f"{top_text}/{bottom * k}" if g == 1 else ratio_str(top // g, bottom * (k // g))
+            if g not in tops:
+                tops[g] = str(top // g)
+            lhs = f"{tops[g]}/{cofactor * (k // g)}{zeros}"
             rows = []
             for chain, tail, congruence, column, missed in worlds:
                 rhs = column[i]

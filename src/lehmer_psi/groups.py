@@ -2,8 +2,10 @@
 
 Groups are symbolic: cyclic, dihedral, the quaternion group of order 8, and
 direct products of those. An order spectrum is the map "element order -> count";
-it is always computed over the divisor lattice (never element lists), so direct
-products combine spectra by lcm-convolution and huge cyclic factors stay cheap.
+it is always computed over the divisor lattice (never element lists), so huge
+cyclic factors stay cheap. A direct product counts, at each divisor d of its
+exponent, the solutions of x^d = 1 as the product of its factors' counts, and
+one Moebius inversion over that lattice turns the counts into the spectrum.
 
 psi(G) is the sum of element orders.
 """
@@ -12,9 +14,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm, prod
+from itertools import compress
+from math import gcd, lcm, prod
+from operator import mul, sub
 
 from .arith import (
+    _TRIAL_DIVISION_LIMIT,
     DomainError,
     Factorization,
     _coerce,
@@ -24,6 +29,8 @@ from .arith import (
 
 # Most entries a spectrum may hold; read at call time, no option changes it.
 SPECTRUM_LIMIT = 10_000_000
+# factor() meets no Brent rho below this bound
+_TRIAL_FACTORED = _TRIAL_DIVISION_LIMIT**2
 
 
 class SpectrumLimitError(DomainError):
@@ -42,7 +49,8 @@ class GroupSpecSyntaxError(DomainError):
 class GroupSpec:
     """A group family: each gives order, is_cyclic, is_nilpotent,
     spectrum_map() (element order -> count) and its DSL text as str(g).
-    Atoms carry a rank that orders equal-order atoms in products."""
+    Atoms carry a rank that orders equal-order atoms in products, their
+    exponent, and solutions(d), the number of elements x with x^d = 1."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,13 @@ class Cyclic(GroupSpec):
     @property
     def order(self) -> int:
         return self.n
+
+    @property
+    def exponent(self) -> int:
+        return self.n
+
+    def solutions(self, d: int) -> int:
+        return gcd(self.n, d)
 
     def spectrum_map(self) -> dict[int, int]:
         f = factor(self.n)
@@ -100,6 +115,15 @@ class Dihedral(GroupSpec):
     def is_nilpotent(self) -> bool:
         return self.order2m & (self.order2m - 1) == 0
 
+    @property
+    def exponent(self) -> int:
+        return lcm(self.m, 2)
+
+    def solutions(self, d: int) -> int:
+        # the rotations with x^d = 1 form C_gcd(m, d); each reflection has order 2
+        m = self.order2m // 2
+        return gcd(m, d) if d % 2 else gcd(m, d) + m
+
     def spectrum_map(self) -> dict[int, int]:
         spec = Cyclic(self.m).spectrum_map()
         spec[2] = spec.get(2, 0) + self.m  # the m reflections
@@ -114,8 +138,12 @@ class Dihedral(GroupSpec):
 class Quaternion8(GroupSpec):
     rank = 2
     order = 8
+    exponent = 4
     is_cyclic = False
     is_nilpotent = True
+
+    def solutions(self, d: int) -> int:
+        return 1 if d % 2 else 2 if d % 4 else 8
 
     def spectrum_map(self) -> dict[int, int]:
         return {1: 1, 2: 1, 4: 6}
@@ -147,10 +175,61 @@ class Product(GroupSpec):
         return all(f.is_nilpotent for f in self.factors)
 
     def spectrum_map(self) -> dict[int, int]:
-        acc = {1: 1}
-        for f in self.factors:
-            acc = _convolve(acc, f.spectrum_map())
-        return acc
+        """Orders by Moebius inversion over the divisors of the exponent L,
+        the lcm of the factor exponents. The number d(L) of divisors is
+        counted from L's factorization before any is built. count(d) =
+        #{x : x^d = 1} is the product of the factors' solutions(d), and
+        subtracting count(d/p) from count(d), one prime p of L at a time,
+        leaves the number of elements of order exactly d.
+
+        This costs d(L) * (k + omega(L)) integer operations for k factors,
+        where the lcm-convolution of the factors' spectra cost the sum of
+        |acc| * |S_i| lcm calls. Factors that share primes gain:
+        C720720 x C720720 fills 240 entries in place of 57 600 lcm calls.
+        Factors that share none lose, since the lattice is then the product
+        of their supports and each entry costs more than an lcm call:
+        C223092870 x C2756205443 (2^15 divisors) takes about 2.4 times as
+        long as that convolution did.
+        """
+        exponents = {f.exponent for f in self.factors}
+        whole = lcm(*exponents)
+        powers: dict[int, int] = {}
+        # below _TRIAL_FACTORED trial division alone factors L; above it each
+        # exponent is factored alone, so Brent rho never meets a product of
+        # primes from different factors
+        for e in (whole,) if whole < _TRIAL_FACTORED else exponents:
+            for p, a in factor(e):
+                if powers.get(p, 0) < a:
+                    powers[p] = a
+        _within(prod([a + 1 for a in powers.values()]))
+        # mixed radix: the digit of each prime has for stride the product of
+        # the earlier primes' a + 1
+        divisors = [1]
+        for p, a in powers.items():
+            power = divisors
+            for _ in range(a):
+                power = [d * p for d in power]
+                divisors += power
+        first, *rest = self.factors
+        count = list(map(first.solutions, divisors))
+        for f in rest:
+            count = list(map(mul, count, map(f.solutions, divisors)))
+        size, stride = len(count), 1
+        for a in powers.values():
+            block = stride * (a + 1)
+            # the positions whose digit j > 0 are inverted from the highest
+            # digit down, so each subtracts a count at digit j - 1 not yet
+            # inverted; they form `stride` slices of step `block` or size //
+            # block runs of `stride`: take the fewer
+            if stride < size // block:
+                for lo in range(block - 1, stride - 1, -1):
+                    count[lo::block] = map(sub, count[lo::block], count[lo - stride::block])
+            else:
+                for top in range(block, size + 1, block):
+                    for lo in range(top - stride, top - block, -stride):
+                        count[lo:lo + stride] = map(sub, count[lo:lo + stride], count[lo - stride:lo])
+            stride = block
+        return dict(compress(zip(divisors, count), count))
 
     def __str__(self) -> str:
         return " x ".join(map(str, self.factors))
@@ -226,23 +305,11 @@ def _within(support: int) -> None:
         raise SpectrumLimitError(f"spectrum support exceeds the limit of {SPECTRUM_LIMIT} entries")
 
 
-def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            d = lcm(d1, d2)
-            if d in out:
-                out[d] += c1 * c2
-            else:
-                out[d] = c1 * c2
-                _within(len(out))
-    return out
-
-
 def order_spectrum(g: GroupSpec) -> OrderSpectrum:
     """Exact element-order spectrum. Cyclic groups contribute phi(d) elements
     of order d per divisor d; a dihedral group adds m reflections of order 2;
-    products convolve by "order of a tuple = lcm of component orders".
+    a product inverts, over the divisors d of its exponent, the count of
+    solutions of x^d = 1, which is the product of its factors' counts.
     """
     return OrderSpectrum(tuple(sorted(g.spectrum_map().items())))
 

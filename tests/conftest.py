@@ -2,7 +2,9 @@
 a numpy Korselt sieve, the abelian groups of each order, and brute-force
 group element enumeration. These deliberately avoid the package's
 divisor-lattice machinery so spectra and psi values are checked against
-actual group multiplication. psi_prime and psi_double_prime are the
+actual group multiplication; lcm_convolution combines the atoms' spectra
+pairwise by "order of a tuple = lcm of component orders", sharing no code
+with the Moebius inversion of Product.spectrum_map. psi_prime and psi_double_prime are the
 normalized order sums psi' and psi'', by their definitions over the
 package's psi. exclusion_oracle rebuilds each excluded k's entry by the
 Fraction route, sharing no code with the engine's sweep; swept_exclusions
@@ -20,7 +22,7 @@ import itertools
 import json
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -233,6 +235,20 @@ def brute_spectrum(g: GroupSpec) -> Counter:
 
 def brute_psi(g: GroupSpec) -> int:
     return sum(order * count for order, count in brute_spectrum(g).items())
+
+
+def lcm_convolution(g: GroupSpec) -> dict[int, int]:
+    """Order spectrum of a product from its atoms' spectrum_map(): an
+    element is a tuple whose order is the lcm of its components' orders."""
+    acc = {1: 1}
+    for f in getattr(g, "factors", (g,)):
+        out: dict[int, int] = {}
+        for d1, c1 in acc.items():
+            for d2, c2 in f.spectrum_map().items():
+                d = lcm(d1, d2)
+                out[d] = out.get(d, 0) + c1 * c2
+        acc = out
+    return acc
 
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     abelian_specs,
@@ -13,6 +13,7 @@ from conftest import (
     brute_spectrum,
     element_order,
     group_table,
+    lcm_convolution,
     psi_double_prime,
     psi_prime,
 )
@@ -176,6 +177,47 @@ class TestSpectra:
         for g in specs:
             assert dict(order_spectrum(g).entries) == dict(brute_spectrum(g)), str(g)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(2, 120).map(Cyclic),
+                st.integers(1, 60).map(lambda m: Dihedral(2 * m)),
+                st.just(Quaternion8()),
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    @example([Cyclic(12), Cyclic(12)])
+    @example([Dihedral(6), Dihedral(6), Quaternion8()])  # m odd, repeated
+    @example([Dihedral(12), Cyclic(9), Quaternion8(), Quaternion8()])  # m even
+    @example([Dihedral(30), Cyclic(7)])
+    @example([Cyclic(720720), Cyclic(720720)])
+    def test_product_spectrum_matches_lcm_convolution(self, factors):
+        g = product(factors)
+        assert isinstance(g, Product)
+        assert g.spectrum_map() == lcm_convolution(g), str(g)
+
+    def test_product_of_big_prime_cyclics_factors_each_exponent(self):
+        # Brent rho cannot split the product of two 20-digit primes within
+        # its step budget, so the exponent L = p*q is factored factor by factor
+        p, q = 10000000000000000051, 10000000000000000087
+        g = product([Cyclic(p), Cyclic(q)])
+        assert g.spectrum_map() == {1: 1, p: p - 1, q: q - 1, p * q: (p - 1) * (q - 1)}
+
+    def test_solutions_count_the_atom_spectrum(self):
+        # solutions(d) counts the elements whose order divides d; the
+        # exponent is the lcm of the orders
+        atoms = [Cyclic(n) for n in range(1, 130)]
+        atoms += [Dihedral(2 * m) for m in range(1, 130)] + [Quaternion8()]
+        for a in atoms:
+            spec = a.spectrum_map()
+            assert a.exponent == lcm(*spec), str(a)
+            twice = 2 * a.exponent
+            for d in (d for d in range(1, twice + 1) if twice % d == 0):
+                assert a.solutions(d) == sum(c for o, c in spec.items() if d % o == 0), (str(a), d)
+
     def test_spectrum_invariants(self):
         for n in range(1, 65):
             for g in abelian_specs(n):
@@ -204,6 +246,29 @@ class TestSpectra:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_product_lattice_counted_before_it_is_built(self, monkeypatch):
+        # two factors of 2^9 divisors each that share no prime: the product's
+        # lattice has 2^18 divisors, and none is built
+        g = parse_group_spec("C223092870 x C525737919635921")
+        monkeypatch.setattr(groups, "SPECTRUM_LIMIT", 10**5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpectrumLimitError):
+                order_spectrum(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_limit_counts_the_lattice_of_an_odd_dihedral_product(self, monkeypatch):
+        # D6 x C5 has 6 orders (1, 2, 3, 5, 10, 15) but 8 divisors of its
+        # exponent 30: the limit counts the lattice
+        g = parse_group_spec("D6 x C5")
+        assert len(order_spectrum(g).entries) == 6
+        monkeypatch.setattr(groups, "SPECTRUM_LIMIT", 7)
+        with pytest.raises(SpectrumLimitError):
+            order_spectrum(g)
 
 
 class TestPsi:
