@@ -17,7 +17,7 @@ from functools import cache
 from .arith import DomainError, approx_str, euler_phi, factor, fraction_str, sigma
 from .bounds import check_bounds
 from .carmichael import carmichael_in_range, korselt_check
-from .engine import PI2_LOW, decimal_text, lehmer_check, min_k, parse_profile_spec
+from .engine import PI2_LOW, lehmer_check, min_k, parse_profile_spec
 from .groups import order_spectrum, parse_group_spec, psi, psi_cyclic
 from .scan import (
     CounterexampleFound,
@@ -183,7 +183,7 @@ def cmd_min_k(args) -> int:
             {
                 "profile": profile.describe(),
                 "min_k": result.k,
-                "n_floor": decimal_text(result.n_floor_used),
+                "n_floor": str(result.n_floor_used),
                 "rules": list(result.applied_rules),
             }
         )

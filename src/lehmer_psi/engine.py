@@ -344,19 +344,6 @@ def enumerate_worlds(profile: LehmerProfile) -> list[_World]:
 # ---------------------------------------------------------------------------
 # Per-k exclusion
 
-# The decimal text of the last few integers of over _CACHED_BITS bits that
-# decimal_text rendered. Python converts an int to decimal in quadratic time,
-# and every escalated symbolic profile renders the same ones: its witness
-# floor (1 - 10**-8171)/2 and its n_floor 10**8171.
-_CACHED_BITS = 4096
-_big_decimal = lru_cache(maxsize=8)(str)
-
-
-def decimal_text(n: int) -> str:
-    """str(n), kept across calls for an integer of over _CACHED_BITS bits."""
-    return _big_decimal(n) if n.bit_length() > _CACHED_BITS else str(n)
-
-
 class ExclusionColumns(NamedTuple):
     """The verdicts of a profile's worlds on each k of ks, as integer columns.
     floor is the profile's witness floor L, so the floor at k is L/k. rhs
@@ -382,8 +369,8 @@ class ExclusionColumns(NamedTuple):
         z zeros."""
         esc = encode_basestring_ascii
         top, bottom = self.floor.numerator, self.floor.denominator
-        tops = {1: decimal_text(top)}  # top // g in decimal, per gcd class g
-        bottom_text = decimal_text(bottom)
+        tops = {1: str(top)}  # top // g in decimal, per gcd class g
+        bottom_text = str(bottom)
         digits = bottom_text.rstrip("0")
         cofactor, zeros = int(digits), "0" * (len(bottom_text) - len(digits))
         worlds = []

@@ -19,7 +19,6 @@ from math import gcd, lcm, prod
 from operator import mul, sub
 
 from .arith import (
-    _TRIAL_DIVISION_LIMIT,
     DomainError,
     Factorization,
     _coerce,
@@ -29,8 +28,6 @@ from .arith import (
 
 # Most entries a spectrum may hold; read at call time, no option changes it.
 SPECTRUM_LIMIT = 10_000_000
-# factor() meets no Brent rho below this bound
-_TRIAL_FACTORED = _TRIAL_DIVISION_LIMIT**2
 
 
 class SpectrumLimitError(DomainError):
@@ -121,7 +118,7 @@ class Dihedral(GroupSpec):
 
     def solutions(self, d: int) -> int:
         # the rotations with x^d = 1 form C_gcd(m, d); each reflection has order 2
-        m = self.order2m // 2
+        m = self.m
         return gcd(m, d) if d % 2 else gcd(m, d) + m
 
     def spectrum_map(self) -> dict[int, int]:
@@ -177,7 +174,8 @@ class Product(GroupSpec):
     def spectrum_map(self) -> dict[int, int]:
         """Orders by Moebius inversion over the divisors of the exponent L,
         the lcm of the factor exponents. The number d(L) of divisors is
-        counted from L's factorization before any is built. count(d) =
+        counted from the factorization of L, the highest power of each prime
+        among the factored exponents, before any divisor is built. count(d) =
         #{x : x^d = 1} is the product of the factors' solutions(d), and
         subtracting count(d/p) from count(d), one prime p of L at a time,
         leaves the number of elements of order exactly d.
@@ -191,13 +189,10 @@ class Product(GroupSpec):
         C223092870 x C2756205443 (2^15 divisors) takes about 2.4 times as
         long as that convolution did.
         """
-        exponents = {f.exponent for f in self.factors}
-        whole = lcm(*exponents)
         powers: dict[int, int] = {}
-        # below _TRIAL_FACTORED trial division alone factors L; above it each
-        # exponent is factored alone, so Brent rho never meets a product of
-        # primes from different factors
-        for e in (whole,) if whole < _TRIAL_FACTORED else exponents:
+        # L is factored one distinct exponent at a time, so Brent rho never
+        # has to split primes of two factors
+        for e in {f.exponent for f in self.factors}:
             for p, a in factor(e):
                 if powers.get(p, 0) < a:
                     powers[p] = a
@@ -217,17 +212,17 @@ class Product(GroupSpec):
         size, stride = len(count), 1
         for a in powers.values():
             block = stride * (a + 1)
-            # the positions whose digit j > 0 are inverted from the highest
-            # digit down, so each subtracts a count at digit j - 1 not yet
-            # inverted; they form `stride` slices of step `block` or size //
-            # block runs of `stride`: take the fewer
-            if stride < size // block:
+            # each position whose digit j > 0 subtracts the count at digit
+            # j - 1 not yet inverted: a * stride slices of step `block` taken
+            # from the highest digit down, or one slice a block, whose right
+            # side is copied before it is written: take the fewer
+            if a * stride < size // block:
                 for lo in range(block - 1, stride - 1, -1):
                     count[lo::block] = map(sub, count[lo::block], count[lo - stride::block])
             else:
-                for top in range(block, size + 1, block):
-                    for lo in range(top - stride, top - block, -stride):
-                        count[lo:lo + stride] = map(sub, count[lo:lo + stride], count[lo - stride:lo])
+                for lo in range(stride, size, block):
+                    hi = lo + block - stride
+                    count[lo:hi] = map(sub, count[lo:hi], count[lo - stride:hi - stride])
             stride = block
         return dict(compress(zip(divisors, count), count))
 

@@ -778,19 +778,6 @@ class TestJsonRendering:
         columns = columns._replace(floor=floor)
         assert columns.to_json() == json.dumps(_columns_as_dicts(columns))
 
-    def test_big_decimal_cache_is_bounded_and_changes_no_output(self, capsys):
-        engine_module._big_decimal.cache_clear()
-        runs = []
-        for _ in range(2):  # a cold cache, then a warm one
-            assert cli.main(["min-k", "--profile", "q=101", "--format", "json"]) == 0
-            runs.append(capsys.readouterr().out)
-        assert runs[0] == runs[1]
-        assert engine_module._big_decimal.cache_info().hits >= 3  # both floor sides, n_floor
-        for n in (0, 7, 10**1233, 10**1234, *(3**e for e in range(5000, 5040))):
-            assert engine_module.decimal_text(n) == str(n)
-        info = engine_module._big_decimal.cache_info()
-        assert info.currsize == info.maxsize
-
     def test_verdict_json_matches_the_dict_oracle(self):
         # primes, even and non-squarefree n (no excluded k) and every branch
         # of the exclusion trace, up to the 14 425 k of q = 100981
