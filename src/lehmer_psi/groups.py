@@ -186,7 +186,7 @@ class Product(GroupSpec):
         C720720 x C720720 fills 240 entries in place of 57 600 lcm calls.
         Factors that share none lose, since the lattice is then the product
         of their supports and each entry costs more than an lcm call:
-        C223092870 x C2756205443 (2^15 divisors) takes about 2.4 times as
+        C223092870 x C2756205443 (2^15 divisors) takes about 2.5 times as
         long as that convolution did.
         """
         powers: dict[int, int] = {}
