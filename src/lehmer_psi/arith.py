@@ -113,8 +113,11 @@ class Factorization:
 
     @classmethod
     def _proven(cls, value: int, factors: tuple[tuple[int, int], ...]) -> "Factorization":
-        """A factorization whose primes the caller has just proved; skips the
-        checks of __post_init__, which would run Miller-Rabin on them again."""
+        """A factorization whose primes the caller has just tested, by trial
+        division or is_prime; skips the checks of __post_init__, which would
+        run Miller-Rabin on them again. A prime from is_prime at or above
+        _MR_PROVEN_LIMIT (about 3.19 * 10**23) is a probable prime, one that
+        passed 64 Miller-Rabin rounds, not a proved one."""
         f = object.__new__(cls)
         object.__setattr__(f, "value", value)
         object.__setattr__(f, "factors", factors)

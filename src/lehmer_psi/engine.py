@@ -9,10 +9,10 @@ exceeds the chain bound A/k + B, that k is excluded: exactly k <= K* =
 floor((L - A)/B). With the classical congruence "3 | n forces k = 1 (mod 3)"
 each world solves for its floor, and min_k is the least of them, taken at
 n > 10**8171 for a symbolic profile once the universal floor k >= 3 holds.
-min_k then records why each k below its floor is excluded in one sweep: every
-world walks the whole k range once into integer columns (ExclusionColumns),
-from which the JSON and the chain queries are read; exclude_k is the sweep's
-one-k case.
+min_k checks it with no per-k loop, and each world's WorldBound, which the
+verdicts carry, states K* and the binding inequality. The per-k exclusion
+columns (ExclusionColumns) are swept only when read: min-k --format json keeps
+a row per excluded k while bench/reference.json pins those bytes.
 For q >= 17 the k ladder's top rung is R = ceil(q/c - q) for its coefficient c.
 
 Caveat, surfaced in every trace that leans on a chain: the stated witness
@@ -258,24 +258,31 @@ class _World:
 
     @cached_property
     def _chain(self) -> tuple[str, str, str, int, int]:
-        """The world's label, the chain rule's text before and after k, and
+        """The world's label, the chain rule's text and the q it covers, and
         S*(tail - 1) = a/d for S = 1 + sum 1/(p(p - 1)) over the split."""
         bits = [f"{p}|n" for p in self.divides]
         bits += [f"{p}!|n" for p in SMALL_PRIMES if p not in self.divides]
         qs = f"q={self.q_eval}" if self.q_exact else f"q>={self.q_eval}"
-        rule = f"{CHAIN} split={list(self.divides)} tail={self.tail} k="
+        rule = f"{CHAIN} split={list(self.divides)} tail={self.tail}"
         covers = "" if self.q_exact else f" (covers all q >= {self.q_eval})"
         s = (1 + sum(Fraction(1, p * (p - 1)) for p in self.divides)) * (self.tail - 1)
         return f"{qs}; " + ", ".join(bits), rule, covers, s.numerator, s.denominator
 
-    def k_floor(self, lower: Fraction) -> int:
-        """Least k >= 2 not excluded under the witness floor lower/k: the chain
-        excludes k <= K* = floor((16*d*tail*lower - 7a)/(7d)), the congruence
-        every k that is not 1 mod 3 when 3 | n."""
+    def k_star(self, lower: Fraction) -> int:
+        """K* = floor((16*d*tail*lower - 7a)/(7d)), the last k the chain excludes."""
         a, d = self._chain[3:]
-        num, den = lower.numerator, lower.denominator
-        k = max(2, (16 * d * self.tail * num - 7 * a * den) // (7 * d * den) + 1)
-        return k + (1 - k) % 3 if 3 in self.divides else k
+        return (16 * d * self.tail * lower.numerator - 7 * a * lower.denominator) // (7 * d * lower.denominator)
+
+    def chain_excludes(self, k: int, lower: Fraction) -> bool:
+        """Whether lower/k meets chain_upper(divides, tail, k): 16*d*tail*lower >= 7(a + d*k)."""
+        a, d = self._chain[3:]
+        return 16 * d * self.tail * lower.numerator >= 7 * (a + d * k) * lower.denominator
+
+    def last_chain_k(self, k: int) -> int | None:
+        """The largest k' in [2, k] the congruence leaves to the chain (k' = 1
+        mod 3 if 3 | n), None if there is none."""
+        k -= (k - 1) % 3 if 3 in self.divides else 0
+        return k if k >= 2 else None
 
     def sweep(
         self, ks: range, floor: Fraction
@@ -349,8 +356,7 @@ class ExclusionColumns(NamedTuple):
     floor is the profile's witness floor L, so the floor at k is L/k. rhs
     holds one column per world: the chain bound pair at each k in lowest
     terms, or None where the congruence rule excludes k. misses holds, per
-    world, the k of ks it does not exclude. The JSON and the chain queries
-    are read from these columns."""
+    world, the k of ks it does not exclude."""
 
     worlds: tuple[_World, ...]
     floor: Fraction
@@ -375,10 +381,10 @@ class ExclusionColumns(NamedTuple):
         cofactor, zeros = int(digits), "0" * (len(bottom_text) - len(digits))
         worlds = []
         for world, column, missed in zip(self.worlds, self.rhs, self.misses):
-            label, prefix, suffix = world._chain[:3]
+            label, rule, suffix = world._chain[:3]
             head = f'{{"world": {esc(label)}, "rule": '
             congruence = head + esc(f"{CONGRUENCE}: k=")[:-1]
-            worlds.append((head + esc(prefix)[:-1], esc(suffix)[1:], congruence, column, missed))
+            worlds.append((head + esc(f"{rule} k=")[:-1], esc(suffix)[1:], congruence, column, missed))
         docs, sep = [], "["  # the brackets go into the items: join makes the one copy
         for i, k in enumerate(self.ks):
             g = math.gcd(top, k)
@@ -400,28 +406,6 @@ class ExclusionColumns(NamedTuple):
         docs.append("]" if docs else "[]")
         return "".join(docs)
 
-    def uses_chain(self) -> bool:
-        """Whether some world excludes some k by the chain rule, and so rests
-        on the stated witness floor phi(n)/(2n), which holds only when 3 | n."""
-        return any(
-            rhs is not None and k not in missed
-            for column, missed in zip(self.rhs, self.misses)
-            for k, rhs in zip(self.ks, column)
-        )
-
-    def binding(self) -> tuple[str, str] | None:
-        """lhs/rhs strings of the tightest chain exclusion (the largest bound)
-        of the last k that some world excludes by the chain rule."""
-        for i in reversed(range(len(self.ks))):
-            chains = [column[i] for column, missed in zip(self.rhs, self.misses)
-                      if column[i] is not None and self.ks[i] not in missed]
-            if chains:
-                tightest = max(chains, key=lambda pair: Fraction(*pair))
-                num, den, k = self.floor.numerator, self.floor.denominator, self.ks[i]
-                g = math.gcd(num, k)
-                return ratio_str(num // g, den * (k // g)), ratio_str(*tightest)
-        return None
-
 
 def _exclusions(profile: LehmerProfile, ks: range) -> ExclusionColumns:
     """The columns of the profile's worlds over ks, one pass (_World.sweep)
@@ -435,26 +419,53 @@ def _exclusions(profile: LehmerProfile, ks: range) -> ExclusionColumns:
 def exclude_k(profile: LehmerProfile, k: int) -> ExclusionColumns:
     """Decide whether k*phi(n) = n - 1 is impossible for every candidate
     matching the profile: each world judges k against the witness floor at k,
-    and k is excluded when no world misses it. This is the one-k case of the
-    sweep min_k makes over every k below its floor."""
+    and k is excluded when no world misses it (MinKResult.columns at one k)."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     return _exclusions(profile, range(k, k + 1))
 
 
+class WorldBound(NamedTuple):
+    """A world's chain verdict against the witness floor L: the chain excludes
+    exactly the k <= k_star, and k is the last k below min_k the congruence
+    leaves to the chain (None if none), where it binds: L/k >= chain bound."""
+
+    world: _World
+    floor: Fraction
+    k_star: int
+    k: int | None
+
+    def as_dict(self) -> dict:
+        """The world's entry in a verdict's JSON, "lhs" and "rhs" in lowest terms."""
+        label, rule, covers = self.world._chain[:3]
+        lhs = rhs = None
+        if self.k is not None:
+            (pair,), _ = self.world.sweep(range(self.k, self.k + 1), self.floor)
+            lhs, rhs = ratio_str(*(self.floor / self.k).as_integer_ratio()), ratio_str(*pair)
+        return {"world": label, "rule": rule + covers, "k_star": self.k_star,
+                "congruence": 3 in self.world.divides, "k": self.k, "lhs": lhs, "rhs": rhs}
+
+
 @dataclass(frozen=True)
 class MinKResult:
-    """The floor k and the exclusion columns of every k below it."""
+    """The floor k, each world's bound, the rule trace and the profile solved."""
 
     k: int
-    columns: ExclusionColumns
+    worlds: tuple[WorldBound, ...]
     applied_rules: tuple[str, ...]
     n_floor_used: int
+    profile: LehmerProfile
+
+    @cached_property
+    def columns(self) -> ExclusionColumns:
+        """The exclusion columns of every k below the floor, swept when read."""
+        return _exclusions(self.profile, range(2, self.k))
 
 
 def _k_floor(profile: LehmerProfile) -> int:
-    """Smallest k >= 2 that some world of the profile does not exclude."""
-    return min(world.k_floor(profile.witness_floor) for world in profile.worlds)
+    """Smallest k >= 2 some world does not exclude: the least above its K* its congruence admits."""
+    floors = ((w, max(2, w.k_star(profile.witness_floor) + 1)) for w in profile.worlds)
+    return min(k + (1 - k) % 3 if 3 in w.divides else k for w, k in floors)
 
 
 @lru_cache(maxsize=1)
@@ -464,11 +475,12 @@ def universal_k_floor() -> int:
 
 
 def min_k(profile: LehmerProfile) -> MinKResult:
-    """Smallest k >= 2 not excluded for the profile, with the rule trace:
-    one sweep over the worlds, kept as integer columns, must exclude each k
-    below the closed-form floor, and exclude_k must not exclude the floor. A
-    symbolic profile is solved at n > 10**8171 alone once the universal floor
-    reaches 3; a higher n_floor only excludes more k."""
+    """Smallest k >= 2 not excluded for the profile, with the rule trace. The
+    chain's test is linear in k, so a world's K* holds once its chain excludes
+    K* and not K* + 1; every world must then exclude each k below the floor
+    and some world not the floor. A symbolic profile is solved at n > 10**8171
+    alone once the universal floor reaches 3 (a higher n_floor excludes more).
+    Only min-k --format json reads the per-k columns, while its digests pin them."""
     rules = []
     if profile.n is None and profile.n_floor < N_FLOOR_RAISED and universal_k_floor() >= 3:
         profile = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
@@ -477,17 +489,19 @@ def min_k(profile: LehmerProfile) -> MinKResult:
     floor_k = _k_floor(profile)
     if floor_k >= _SWEEP_GUARD:
         raise DomainError(f"k floor {floor_k} lies past the exclusion sweep's guard of k < {_SWEEP_GUARD}")
-    columns = _exclusions(profile, range(2, floor_k))
-    if any(columns.misses) or not any(exclude_k(profile, floor_k).misses):
+    lower, worlds = profile.witness_floor, profile.worlds
+    bounds = tuple(WorldBound(w, lower, w.k_star(lower), w.last_chain_k(floor_k - 1)) for w in worlds)
+    for b in bounds:
+        if not b.world.chain_excludes(b.k_star, lower) or b.world.chain_excludes(b.k_star + 1, lower):
+            raise AssertionError(f"closed-form K* = {b.k_star} is wrong for world {b.world._chain[0]}")
+    if any(b.k is not None and b.k > b.k_star for b in bounds) or not any(
+            b.world.last_chain_k(floor_k) == floor_k > b.k_star for b in bounds):
         raise AssertionError(f"closed-form k floor {floor_k} is wrong for {profile.describe()}")
-    # a world's rule kind depends on k only through k mod 3, so the first three
-    # k give the suffix of every rule line
-    suffixes = {}
-    for k, *column in zip(columns.ks[:3], *columns.rhs):
-        kinds = sorted({CONGRUENCE if rhs is None else CHAIN for rhs in column})
-        suffixes[k % 3] = f" excluded in all {len(column)} worlds via {', '.join(kinds)}"
-    rules += [f"k={k}{suffixes[k % 3]}" for k in columns.ks]
-    if columns.uses_chain():
+    # a world's rule kind depends on k only through k mod 3
+    kinds = [sorted({CONGRUENCE if 3 in w.divides and r != 1 else CHAIN for w in worlds}) for r in range(3)]
+    suffixes = [f" excluded in all {len(worlds)} worlds via {', '.join(kind)}" for kind in kinds]
+    rules += [f"k={k}{suffixes[k % 3]}" for k in range(2, floor_k)]
+    if any(b.k is not None for b in bounds):
         rules.append(
             "caveat: chain exclusions assume the stated witness floor phi(n)/(2n); "
             "the independently provable floor is 7*phi(n)/(16n), which does not "
@@ -499,7 +513,7 @@ def min_k(profile: LehmerProfile) -> MinKResult:
         printed = k_ladder(profile.q, mode="as-printed", R=4)
         if printed.k_floor is not None and printed.k_floor != ladder.k_floor:
             rules.append(f"ladder(as-printed, R=4) would claim k >= {printed.k_floor}; not applied")
-    return MinKResult(floor_k, columns, tuple(rules), profile.n_floor)
+    return MinKResult(floor_k, bounds, tuple(rules), profile.n_floor, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +615,7 @@ class LehmerVerdict:
     exact_k: int | None
     counterexample: bool
     min_k: int | None
-    columns: ExclusionColumns | None
+    worlds: tuple[WorldBound, ...]
     abundancy_coefficient: Fraction | None
     witness: str | None
     applied_rules: tuple[str, ...]
@@ -610,24 +624,22 @@ class LehmerVerdict:
     def uses_stated_floor(self) -> bool:
         """Whether min_k rests on a chain exclusion, and so on the stated
         witness floor phi(n)/(2n), which holds only when 3 | n."""
-        return self.columns is not None and self.columns.uses_chain()
+        return any(bound.k is not None for bound in self.worlds)
 
     def binding_inequality(self) -> tuple[str, str] | None:
-        """lhs/rhs strings of the tightest chain exclusion of the last
-        excluded k, for the report schema."""
-        return None if self.columns is None else self.columns.binding()
+        """lhs/rhs strings of the last chain exclusion below min_k, for the
+        report schema (a verdict's profile is concrete: it has one world)."""
+        entry = self.worlds[0].as_dict() if self.uses_stated_floor() else None
+        return entry and (entry["lhs"], entry["rhs"])
 
     def to_json(self) -> str:
         """The verdict as json.dumps writes its fields in declaration order, the
-        abundancy coefficient as "p/q" and the columns as the excluded_k array."""
+        abundancy coefficient as "p/q" and each world as WorldBound.as_dict()."""
         c = self.abundancy_coefficient
         fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         fields["abundancy_coefficient"] = None if c is None else ratio_str(c.numerator, c.denominator)
-        fields["columns"] = None
-        # no field before columns holds a string, so its key is the first match
-        head, _, tail = json.dumps(fields).partition('"columns": null')
-        excluded = "[]" if self.columns is None else self.columns.to_json()
-        return f'{head}"excluded_k": {excluded}{tail}'
+        fields["worlds"] = [bound.as_dict() for bound in self.worlds]
+        return json.dumps(fields)
 
 
 def lehmer_check(n: int) -> LehmerVerdict:
@@ -647,9 +659,8 @@ def lehmer_check(n: int) -> LehmerVerdict:
     exact_k = (n - 1) // phi if phi_divides else None
     prime = f.factors == ((n, 1),)
     cert = None if prime else korselt_check(f)
-    floor_k = abundancy = witness = columns = None
-    rules: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
+    floor_k = abundancy = witness = None
+    worlds, rules, notes = (), (), ()
     if prime:
         floor_k, rules = 1, ("prime: phi(n) = n - 1 with k = 1",)
     elif n % 2 == 0 or not cert.squarefree:
@@ -660,7 +671,7 @@ def lehmer_check(n: int) -> LehmerVerdict:
     else:
         profile = profile_from_factorization(f)
         result = min_k(profile)
-        floor_k, columns, rules = result.k, result.columns, result.applied_rules
+        floor_k, worlds, rules = result.k, result.worlds, result.applied_rules
         if phi_divides and exact_k < floor_k:
             raise AssertionError(
                 f"n={n}: exact multiplier {exact_k} violates the k floor {floor_k}"
@@ -677,7 +688,7 @@ def lehmer_check(n: int) -> LehmerVerdict:
         exact_k=exact_k,
         counterexample=phi_divides and not prime,
         min_k=floor_k,
-        columns=columns,
+        worlds=worlds,
         abundancy_coefficient=abundancy,
         witness=witness,
         applied_rules=rules,

@@ -8,10 +8,11 @@ with the Moebius inversion of Product.spectrum_map. psi_prime and psi_double_pri
 normalized order sums psi' and psi'', by their definitions over the
 package's psi. exclusion_oracle rebuilds each excluded k's entry by the
 Fraction route, sharing no code with the engine's sweep; swept_exclusions
-walks it up to the k floor, as_json_dicts and verdict_as_dict give the dicts
+walks it up to the k floor, world_entries reads each world's K* and binding
+inequality from that walk, as_json_dicts and verdict_as_dict give the dicts
 whose json.dumps the engine's to_json renderers must equal byte for byte, and
 chain_justification, uses_stated_floor and binding_inequality read an
-exclusion trace from its entries, as the engine's column readers must.
+exclusion trace from its entries, as the engine's verdicts must.
 json_row and csv_row render a report row cell by cell, as the cached row
 text of the scan's reports must.
 """
@@ -22,7 +23,7 @@ import itertools
 import json
 from collections import Counter
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 
 import numpy as np
 
@@ -264,19 +265,36 @@ def exclusion_oracle(profile, k) -> dict:
     lhs = profile.witness_floor / k
     rows = []
     for world in enumerate_worlds(profile):
-        q = f"q={world.q_eval}" if world.q_exact else f"q>={world.q_eval}"
-        bits = [f"{p}|n" for p in world.divides]
-        bits += [f"{p}!|n" for p in SMALL_PRIMES if p not in world.divides]
-        label = f"{q}; " + ", ".join(bits)
+        label, (chain, covers) = _world_label(world), _chain_rule(world)
         if 3 in world.divides and k % 3 != 1:
             rule = f"{CONGRUENCE}: k={k} is {k % 3} (mod 3), 1 required"
             rows.append({"world": label, "rule": rule, "lhs": Fraction(k % 3), "rhs": Fraction(1), "excluded": True})
         else:
-            covers = "" if world.q_exact else f" (covers all q >= {world.q_eval})"
-            rule = f"{CHAIN} split={list(world.divides)} tail={world.tail} k={k}{covers}"
             rhs = chain_upper(world.divides, world.tail, k)
-            rows.append({"world": label, "rule": rule, "lhs": lhs, "rhs": rhs, "excluded": lhs >= rhs})
+            rows.append({"world": label, "rule": f"{chain} k={k}{covers}", "lhs": lhs, "rhs": rhs, "excluded": lhs >= rhs})
     return {"k": k, "justifications": rows}
+
+
+def _world_label(world) -> str:
+    q = f"q={world.q_eval}" if world.q_exact else f"q>={world.q_eval}"
+    bits = [f"{p}|n" for p in world.divides]
+    bits += [f"{p}!|n" for p in SMALL_PRIMES if p not in world.divides]
+    return f"{q}; " + ", ".join(bits)
+
+
+def _chain_rule(world) -> tuple[str, str]:
+    """A world's chain rule text, and the q it covers, rebuilt from its fields."""
+    covers = "" if world.q_exact else f" (covers all q >= {world.q_eval})"
+    return f"{CHAIN} split={list(world.divides)} tail={world.tail}", covers
+
+
+def chain_k_star(world, floor_l: Fraction) -> int:
+    """K* by the Fraction route: the chain bound of chain_upper's docstring is
+    A/k + B, A = 7/16 * S * (1 - 1/tail) and B = 7/(16 tail), and the witness
+    floor L/k meets it exactly for k <= (L - A)/B."""
+    s = 1 + sum(Fraction(1, p * (p - 1)) for p in world.divides)
+    a, b = Fraction(7, 16) * s * (1 - Fraction(1, world.tail)), Fraction(7, 16 * world.tail)
+    return floor((floor_l - a) / b)
 
 
 def excluded(entry) -> bool:
@@ -307,12 +325,35 @@ def as_json_dicts(entries) -> list[dict]:
     ]
 
 
+def world_entries(profile) -> list[dict]:
+    """Each world's entry of the profile's verdict, {"world", "rule", "k_star",
+    "congruence", "k", "lhs", "rhs"}: k is the last k of the swept trace whose
+    row for the world is a chain row, "lhs" and "rhs" are that row's sides as
+    "p/q" (None, None and None without one), and K* is chain_k_star's."""
+    entries = swept_exclusions(profile)[1]
+    out = []
+    for i, world in enumerate(enumerate_worlds(profile)):
+        chains = [(e["k"], e["justifications"][i]) for e in entries
+                  if e["justifications"][i]["rule"].startswith(CHAIN)]
+        k, row = chains[-1] if chains else (None, None)
+        chain, covers = _chain_rule(world)
+        out.append({
+            "world": _world_label(world),
+            "rule": chain + covers,
+            "k_star": chain_k_star(world, profile.witness_floor),
+            "congruence": 3 in world.divides,
+            "k": k,
+            "lhs": row and _pq(row["lhs"]),
+            "rhs": row and _pq(row["rhs"]),
+        })
+    return out
+
+
 def verdict_as_dict(v) -> dict:
-    """A LehmerVerdict as the dict its to_json() renders, its excluded_k from
-    the oracle for an odd squarefree composite n."""
+    """A LehmerVerdict as the dict its to_json() renders, its worlds from the
+    oracle for an odd squarefree composite n."""
     c = v.abundancy_coefficient
     applies = not v.prime and v.n % 2 == 1 and all(a == 1 for _, a in v.factors)
-    entries = swept_exclusions(profile_from_factorization(v.n))[1] if applies else []
     return {
         "n": v.n,
         "prime": v.prime,
@@ -323,7 +364,7 @@ def verdict_as_dict(v) -> dict:
         "exact_k": v.exact_k,
         "counterexample": v.counterexample,
         "min_k": v.min_k,
-        "excluded_k": as_json_dicts(entries),
+        "worlds": world_entries(profile_from_factorization(v.n)) if applies else [],
         "abundancy_coefficient": None if c is None else ratio_str(c.numerator, c.denominator),
         "witness": v.witness,
         "applied_rules": list(v.applied_rules),

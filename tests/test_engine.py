@@ -12,17 +12,19 @@ from conftest import (
     as_json_dicts,
     binding_inequality,
     chain_justification,
+    chain_k_star,
     excluded,
     exclusion_oracle,
     psi_double_prime,
     swept_exclusions,
     uses_stated_floor,
     verdict_as_dict,
+    world_entries,
 )
 from test_reference_output import LEHMER_CHECK_DIGESTS
 import lehmer_psi.engine as engine_module
 from lehmer_psi import cli
-from lehmer_psi.arith import DomainError, euler_phi, factor, is_prime, sigma
+from lehmer_psi.arith import DomainError, euler_phi, factor, is_prime, is_squarefree, sigma
 from lehmer_psi.bounds import witness_lower_bound
 from lehmer_psi.carmichael import carmichael_in_range
 from lehmer_psi.engine import (
@@ -271,6 +273,10 @@ class TestExcludeK:
         oracle = [exclusion_oracle(profile, i) for i in ks]
         assert _column_decisions(engine_module._exclusions(profile, ks)) == _decisions(oracle)
         assert not any(exclude_k(profile, k).misses)
+        # the closed form and min_k's boundary check agree that meeting excludes
+        (world,) = profile.worlds
+        floor = profile.witness_floor
+        assert (world.k_star(floor), world.chain_excludes(k, floor), world.chain_excludes(k + 1, floor)) == (k, True, False)
 
     def test_rejects_k_below_two(self):
         with pytest.raises(DomainError):
@@ -336,9 +342,8 @@ class TestMinK:
                     assert not any(exclude_k(raised, k).misses), (profile.describe(), k)
 
     def test_worlds_built_and_swept_once_per_call(self, monkeypatch):
-        # one world build, one closed-form floor, and the sweep receives each
-        # k from 2 up to the floor once (the floor itself, through exclude_k,
-        # is the surviving check)
+        # one world build and one closed-form floor; min_k itself sweeps no k,
+        # and reading its columns sweeps each k from 2 below the floor once
         universal_k_floor()  # cached; its own floor is not counted
         builds, floors, swept = [], [], []
         enumerate_original = engine_module.enumerate_worlds
@@ -365,9 +370,9 @@ class TestMinK:
             floors.clear()
             swept.clear()
             result = min_k(profile)
-            assert len(result.columns.ks) >= 1
-            assert (len(builds), len(floors)) == (1, 1), profile.describe()
-            assert swept == list(range(2, result.k + 1)), profile.describe()
+            assert (len(builds), len(floors), swept) == (1, 1, []), profile.describe()
+            assert len(result.columns.ks) >= 1 and result.columns is result.columns
+            assert swept == list(range(2, result.k)), profile.describe()
             if profile.n is None:
                 assert result.n_floor_used == N_FLOOR_RAISED
 
@@ -459,6 +464,34 @@ class TestMinK:
         monkeypatch.setattr(engine_module, "_k_floor", lambda p: floor_original(p) + shift)
         with pytest.raises(AssertionError, match="closed-form k floor"):
             min_k(profile_from_factorization(factor(2465)))
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    @pytest.mark.parametrize("spec", ["561", "2465", "generic", "q=5", "3|n", "q=101"])
+    def test_one_world_k_star_moved_is_caught(self, monkeypatch, spec, shift):
+        # K* moved by one in a single world, whether or not that world sets
+        # the floor: its boundary check (K* excluded, K* + 1 not) must fail
+        profile = profile_from_factorization(factor(int(spec))) if spec.isdigit() else parse_profile_spec(spec)
+        min_k(profile)  # solves the universal floor first
+        moved = profile.worlds[-1]
+        k_star = engine_module._World.k_star
+        monkeypatch.setattr(engine_module._World, "k_star",
+                            lambda world, lower: k_star(world, lower) + (shift if world == moved else 0))
+        with pytest.raises(AssertionError, match="closed-form"):
+            min_k(profile)
+
+    def test_verdict_builds_no_exclusion_columns(self, monkeypatch):
+        # lehmer_check decides nothing per k: at q = 100981 it builds no
+        # ExclusionColumns and no world sweeps a range of k; rendering the
+        # verdict evaluates the binding inequality at its one k
+        built, swept = [], []
+        columns, sweep = engine_module.ExclusionColumns, engine_module._World.sweep
+        monkeypatch.setattr(engine_module, "ExclusionColumns", lambda *args: built.append(args) or columns(*args))
+        monkeypatch.setattr(engine_module._World, "sweep",
+                            lambda world, ks, floor: swept.append(ks) or sweep(world, ks, floor))
+        v = lehmer_check(6178246534322281)
+        assert (v.min_k, built, swept) == (14427, [], [])
+        assert json.loads(v.to_json())["worlds"][0]["k"] == 14426
+        assert (built, swept) == ([], [range(14426, 14427)])
 
 
 class TestLadder:
@@ -668,13 +701,14 @@ class TestLehmerCheck:
 
     def test_column_readers_match_the_record_oracle(self):
         # uses_stated_floor, binding_inequality and min_k's caveat read the
-        # exclusion columns; conftest reads the same answers from the oracle
+        # closed-form world bounds; conftest reads the same answers from the
+        # swept oracle
         def caveat(rules):
             return any(rule.startswith("caveat: ") for rule in rules)
 
         for n in [*range(2, 3000), *carmichael_in_range(2, 10**7)]:
             v = lehmer_check(n)
-            if v.columns is None:
+            if not v.worlds:
                 assert (v.uses_stated_floor(), v.binding_inequality()) == (False, None), n
                 continue
             entries = swept_exclusions(profile_from_factorization(factor(n)))[1]
@@ -686,18 +720,49 @@ class TestLehmerCheck:
             solved = dataclasses.replace(profile, n_floor=result.n_floor_used)
             entries = swept_exclusions(solved)[1]
             assert caveat(result.applied_rules) == uses_stated_floor(entries), profile.describe()
-            assert result.columns.binding() == binding_inequality(entries), profile.describe()
-            # at the floor some world does not exclude k, and its chain row must not count
-            at_floor = engine_module._exclusions(solved, range(result.k, result.k + 1))
-            entry = [exclusion_oracle(solved, result.k)]
-            got = (at_floor.uses_chain(), at_floor.binding())
-            assert got == (uses_stated_floor(entry), binding_inequality(entry)), profile.describe()
+            # each world's K* and the binding inequality at its last chain k
+            got = [bound.as_dict() for bound in result.worlds]
+            assert got == world_entries(solved), profile.describe()
+
+    def test_world_bounds_match_the_swept_oracle(self):
+        # the verdict's per-world K* and binding inequality are what the swept
+        # oracle derives, for every odd squarefree composite below 10^4 and
+        # the digest numbers (up to q = 100981's 14 425 swept k)
+        def odd_squarefree_composites(limit):
+            return [n for n in range(15, limit, 2) if is_squarefree(factor(n)) and not is_prime(n)]
+
+        for n in [*odd_squarefree_composites(10**4), *LEHMER_CHECK_DIGESTS]:
+            got = json.loads(lehmer_check(n).to_json())["worlds"]
+            assert got == world_entries(profile_from_factorization(factor(n))), n
+        # below 10^5 the walk to each floor costs minutes, so each K* is checked
+        # against the chain bound at K* and K* + 1 by the Fraction route, and
+        # the binding inequality at the last k below the floor the chain decides
+        ns = odd_squarefree_composites(10**5)
+        assert len(ns) > 30_000
+        for n in ns:
+            profile = profile_from_factorization(factor(n))
+            result, (world,) = min_k(profile), profile.worlds
+            (got,) = (bound.as_dict() for bound in result.worlds)
+            floor, star = profile.witness_floor, got["k_star"]
+            assert star == chain_k_star(world, floor), n
+            for k in (star, star + 1):
+                if k >= 1:
+                    assert (floor / k >= chain_upper(world.divides, world.tail, k)) == (k == star), n
+            chain_ks = [k for k in range(2, result.k) if 3 not in world.divides or k % 3 == 1]
+            if not chain_ks:
+                assert (got["k"], got["lhs"], got["rhs"]) == (None, None, None), n
+                continue
+            k, pq = chain_ks[-1], "{0.numerator}/{0.denominator}".format
+            assert (got["k"], got["lhs"], got["rhs"]) == (k, pq(floor / k), pq(chain_upper(world.divides, world.tail, k))), n
 
     def test_verdict_serialization(self):
         d = json.loads(lehmer_check(561).to_json())
         assert d["n"] == 561
         assert d["min_k"] == 4
-        assert d["excluded_k"][0]["k"] == 2
+        # the chain excludes no k >= 1 (K* = 0), and the congruence excludes
+        # 2 and 3, so no k below the floor rests on the chain
+        (world,) = d["worlds"]
+        assert (world["k_star"], world["congruence"], world["k"], world["lhs"]) == (0, True, None, None)
         assert isinstance(d["applied_rules"], list)
 
 
@@ -733,7 +798,7 @@ def _columns(draw):
     start = draw(st.integers(2, 10**6) | st.integers(2, 12))
     ks = range(start, start + draw(st.integers(0, 4)))
     floor = Fraction(draw(_INT) * draw(st.integers(1, 12)), draw(_INT.filter(bool)))
-    # the columns read only the label and the rule text before and after k
+    # the columns read only the label, the rule text and the text after k
     worlds = tuple(SimpleNamespace(_chain=(draw(_TEXT), draw(_TEXT), draw(_TEXT)))
                    for _ in range(draw(st.integers(1, 4))))
     rhs = tuple(tuple(draw(st.none() | _PAIRS) for _ in ks) for _ in worlds)
@@ -754,7 +819,7 @@ def _columns_as_dicts(columns):
                 rule = f"{CONGRUENCE}: k={k} is {k % 3} (mod 3), 1 required"
                 rows.append({"world": label, "rule": rule, "lhs": f"{k % 3}/1", "rhs": "1/1", "excluded": True})
             else:
-                rows.append({"world": label, "rule": f"{prefix}{k}{suffix}",
+                rows.append({"world": label, "rule": f"{prefix} k={k}{suffix}",
                              "lhs": f"{lhs.numerator}/{lhs.denominator}", "rhs": "{}/{}".format(*column[i]),
                              "excluded": k not in missed})
         docs.append({"k": k, "justifications": rows})

@@ -3,10 +3,11 @@ the stdout of every psi, bounds and min-k query the benchmark draws; checking
 them here catches a change to that output without a benchmark run. Regenerate
 the file with bench/record_reference.py only when the change is intended.
 
-The lehmer-check verdicts and the batch_verdicts report carry every excluded
-k with its per-world rules, so they are pinned here as well, as are the
-verify-constants table and the scan hit rows; their digests are the sha256
-of the output and change only with an intended change to it."""
+The lehmer-check verdicts carry one rule line per excluded k and, per world,
+K* and the binding inequality; they and the batch_verdicts report are pinned
+here as well, as are the verify-constants table and the scan hit rows. Their
+digests are the sha256 of the output and change only with an intended change
+to it."""
 
 import hashlib
 import json
@@ -42,17 +43,18 @@ def test_json_stdout_matches_recorded_digest(capsys, command, key, digest):
 # 561, 1105, 2465, 29341 = 13*37*61 (min_k 7), 41041 = 7*11*13*41 (min_k 6)
 # and 62745 = 3*5*47*89, and the Chernick numbers with q = 1171, q = 10177 and
 # q = 100981, whose floors are k = 169, 1455 and 14427. The last is the
-# largest verdict the benchmark draws (4.18 MB of JSON).
+# largest verdict the benchmark draws (0.80 MB of JSON, nearly all of it the
+# 14 425 rule lines).
 LEHMER_CHECK_DIGESTS = {
-    561: "3b5dc46ce7b35561413d7b8b473746f3be764d026653da745085a18845d5a205",
-    1105: "ab2b9a20b1b174b07d2de731cf4596eaf37530fef87e1b8e149106e21149592c",
-    2465: "129f5603825e882721da32c06f1e747bf12ce30da0b0885ef1df28b7e0f83b4b",
-    29341: "6ef24a59c1de69f9717d5652fee109c10bad82068511f0efd633090e44693aae",
-    41041: "6e96079de2f67b0cda44c0d844dbd1d84cc1c2094d9107f224078b3ef94410b7",
-    62745: "2b96233f2640e8de3dfba1db7118e9f00ad684b8c66fa51113b29cc2e221a0f3",
-    9624742921: "cc4555fdf071b845812e471f27b892b0ebb14ea2a0104d64cc902de6ca961723",
-    6323547512449: "700de0eacfb003078b7021dc2ae09c0e411c55f4d811433348dba9328995a820",
-    6178246534322281: "be6391eb3e24d3882e0ca6b508a3fd5daf3783743f25fbb3e793c88b72020ddf",
+    561: "d3856566e3b93d8e2de76618c21e037d8eb8e49a894f20f54751439c6f014af1",
+    1105: "794078a47f608cd1272ad777e9818f802b97699680714f2638b7447e4cd0c9a9",
+    2465: "228d7146ddf625c72f31e4acc35504fbd89666522f4cac53d3cc09e2a2c9fe75",
+    29341: "8bea78b947d9353486a0bdef6c1ae67f9bf7de96274136679a57aa1e06016a38",
+    41041: "25e238d538d8d962984047a40be6a7ee5c91d97c501c535f0d195d2dcfc25471",
+    62745: "47f609e28f9a0517ff85e2d371e907ff44368dec566562bc6b8203b220ee1ff2",
+    9624742921: "2de0691bb6a38a13cdb2c591ae4c5cf653fe87f445f4ad7b2c92890babe861a1",
+    6323547512449: "63ee2867d638bfa7806e46fddcfcf641df7cba9777c5b3c55a6d44bcc9e71b75",
+    6178246534322281: "c67543d959ecbd138d3715c4d3018b5e1d6cbb6bcc1a3b2e5ed7e5290d3580ba",
 }
 BATCH_1E5_DIGEST = "d85dd3cadd76304c5f8791b5fd07b008788e059801f4f9bb5ffa74080e50acf3"
 

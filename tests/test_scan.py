@@ -169,9 +169,9 @@ class TestScan:
         assert peaks[4 * 10**6] <= 1.5 * peaks[10**6], peaks
 
     def test_cli_large_verdict_memory(self):
-        # lehmer-check renders its 14 425 excluded k straight to JSON text;
-        # building a dict per k and passing the tree to json.dumps peaked at
-        # 26.2 MiB for these 4.18 MB
+        # lehmer-check states one binding inequality per world and keeps one
+        # rule line per excluded k (14 425 here); a JSON row per k, built as a
+        # dict and passed to json.dumps, peaked at 26.2 MiB for 4.18 MB
         class ByteCount:
             size = 0
 
@@ -186,7 +186,7 @@ class TestScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sink.size == 4_184_130
+        assert sink.size == 797_581
         assert peak < 20 << 20, peak
 
     def test_cli_symbolic_min_k_memory(self):
