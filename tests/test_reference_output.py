@@ -4,10 +4,10 @@ them here catches a change to that output without a benchmark run. Regenerate
 the file with bench/record_reference.py only when the change is intended.
 
 The lehmer-check verdicts carry one rule line per excluded k and, per world,
-K* and the binding inequality; they and the batch_verdicts report are pinned
-here as well, as are the verify-constants table and the scan hit rows. Their
-digests are the sha256 of the output and change only with an intended change
-to it."""
+K* and the binding inequality; they, their per-k rows as the verdicts carried
+them before, and the batch_verdicts report are pinned here as well, as are
+the verify-constants table and the scan hit rows. Their digests are the
+sha256 of the output and change only with an intended change to it."""
 
 import hashlib
 import json
@@ -17,7 +17,9 @@ import pytest
 
 from lehmer_psi import cli
 from lehmer_psi.arith import approx_str
-from lehmer_psi.engine import PI2_HIGH, PI2_LOW, lehmer_check
+from lehmer_psi.engine import (
+    PI2_HIGH, PI2_LOW, lehmer_check, min_k, profile_from_factorization,
+)
 from lehmer_psi.scan import batch_verdicts
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
@@ -60,9 +62,38 @@ BATCH_1E5_DIGEST = "d85dd3cadd76304c5f8791b5fd07b008788e059801f4f9bb5ffa74080e50
 
 
 @pytest.mark.parametrize("n, digest", sorted(LEHMER_CHECK_DIGESTS.items()))
-def test_lehmer_check_json_matches_recorded_digest(capsys, n, digest):
+def test_lehmer_check_worlds_json_matches_recorded_digest(capsys, n, digest):
     assert cli.main(["lehmer-check", str(n), "--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of `lehmer-check N --format json` stdout when a verdict carried, in
+# place of "worlds", an "excluded_k" array: MinKResult.columns of every k
+# below the floor, as min-k --format json still renders them. Rebuilding that
+# document from today's verdict and its profile's swept columns checks that
+# moving the per-k rows out of the verdict changed none of them.
+PER_K_VERDICT_DIGESTS = {
+    561: "3b5dc46ce7b35561413d7b8b473746f3be764d026653da745085a18845d5a205",
+    1105: "ab2b9a20b1b174b07d2de731cf4596eaf37530fef87e1b8e149106e21149592c",
+    2465: "129f5603825e882721da32c06f1e747bf12ce30da0b0885ef1df28b7e0f83b4b",
+    29341: "6ef24a59c1de69f9717d5652fee109c10bad82068511f0efd633090e44693aae",
+    41041: "6e96079de2f67b0cda44c0d844dbd1d84cc1c2094d9107f224078b3ef94410b7",
+    62745: "2b96233f2640e8de3dfba1db7118e9f00ad684b8c66fa51113b29cc2e221a0f3",
+    9624742921: "cc4555fdf071b845812e471f27b892b0ebb14ea2a0104d64cc902de6ca961723",
+    6323547512449: "700de0eacfb003078b7021dc2ae09c0e411c55f4d811433348dba9328995a820",
+    6178246534322281: "be6391eb3e24d3882e0ca6b508a3fd5daf3783743f25fbb3e793c88b72020ddf",
+}
+
+
+@pytest.mark.parametrize("n, digest", sorted(PER_K_VERDICT_DIGESTS.items()))
+def test_lehmer_check_json_matches_recorded_digest(n, digest):
+    verdict = lehmer_check(n)
+    worlds = json.dumps([bound.as_dict() for bound in verdict.worlds])
+    head, sep, tail = verdict.to_json().partition(f'"worlds": {worlds}')
+    assert sep
+    excluded = min_k(profile_from_factorization(n)).columns.to_json()
+    document = f'{head}"excluded_k": {excluded}{tail}\n'
+    assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
 # sha256 of `lehmer-check N --format text` stdout, which the JSON digests do
