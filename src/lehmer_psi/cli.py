@@ -187,7 +187,7 @@ def cmd_min_k(args) -> int:
                 "rules": list(result.applied_rules),
             }
         )
-        _emit(f'{head[:-1]}, "excluded": {result.columns.to_json()}}}')
+        _emit(f'{head[:-1]}, "excluded": {result.excluded_json()}}}')
     else:
         _emit(f"profile: {profile.describe()}")
         _emit(f"min_k = {result.k}")

@@ -10,9 +10,9 @@ floor((L - A)/B). With the classical congruence "3 | n forces k = 1 (mod 3)"
 each world solves for its floor, and min_k is the least of them, taken at
 n > 10**8171 for a symbolic profile once the universal floor k >= 3 holds.
 min_k checks it with no per-k loop, and each world's WorldBound, which the
-verdicts carry, states K* and the binding inequality. The per-k exclusion
-columns (ExclusionColumns) are swept only when read: min-k --format json keeps
-a row per excluded k while bench/reference.json pins those bytes.
+verdicts carry, states K* and the binding inequality. min-k --format json keeps
+a row per excluded k (MinKResult.excluded_json) while bench/reference.json pins
+those bytes.
 For q >= 17 the k ladder's top rung is R = ceil(q/c - q) for its coefficient c.
 
 Caveat, surfaced in every trace that leans on a chain: the stated witness
@@ -46,6 +46,7 @@ from .arith import (
     _coerce,
     euler_phi,
     factor,
+    fraction_str,
     is_prime,
     is_squarefree,
     ratio_str,
@@ -284,30 +285,12 @@ class _World:
         k -= (k - 1) % 3 if 3 in self.divides else 0
         return k if k >= 2 else None
 
-    def sweep(
-        self, ks: range, floor: Fraction
-    ) -> tuple[list[tuple[int, int] | None], list[int]]:
-        """This world's column over ks: None where the congruence rule excludes
-        k (3 | n and k not 1 mod 3), else chain_upper(divides, tail, k) =
-        7(a + d*k)/(16*d*tail*k) as a pair in lowest terms, which excludes k
-        when the witness floor at k, floor/k, meets it by one
-        cross-multiplication. Also returns the k it does not exclude."""
+    def chain_pair(self, k: int) -> tuple[int, int]:
+        """chain_upper(divides, tail, k) = 7(a + d*k)/(16*d*tail*k) in lowest terms."""
         a, d = self._chain[3:]
-        m = 16 * d * self.tail
-        three = 3 in self.divides
-        low, high = floor.numerator, floor.denominator
-        column, misses = [], []
-        for k in ks:
-            if three and k % 3 != 1:
-                column.append(None)
-                continue
-            num, den = 7 * (a + d * k), m * k
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-            column.append((num, den))
-            if low * den < num * k * high:
-                misses.append(k)
-        return column, misses
+        num, den = 7 * (a + d * k), 16 * d * self.tail * k
+        g = math.gcd(num, den)
+        return num // g, den // g
 
 
 def _make_world(
@@ -351,78 +334,14 @@ def enumerate_worlds(profile: LehmerProfile) -> list[_World]:
 # ---------------------------------------------------------------------------
 # Per-k exclusion
 
-class ExclusionColumns(NamedTuple):
-    """The verdicts of a profile's worlds on each k of ks, as integer columns.
-    floor is the profile's witness floor L, so the floor at k is L/k. rhs
-    holds one column per world: the chain bound pair at each k in lowest
-    terms, or None where the congruence rule excludes k. misses holds, per
-    world, the k of ks it does not exclude."""
-
-    worlds: tuple[_World, ...]
-    floor: Fraction
-    ks: range
-    rhs: tuple[tuple[tuple[int, int] | None, ...], ...]
-    misses: tuple[frozenset[int], ...]
-
-    def to_json(self) -> str:
-        """The columns as the JSON array json.dumps writes (default separators,
-        ASCII only, "p/q" sides): [{"k", "justifications": [{"world", "rule",
-        "lhs", "rhs", "excluded"}, ...]}, ...]. Each world's escaped label and
-        rule text are rendered once. The floor L/k is reduced by g, the gcd of
-        k with L's numerator top (L is in lowest terms): top // g is rendered
-        once per g, and the denominator bottom * (k // g), with bottom =
-        cofactor * 10**z, as the small product cofactor * (k // g) followed by
-        z zeros."""
-        esc = encode_basestring_ascii
-        top, bottom = self.floor.numerator, self.floor.denominator
-        tops = {1: str(top)}  # top // g in decimal, per gcd class g
-        bottom_text = str(bottom)
-        digits = bottom_text.rstrip("0")
-        cofactor, zeros = int(digits), "0" * (len(bottom_text) - len(digits))
-        worlds = []
-        for world, column, missed in zip(self.worlds, self.rhs, self.misses):
-            label, rule, suffix = world._chain[:3]
-            head = f'{{"world": {esc(label)}, "rule": '
-            congruence = head + esc(f"{CONGRUENCE}: k=")[:-1]
-            worlds.append((head + esc(f"{rule} k=")[:-1], esc(suffix)[1:], congruence, column, missed))
-        docs, sep = [], "["  # the brackets go into the items: join makes the one copy
-        for i, k in enumerate(self.ks):
-            g = math.gcd(top, k)
-            if g not in tops:
-                tops[g] = str(top // g)
-            lhs = f"{tops[g]}/{cofactor * (k // g)}{zeros}"
-            rows = []
-            for chain, tail, congruence, column, missed in worlds:
-                rhs = column[i]
-                if rhs is None:
-                    r = k % 3
-                    rows.append(f'{congruence}{k} is {r} (mod 3), 1 required", "lhs": "{ratio_str(r, 1)}", '
-                                f'"rhs": "{ratio_str(1, 1)}", "excluded": true}}')
-                else:
-                    rows.append(f'{chain}{k}{tail}, "lhs": "{lhs}", "rhs": "{ratio_str(*rhs)}", '
-                                f'"excluded": {"false" if k in missed else "true"}}}')
-            docs.append(f'{sep}{{"k": {k}, "justifications": [{", ".join(rows)}]}}')
-            sep = ", "
-        docs.append("]" if docs else "[]")
-        return "".join(docs)
-
-
-def _exclusions(profile: LehmerProfile, ks: range) -> ExclusionColumns:
-    """The columns of the profile's worlds over ks, one pass (_World.sweep)
-    per world against the profile's witness floor."""
-    floor = profile.witness_floor
-    columns, misses = zip(*(world.sweep(ks, floor) for world in profile.worlds))
-    columns, misses = tuple(map(tuple, columns)), tuple(map(frozenset, misses))
-    return ExclusionColumns(profile.worlds, floor, ks, columns, misses)
-
-
-def exclude_k(profile: LehmerProfile, k: int) -> ExclusionColumns:
-    """Decide whether k*phi(n) = n - 1 is impossible for every candidate
-    matching the profile: each world judges k against the witness floor at k,
-    and k is excluded when no world misses it (MinKResult.columns at one k)."""
+def exclude_k(profile: LehmerProfile, k: int) -> bool:
+    """Whether k*phi(n) = n - 1 is impossible for every candidate matching the
+    profile: in each world the congruence rule excludes k (3 | n and k not 1
+    mod 3), or the chain does against the witness floor at k."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    return _exclusions(profile, range(k, k + 1))
+    floor = profile.witness_floor
+    return all(w.last_chain_k(k) != k or w.chain_excludes(k, floor) for w in profile.worlds)
 
 
 class WorldBound(NamedTuple):
@@ -440,8 +359,7 @@ class WorldBound(NamedTuple):
         label, rule, covers = self.world._chain[:3]
         lhs = rhs = None
         if self.k is not None:
-            (pair,), _ = self.world.sweep(range(self.k, self.k + 1), self.floor)
-            lhs, rhs = ratio_str(*(self.floor / self.k).as_integer_ratio()), ratio_str(*pair)
+            lhs, rhs = fraction_str(self.floor / self.k), ratio_str(*self.world.chain_pair(self.k))
         return {"world": label, "rule": rule + covers, "k_star": self.k_star,
                 "congruence": 3 in self.world.divides, "k": self.k, "lhs": lhs, "rhs": rhs}
 
@@ -456,10 +374,51 @@ class MinKResult:
     n_floor_used: int
     profile: LehmerProfile
 
-    @cached_property
-    def columns(self) -> ExclusionColumns:
-        """The exclusion columns of every k below the floor, swept when read."""
-        return _exclusions(self.profile, range(2, self.k))
+    def excluded_json(self) -> str:
+        """The rows of every k below the floor as the JSON array json.dumps
+        writes (default separators, ASCII only, "p/q" sides): [{"k",
+        "justifications": [{"world", "rule", "lhs", "rhs", "excluded"}, ...]},
+        ...], per world the congruence rule where 3 | n and k is not 1 mod 3,
+        else the floor L/k against _World.chain_pair(k). Every row reads
+        "excluded": true: min_k has checked that every world excludes every k
+        below the floor. Each world's escaped label and rule text are rendered
+        once. L/k is reduced by g, the gcd of k with L's numerator top (L is in
+        lowest terms): top // g is rendered once per g, and the denominator
+        bottom * (k // g), with bottom = cofactor * 10**z, as the small product
+        cofactor * (k // g) followed by z zeros."""
+        esc = encode_basestring_ascii
+        floor = self.profile.witness_floor
+        top, bottom = floor.numerator, floor.denominator
+        tops = {1: str(top)}  # top // g in decimal, per gcd class g
+        bottom_text = str(bottom)
+        digits = bottom_text.rstrip("0")
+        cofactor, zeros = int(digits), "0" * (len(bottom_text) - len(digits))
+        worlds = []
+        for world in (bound.world for bound in self.worlds):
+            label, rule, suffix = world._chain[:3]
+            head = f'{{"world": {esc(label)}, "rule": '
+            congruence = head + esc(f"{CONGRUENCE}: k=")[:-1]
+            worlds.append((head + esc(f"{rule} k=")[:-1], esc(suffix)[1:], congruence,
+                           3 in world.divides, world.chain_pair))
+        docs, sep = [], "["  # the brackets go into the items: join makes the one copy
+        for k in range(2, self.k):
+            g = math.gcd(top, k)
+            if g not in tops:
+                tops[g] = str(top // g)
+            lhs = f"{tops[g]}/{cofactor * (k // g)}{zeros}"
+            rows = []
+            for chain, tail, congruence, three, chain_pair in worlds:
+                if three and k % 3 != 1:
+                    r = k % 3
+                    rows.append(f'{congruence}{k} is {r} (mod 3), 1 required", "lhs": "{ratio_str(r, 1)}", '
+                                f'"rhs": "{ratio_str(1, 1)}", "excluded": true}}')
+                else:
+                    rows.append(f'{chain}{k}{tail}, "lhs": "{lhs}", "rhs": "{ratio_str(*chain_pair(k))}", '
+                                f'"excluded": true}}')
+            docs.append(f'{sep}{{"k": {k}, "justifications": [{", ".join(rows)}]}}')
+            sep = ", "
+        docs.append("]" if docs else "[]")
+        return "".join(docs)
 
 
 def _k_floor(profile: LehmerProfile) -> int:
@@ -480,7 +439,8 @@ def min_k(profile: LehmerProfile) -> MinKResult:
     K* and not K* + 1; every world must then exclude each k below the floor
     and some world not the floor. A symbolic profile is solved at n > 10**8171
     alone once the universal floor reaches 3 (a higher n_floor excludes more).
-    Only min-k --format json reads the per-k columns, while its digests pin them."""
+    Only min-k --format json renders a row per excluded k (excluded_json),
+    while its digests pin them."""
     rules = []
     if profile.n is None and profile.n_floor < N_FLOOR_RAISED and universal_k_floor() >= 3:
         profile = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
@@ -488,7 +448,8 @@ def min_k(profile: LehmerProfile) -> MinKResult:
         rules.append("n-floor-escalation: universal k >= 3 implies n > 10^8171; swept again")
     floor_k = _k_floor(profile)
     if floor_k >= _SWEEP_GUARD:
-        raise DomainError(f"k floor {floor_k} lies past the exclusion sweep's guard of k < {_SWEEP_GUARD}")
+        raise DomainError(f"k floor {floor_k} lies past the rule trace's guard of k < {_SWEEP_GUARD} "
+                          "(one applied rule per k below the floor)")
     lower, worlds = profile.witness_floor, profile.worlds
     bounds = tuple(WorldBound(w, lower, w.k_star(lower), w.last_chain_k(floor_k - 1)) for w in worlds)
     for b in bounds:

@@ -180,14 +180,11 @@ class Product(GroupSpec):
         subtracting count(d/p) from count(d), one prime p of L at a time,
         leaves the number of elements of order exactly d.
 
-        This costs d(L) * (k + omega(L)) integer operations for k factors,
-        where the lcm-convolution of the factors' spectra cost the sum of
-        |acc| * |S_i| lcm calls. Factors that share primes gain:
-        C720720 x C720720 fills 240 entries in place of 57 600 lcm calls.
-        Factors that share none lose, since the lattice is then the product
-        of their supports and each entry costs more than an lcm call:
-        C223092870 x C2756205443 (2^15 divisors) takes about 2.5 times as
-        long as that convolution did.
+        This costs d(L) * (k + omega(L)) integer operations for k factors.
+        Factors that share primes keep the lattice small: C720720 x C720720
+        fills 240 entries. Coprime factors with many primes cost the most,
+        since the lattice is then the product of their supports:
+        C223092870 x C2756205443 fills 2^15.
         """
         powers: dict[int, int] = {}
         # L is factored one distinct exponent at a time, so Brent rho never

@@ -7,10 +7,10 @@ pairwise by "order of a tuple = lcm of component orders", sharing no code
 with the Moebius inversion of Product.spectrum_map. psi_prime and psi_double_prime are the
 normalized order sums psi' and psi'', by their definitions over the
 package's psi. exclusion_oracle rebuilds each excluded k's entry by the
-Fraction route, sharing no code with the engine's sweep; swept_exclusions
+Fraction route, sharing no code with _World.chain_pair; swept_exclusions
 walks it up to the k floor, world_entries reads each world's K* and binding
 inequality from that walk, as_json_dicts and verdict_as_dict give the dicts
-whose json.dumps the engine's to_json renderers must equal byte for byte, and
+whose json.dumps the engine's JSON renderers must equal byte for byte, and
 chain_justification, uses_stated_floor and binding_inequality read an
 exclusion trace from its entries, as the engine's verdicts must.
 json_row and csv_row render a report row cell by cell, as the cached row

@@ -244,7 +244,7 @@ def test_min_k_matrix():
         assert three.k == 4
         assert any(
             "k-congruence-3" in j["rule"]
-            for res in json.loads(three.columns.to_json())
+            for res in json.loads(three.excluded_json())
             for j in res["justifications"]
         )
         assert min_k(make_profile(not_divides=[3])).k >= 3

@@ -155,7 +155,7 @@ class TestLehmerCommands:
         monkeypatch.setattr(engine, "_SWEEP_GUARD", 5)
         code, out, err = run(capsys, "lehmer-check", "56052361")
         assert code == 2
-        assert err.startswith("error:") and "guard" in err and "Traceback" not in err
+        assert err == "error: k floor 32 lies past the rule trace's guard of k < 5 (one applied rule per k below the floor)\n"
         assert out == ""
 
     def test_floor_past_guard_exits_2_fast(self, capsys):
@@ -166,7 +166,8 @@ class TestLehmerCommands:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         guard = engine._SWEEP_GUARD
-        assert err == f"error: k floor 100297 lies past the exclusion sweep's guard of k < {guard}\n"
+        assert err == (f"error: k floor 100297 lies past the rule trace's guard of k < {guard} "
+                       "(one applied rule per k below the floor)\n")
 
     def test_precision_option_is_gone(self, capsys):
         for argv in (

@@ -21,7 +21,7 @@ from conftest import (
     verdict_as_dict,
     world_entries,
 )
-from test_reference_output import LEHMER_CHECK_DIGESTS
+from test_reference_output import LEHMER_CHECK_DIGESTS, REFERENCE
 import lehmer_psi.engine as engine_module
 from lehmer_psi import cli
 from lehmer_psi.arith import DomainError, euler_phi, factor, is_prime, is_squarefree, sigma
@@ -30,12 +30,13 @@ from lehmer_psi.carmichael import carmichael_in_range
 from lehmer_psi.engine import (
     CONGRUENCE,
     GENERIC_PROFILE,
-    ExclusionColumns,
+    MinKResult,
     N_FLOOR_BASE,
     N_FLOOR_RAISED,
     PI2_HIGH,
     PI2_LOW,
     SMALL_PRIMES,
+    WorldBound,
     abundancy_bound,
     certified_close,
     chain_upper,
@@ -66,21 +67,19 @@ def _decisions(entries):
     )
 
 
-def _column_decisions(columns):
-    """The same decisions read from exclusion columns."""
-    return tuple(
-        (k, tuple((column[i], k not in missed) for column, missed in zip(columns.rhs, columns.misses)))
-        for i, k in enumerate(columns.ks)
-    )
-
-
-def _entries(columns):
-    """columns.to_json() read back, "lhs" and "rhs" as Fractions."""
-    entries = json.loads(columns.to_json())
+def _entries(result):
+    """result.excluded_json() read back, "lhs" and "rhs" as Fractions."""
+    entries = json.loads(result.excluded_json())
     for entry in entries:
         for j in entry["justifications"]:
             j["lhs"], j["rhs"] = Fraction(j["lhs"]), Fraction(j["rhs"])
     return entries
+
+
+def _rows(profile, k):
+    """The entry of k, below the profile's floor, that min-k --format json renders."""
+    (entry,) = (entry for entry in _entries(min_k(profile)) if entry["k"] == k)
+    return entry
 
 
 def _swept_min_k(profile):
@@ -236,31 +235,36 @@ class TestProfiles:
 
 class TestExcludeK:
     def test_q3_k2_excluded_by_congruence(self):
-        (res,) = _entries(exclude_k(make_profile(q=3), 2))
+        profile = make_profile(q=3)
+        assert exclude_k(profile, 2)
+        assert all(world.last_chain_k(2) is None for world in profile.worlds)
+        res = _rows(profile, 2)
         assert excluded(res)
         assert all("k-congruence-3" in j["rule"] for j in res["justifications"] if j["excluded"])
 
     def test_q5_without_7_k2_excluded(self):
-        (res,) = _entries(exclude_k(make_profile(q=5, not_divides=[7]), 2))
+        profile = make_profile(q=5, not_divides=[7])
+        assert exclude_k(profile, 2)
+        res = _rows(profile, 2)
         assert excluded(res)
         for j in res["justifications"]:
             assert j["lhs"] >= j["rhs"]  # the recorded inequality reproduces
 
     def test_q17_k3_excluded_at_raised_floor(self):
-        (res,) = _entries(exclude_k(dataclasses.replace(make_profile(q=17), n_floor=N_FLOOR_RAISED), 3))
+        assert exclude_k(dataclasses.replace(make_profile(q=17), n_floor=N_FLOOR_RAISED), 3)
+        res = _rows(make_profile(q=17), 3)  # min_k solves it at the raised floor
         assert excluded(res)
         j = res["justifications"][0]
         assert j["rhs"] == Fraction(133, 816)
         assert j["lhs"] == Fraction(1, 6) * (1 - Fraction(1, N_FLOOR_RAISED))
 
     def test_q7_k2_excluded_via_divisor_split(self):
-        res = exclude_k(make_profile(q=7), 2)
-        assert not any(res.misses)
+        assert exclude_k(make_profile(q=7), 2) is True
 
     def test_not_excluded_cases(self):
-        assert any(exclude_k(make_profile(q=5, not_divides=[7]), 3).misses)
+        assert exclude_k(make_profile(q=5, not_divides=[7]), 3) is False
         raised = dataclasses.replace(make_profile(q=17), n_floor=N_FLOOR_RAISED)
-        assert any(exclude_k(raised, 4).misses)
+        assert exclude_k(raised, 4) is False
 
     @pytest.mark.parametrize("q, n_floor, k", [(23, 92, 4), (29, 232, 5), (43, 43, 6), (67, 134, 10)])
     def test_floor_meeting_the_chain_bound_excludes(self, q, n_floor, k):
@@ -270,11 +274,12 @@ class TestExcludeK:
         (row,) = exclusion_oracle(profile, k)["justifications"]
         assert row["lhs"] == row["rhs"] and row["excluded"]
         ks = range(2, k + 2)
-        oracle = [exclusion_oracle(profile, i) for i in ks]
-        assert _column_decisions(engine_module._exclusions(profile, ks)) == _decisions(oracle)
-        assert not any(exclude_k(profile, k).misses)
-        # the closed form and min_k's boundary check agree that meeting excludes
+        oracle = [exclusion_oracle(profile, i)["justifications"] for i in ks]
         (world,) = profile.worlds
+        assert [(world.chain_pair(i), exclude_k(profile, i)) for i in ks] == [
+            (row["rhs"].as_integer_ratio(), row["excluded"]) for (row,) in oracle]
+        assert exclude_k(profile, k)
+        # the closed form and min_k's boundary check agree that meeting excludes
         floor = profile.witness_floor
         assert (world.k_star(floor), world.chain_excludes(k, floor), world.chain_excludes(k + 1, floor)) == (k, True, False)
 
@@ -284,7 +289,8 @@ class TestExcludeK:
 
     def test_concrete_uses_exact_n(self):
         profile = profile_from_factorization(factor(2465))  # 5 * 17 * 29
-        (res,) = _entries(exclude_k(profile, 2))
+        assert exclude_k(profile, 2)
+        res = _rows(profile, 2)
         assert excluded(res)
         j = chain_justification(res)
         assert j["lhs"] == Fraction(2464, 2 * 2 * 2465)
@@ -304,7 +310,7 @@ class TestMinK:
 
     def test_congruence_rule_in_trace(self):
         result = min_k(make_profile(divides=[3]))
-        assert any("k-congruence-3" in j["rule"] for res in _entries(result.columns) for j in res["justifications"])
+        assert any("k-congruence-3" in j["rule"] for res in _entries(result) for j in res["justifications"])
 
     def test_q5_exact_floors(self):
         assert min_k(make_profile(q=5, divides=[7, 13])).k == 3
@@ -338,16 +344,17 @@ class TestMinK:
         for profile in profiles:
             raised = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
             for k in range(2, 21):
-                if not any(exclude_k(profile, k).misses):
-                    assert not any(exclude_k(raised, k).misses), (profile.describe(), k)
+                if exclude_k(profile, k):
+                    assert exclude_k(raised, k), (profile.describe(), k)
 
     def test_worlds_built_and_swept_once_per_call(self, monkeypatch):
-        # one world build and one closed-form floor; min_k itself sweeps no k,
-        # and reading its columns sweeps each k from 2 below the floor once
+        # one world build and one closed-form floor; min_k itself evaluates no
+        # chain pair, and rendering its rows evaluates each world's pair once
+        # at each k below the floor that the congruence leaves to the chain
         universal_k_floor()  # cached; its own floor is not counted
         builds, floors, swept = [], [], []
         enumerate_original = engine_module.enumerate_worlds
-        floor_original, sweep_original = engine_module._k_floor, engine_module._exclusions
+        floor_original, pair_original = engine_module._k_floor, engine_module._World.chain_pair
 
         def counting_enumerate(profile):
             builds.append(profile)
@@ -357,13 +364,13 @@ class TestMinK:
             floors.append(profile)
             return floor_original(profile)
 
-        def counting_sweep(profile, ks):
-            swept.extend(ks)
-            return sweep_original(profile, ks)
+        def counting_pair(world, k):
+            swept.append((world, k))
+            return pair_original(world, k)
 
         monkeypatch.setattr(engine_module, "enumerate_worlds", counting_enumerate)
         monkeypatch.setattr(engine_module, "_k_floor", counting_floor)
-        monkeypatch.setattr(engine_module, "_exclusions", counting_sweep)
+        monkeypatch.setattr(engine_module._World, "chain_pair", counting_pair)
         profiles = [profile_from_factorization(factor(n)) for n in (561, 2465, 29341, 41041)]
         for profile in profiles + [GENERIC_PROFILE, make_profile(q=5), make_profile(q=101)]:
             builds.clear()
@@ -371,8 +378,10 @@ class TestMinK:
             swept.clear()
             result = min_k(profile)
             assert (len(builds), len(floors), swept) == (1, 1, []), profile.describe()
-            assert len(result.columns.ks) >= 1 and result.columns is result.columns
-            assert swept == list(range(2, result.k)), profile.describe()
+            assert len(_entries(result)) == result.k - 2 >= 1
+            worlds = [bound.world for bound in result.worlds]
+            expected = [(world, k) for k in range(2, result.k) for world in worlds if world.last_chain_k(k) == k]
+            assert (len(builds), swept) == (1, expected), profile.describe()
             if profile.n is None:
                 assert result.n_floor_used == N_FLOOR_RAISED
 
@@ -381,7 +390,7 @@ class TestMinK:
         assert len(profiles) == 105
         for profile in profiles:
             result = min_k(profile)
-            got = (result.k, result.applied_rules, result.n_floor_used, _column_decisions(result.columns))
+            got = (result.k, result.applied_rules, result.n_floor_used, _decisions(_entries(result)))
             assert got == _swept_min_k(profile), profile.n
 
     @pytest.mark.parametrize("n_floor", [N_FLOOR_BASE, N_FLOOR_RAISED], ids=["base", "raised"])
@@ -390,33 +399,30 @@ class TestMinK:
         assert len(profiles) > 100
         for profile in profiles:
             result = min_k(profile)
-            got = (result.k, result.applied_rules, result.n_floor_used, _column_decisions(result.columns))
+            got = (result.k, result.applied_rules, result.n_floor_used, _decisions(_entries(result)))
             assert got == _swept_min_k(profile), profile.describe()
 
     @pytest.mark.parametrize("n_floor", [N_FLOOR_BASE, N_FLOOR_RAISED], ids=["base", "raised"])
     def test_exclude_k_is_the_one_k_case_of_the_sweep(self, n_floor):
-        # min_k sweeps every world over all k below its floor at once; exclude_k
-        # at each k, the floor included, must agree with it
+        # min_k settles every k below its floor at once; exclude_k at each k,
+        # the floor included, must agree with it and with the swept oracle
         profiles = _carmichael_profiles(10**7) + sorted(
             _symbolic_profiles((None, 17, 101, 10007), n_floor), key=lambda p: p.describe())
         assert len(profiles) > 200
         for profile in profiles:
             result = min_k(profile)
             solved = dataclasses.replace(profile, n_floor=result.n_floor_used)
-            at_floor = exclude_k(solved, result.k)
-            assert any(at_floor.misses), profile.describe()
-            columns = result.columns
-            for i, k in enumerate(columns.ks):
-                one = columns._replace(ks=range(k, k + 1), rhs=tuple(c[i:i + 1] for c in columns.rhs),
-                                       misses=tuple(m & {k} for m in columns.misses))
-                assert exclude_k(solved, k) == one, (profile.describe(), k)
-            assert at_floor == engine_module._exclusions(solved, range(result.k, result.k + 1))
+            got = [exclude_k(solved, k) for k in range(2, result.k + 1)]
+            assert got == [True] * (result.k - 2) + [False], profile.describe()
+            # the oracle's floor is its first k some world does not exclude
+            assert swept_exclusions(solved)[0] == result.k, profile.describe()
 
     def test_world_constants_give_the_chain_bound(self):
-        # _World.sweep is the one home of the chain bound; every column entry
-        # exclude_k returns, for each world and witness floor once, reproduces
-        # the Fraction route: the chain bound as a pair in lowest terms and
-        # excluded when the floor L/k meets it, None for the congruence rule
+        # _World.chain_pair is the one home of the chain bound; for each world
+        # and witness floor once, it and chain_excludes reproduce the Fraction
+        # route: the chain bound as a pair in lowest terms, excluded when the
+        # floor L/k meets it, and the congruence rule where 3 | n and k is not
+        # 1 mod 3; exclude_k is every world's verdict together
         symbolic = sorted(_symbolic_profiles((None, 17, 101, 10007)), key=lambda p: -len(p.worlds))
         profiles = _carmichael_profiles(10**7) + symbolic
         worlds = {world for profile in profiles for world in profile.worlds}
@@ -430,16 +436,16 @@ class TestMinK:
             if not fresh:
                 continue
             for k in range(2, 301):
-                res, floor = exclude_k(profile, k), profile.witness_floor / k
-                assert (res.floor, res.ks) == (profile.witness_floor, range(k, k + 1))
+                floor = profile.witness_floor / k
+                congruence = [3 in world.divides and k % 3 != 1 for world in profile.worlds]
+                verdicts = [c or floor >= bounds[world, k] for c, world in zip(congruence, profile.worlds)]
+                assert exclude_k(profile, k) == all(verdicts), (profile.describe(), k)
                 for i in fresh:
-                    world, (rhs,), missed = profile.worlds[i], res.rhs[i], res.misses[i]
-                    if 3 in world.divides and k % 3 != 1:
-                        assert (rhs, k in missed) == (None, False), (world, k)
-                    else:
-                        bound = bounds[world, k]
-                        assert rhs == (bound.numerator, bound.denominator), (world, k)
-                        assert (k not in missed) == (floor >= bound), (world, k)
+                    world = profile.worlds[i]
+                    bound = bounds[world, k]
+                    assert (world.last_chain_k(k) != k) == congruence[i], (world, k)
+                    assert world.chain_pair(k) == (bound.numerator, bound.denominator), (world, k)
+                    assert world.chain_excludes(k, profile.witness_floor) == (floor >= bound), (world, k)
         assert len(seen) > 100
 
     def test_min_k_builds_no_fraction_per_excluded_k(self, monkeypatch):
@@ -455,7 +461,7 @@ class TestMinK:
         monkeypatch.setattr(engine_module, "Fraction", CountingFraction)
         profile = profile_from_factorization(factor(6178246534322281))
         result = min_k(profile)
-        assert (profile.q, result.k, len(result.columns.ks)) == (100981, 14427, 14425)
+        assert (profile.q, result.k, result.excluded_json().count('"k": ')) == (100981, 14427, 14425)
         assert len(built) < 100
 
     @pytest.mark.parametrize("shift", [-1, 1])
@@ -480,18 +486,17 @@ class TestMinK:
             min_k(profile)
 
     def test_verdict_builds_no_exclusion_columns(self, monkeypatch):
-        # lehmer_check decides nothing per k: at q = 100981 it builds no
-        # ExclusionColumns and no world sweeps a range of k; rendering the
-        # verdict evaluates the binding inequality at its one k
-        built, swept = [], []
-        columns, sweep = engine_module.ExclusionColumns, engine_module._World.sweep
-        monkeypatch.setattr(engine_module, "ExclusionColumns", lambda *args: built.append(args) or columns(*args))
-        monkeypatch.setattr(engine_module._World, "sweep",
-                            lambda world, ks, floor: swept.append(ks) or sweep(world, ks, floor))
+        # lehmer_check decides nothing per k: at q = 100981 it evaluates no
+        # chain pair; rendering the verdict evaluates the binding inequality
+        # at its one k
+        pairs = []
+        chain_pair = engine_module._World.chain_pair
+        monkeypatch.setattr(engine_module._World, "chain_pair",
+                            lambda world, k: pairs.append(k) or chain_pair(world, k))
         v = lehmer_check(6178246534322281)
-        assert (v.min_k, built, swept) == (14427, [], [])
+        assert (v.min_k, pairs) == (14427, [])
         assert json.loads(v.to_json())["worlds"][0]["k"] == 14426
-        assert (built, swept) == ([], [range(14426, 14427)])
+        assert pairs == [14426]
 
 
 class TestLadder:
@@ -769,79 +774,80 @@ class TestLehmerCheck:
 class TestJustificationReproducibility:
     def test_exclusions_recompute_identically(self):
         profile = make_profile(q=5, divides=[7], not_divides=[13])
-        first = exclude_k(profile, 2)
-        second = exclude_k(profile, 2)
-        assert first == second and first.to_json() == second.to_json()
+        first, second = min_k(profile), min_k(profile)
+        assert exclude_k(profile, 2) is exclude_k(profile, 2) is True
+        assert first == second and first.excluded_json() == second.excluded_json()
         for j in _entries(first)[0]["justifications"]:
             # the recorded inequality must hold as recorded
             assert (j["lhs"] >= j["rhs"]) == j["excluded"] or "congruence" in j["rule"]
 
     def test_chain_parameters_recorded(self):
-        (res,) = _entries(exclude_k(make_profile(q=5, divides=[7], not_divides=[13]), 2))
-        j = chain_justification(res)
+        j = chain_justification(_rows(make_profile(q=5, divides=[7], not_divides=[13]), 2))
         assert "split=[5, 7]" in j["rule"] and "tail=17" in j["rule"]
         assert j["rhs"] == Fraction(1007, 4080)
 
 
-# exclusion columns whose world labels and rule texts hold quotes,
-# backslashes, control characters and non-ASCII text, with ints of up to 3000
-# digits; a floor's numerator may share a factor with k or be prime to it (the
-# renderer then prints it from its one decimal text), and a world may leave
-# some k unexcluded
+# min_k results whose world labels and rule texts hold quotes, backslashes,
+# control characters and non-ASCII text, with ints of up to 3000 digits; a
+# floor's numerator may share a factor with k or be prime to it (the renderer
+# then prints it from its one decimal text)
 _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é∤') | st.characters(), max_size=12)
 _INT = st.integers(-(10**3000) + 1, 10**3000 - 1) | st.integers(-(10**6), 10**6)
 _PAIRS = st.tuples(_INT, _INT)
 
 
 @st.composite
-def _columns(draw):
-    start = draw(st.integers(2, 10**6) | st.integers(2, 12))
-    ks = range(start, start + draw(st.integers(0, 4)))
+def _results(draw):
+    floor_k = draw(st.integers(2, 6) | st.integers(2, 40))
     floor = Fraction(draw(_INT) * draw(st.integers(1, 12)), draw(_INT.filter(bool)))
-    # the columns read only the label, the rule text and the text after k
-    worlds = tuple(SimpleNamespace(_chain=(draw(_TEXT), draw(_TEXT), draw(_TEXT)))
-                   for _ in range(draw(st.integers(1, 4))))
-    rhs = tuple(tuple(draw(st.none() | _PAIRS) for _ in ks) for _ in worlds)
-    misses = tuple(frozenset(k for k in ks if draw(st.booleans())) for _ in worlds)
-    return ExclusionColumns(worlds, floor, ks, rhs, misses)
+    # the rows read only the label, the rule text, the text after k, whether
+    # 3 | n and the chain pair at each k, here drawn from a few per world
+    worlds = []
+    for _ in range(draw(st.integers(1, 4))):
+        pairs = draw(st.lists(_PAIRS, min_size=1, max_size=4))
+        world = SimpleNamespace(_chain=(draw(_TEXT), draw(_TEXT), draw(_TEXT)),
+                                divides=(3,) if draw(st.booleans()) else (),
+                                chain_pair=lambda k, pairs=pairs: pairs[k % len(pairs)])
+        worlds.append(WorldBound(world, floor, floor_k - 1, None))
+    return MinKResult(floor_k, tuple(worlds), (), 0, SimpleNamespace(witness_floor=floor))
 
 
-def _columns_as_dicts(columns):
-    """The dicts whose json.dumps columns.to_json() must equal, read from the
-    columns field by field: the floor at k as the Fraction floor/k."""
+def _rows_as_dicts(result):
+    """The dicts whose json.dumps result.excluded_json() must equal, read from
+    the worlds field by field: the floor at k as the Fraction floor/k."""
     docs = []
-    for i, k in enumerate(columns.ks):
-        lhs = columns.floor / k
+    for k in range(2, result.k):
+        lhs = result.profile.witness_floor / k
         rows = []
-        for world, column, missed in zip(columns.worlds, columns.rhs, columns.misses):
+        for world in (bound.world for bound in result.worlds):
             label, prefix, suffix = world._chain[:3]
-            if column[i] is None:
+            if 3 in world.divides and k % 3 != 1:
                 rule = f"{CONGRUENCE}: k={k} is {k % 3} (mod 3), 1 required"
                 rows.append({"world": label, "rule": rule, "lhs": f"{k % 3}/1", "rhs": "1/1", "excluded": True})
             else:
                 rows.append({"world": label, "rule": f"{prefix} k={k}{suffix}",
-                             "lhs": f"{lhs.numerator}/{lhs.denominator}", "rhs": "{}/{}".format(*column[i]),
-                             "excluded": k not in missed})
+                             "lhs": f"{lhs.numerator}/{lhs.denominator}", "rhs": "{}/{}".format(*world.chain_pair(k)),
+                             "excluded": True})
         docs.append({"k": k, "justifications": rows})
     return docs
 
 
 class TestJsonRendering:
-    """ExclusionColumns.to_json(), LehmerVerdict.to_json() and min-k JSON equal
-    json.dumps of the dicts in conftest."""
+    """MinKResult.excluded_json(), LehmerVerdict.to_json() and min-k JSON
+    equal json.dumps of the dicts in conftest."""
 
     @settings(max_examples=300, deadline=None)
-    @given(columns=_columns())
-    def test_columns_json_matches_json_dumps(self, columns):
-        assert columns.to_json() == json.dumps(_columns_as_dicts(columns))
+    @given(result=_results())
+    def test_columns_json_matches_json_dumps(self, result):
+        assert result.excluded_json() == json.dumps(_rows_as_dicts(result))
 
     @settings(max_examples=100, deadline=None)
-    @given(columns=_columns(), zeros=st.integers(0, 40) | st.integers(8000, 8200))
-    def test_columns_json_with_trailing_zeros_in_the_floor(self, columns, zeros):
+    @given(result=_results(), zeros=st.integers(0, 40) | st.integers(8000, 8200))
+    def test_columns_json_with_trailing_zeros_in_the_floor(self, result, zeros):
         # the denominator is written as cofactor * (k // g) and bottom's zeros
-        floor = columns.floor / 10**zeros
-        columns = columns._replace(floor=floor)
-        assert columns.to_json() == json.dumps(_columns_as_dicts(columns))
+        floor = result.profile.witness_floor / 10**zeros
+        result = dataclasses.replace(result, profile=SimpleNamespace(witness_floor=floor))
+        assert result.excluded_json() == json.dumps(_rows_as_dicts(result))
 
     def test_verdict_json_matches_the_dict_oracle(self):
         # primes, even and non-squarefree n (no excluded k) and every branch
@@ -866,6 +872,14 @@ class TestJsonRendering:
                 "excluded": as_json_dicts(swept_exclusions(solved)[1]),
             }
             assert capsys.readouterr().out == json.dumps(doc) + "\n", spec
-            at_floor = engine_module._exclusions(solved, range(result.k, result.k + 1))
-            assert any(at_floor.misses) and at_floor == exclude_k(solved, result.k), spec
-            assert at_floor.to_json() == json.dumps(as_json_dicts([exclusion_oracle(solved, result.k)])), spec
+            assert not exclude_k(solved, result.k) and not excluded(exclusion_oracle(solved, result.k)), spec
+        # the rows alone on every pinned min-k profile and the Carmichael
+        # profiles to 10^7; none may read false, since min_k has checked
+        # that every world excludes every k below the floor
+        pinned = [parse_profile_spec(spec) for spec in json.loads(REFERENCE.read_text())["min-k"]]
+        for profile in pinned + _carmichael_profiles(10**7):
+            result = min_k(profile)
+            solved = dataclasses.replace(profile, n_floor=result.n_floor_used)
+            rows = result.excluded_json()
+            assert rows == json.dumps(as_json_dicts(swept_exclusions(solved)[1])), profile.describe()
+            assert '"excluded": false' not in rows, profile.describe()

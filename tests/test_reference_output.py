@@ -68,10 +68,10 @@ def test_lehmer_check_worlds_json_matches_recorded_digest(capsys, n, digest):
 
 
 # sha256 of `lehmer-check N --format json` stdout when a verdict carried, in
-# place of "worlds", an "excluded_k" array: MinKResult.columns of every k
-# below the floor, as min-k --format json still renders them. Rebuilding that
-# document from today's verdict and its profile's swept columns checks that
-# moving the per-k rows out of the verdict changed none of them.
+# place of "worlds", an "excluded_k" array: a row for every k below the floor,
+# as min-k --format json still renders them (MinKResult.excluded_json).
+# Rebuilding that document from today's verdict and its profile's rows checks
+# that moving the per-k rows out of the verdict changed none of them.
 PER_K_VERDICT_DIGESTS = {
     561: "3b5dc46ce7b35561413d7b8b473746f3be764d026653da745085a18845d5a205",
     1105: "ab2b9a20b1b174b07d2de731cf4596eaf37530fef87e1b8e149106e21149592c",
@@ -91,7 +91,7 @@ def test_lehmer_check_json_matches_recorded_digest(n, digest):
     worlds = json.dumps([bound.as_dict() for bound in verdict.worlds])
     head, sep, tail = verdict.to_json().partition(f'"worlds": {worlds}')
     assert sep
-    excluded = min_k(profile_from_factorization(n)).columns.to_json()
+    excluded = min_k(profile_from_factorization(n)).excluded_json()
     document = f'{head}"excluded_k": {excluded}{tail}\n'
     assert hashlib.sha256(document.encode()).hexdigest() == digest
 
