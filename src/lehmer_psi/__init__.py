@@ -9,7 +9,6 @@ from .arith import (
     Factorization,
     PrimalityResult,
     approx_str,
-    divisor_totient_pairs,
     euler_phi,
     factor,
     fraction_str,

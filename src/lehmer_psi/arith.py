@@ -232,24 +232,6 @@ def sigma(f: Factorization | int) -> int:
     return r
 
 
-def divisor_totient_pairs(f: Factorization | int) -> list[tuple[int, int]]:
-    """(d, phi(d)) for every divisor d, built directly from the factor lattice."""
-    f = _coerce(f)
-    pairs = [(1, 1)]
-    for p, a in f:
-        ext = []
-        for d, ph in pairs:
-            ext.append((d, ph))
-            pe, phe = 1, 1
-            for e in range(1, a + 1):
-                phe = pe * (p - 1)  # phi(p**e)
-                pe *= p
-                ext.append((d * pe, ph * phe))
-        pairs = ext
-    pairs.sort()
-    return pairs
-
-
 def is_squarefree(f: Factorization | int) -> bool:
     f = _coerce(f)
     return all(a == 1 for _, a in f)

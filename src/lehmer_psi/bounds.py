@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import DomainError, Factorization, _coerce, euler_phi, factor, is_prime, is_squarefree
-from .groups import GroupSpec, psi, psi_cyclic
+from .groups import GroupSpec, order_factorization, psi, psi_cyclic
 
 VARIANTS = ("i", "ii", "iii", "iv", "v", "vi")
 
@@ -124,7 +124,7 @@ def check_bounds(g: GroupSpec) -> list[BoundReport]:
     silently.
     """
     n = g.order
-    f = factor(n)
+    f = order_factorization(g)
     psi_g = psi(g)
     psi_cn = psi_cyclic(f)
     cyclic = g.is_cyclic

@@ -18,7 +18,7 @@ from .arith import DomainError, approx_str, euler_phi, factor, fraction_str, sig
 from .bounds import check_bounds
 from .carmichael import carmichael_in_range, korselt_check
 from .engine import PI2_LOW, lehmer_check, min_k, parse_profile_spec
-from .groups import order_spectrum, parse_group_spec, psi, psi_cyclic
+from .groups import order_factorization, order_spectrum, parse_group_spec, psi, psi_cyclic
 from .scan import (
     CounterexampleFound,
     CSV_HEADER,
@@ -114,7 +114,7 @@ def cmd_psi(args) -> int:
                     "group": str(g),
                     "order": g.order,
                     "psi": value,
-                    "psi_prime": fraction_str(Fraction(value, psi_cyclic(g.order))),
+                    "psi_prime": fraction_str(Fraction(value, psi_cyclic(order_factorization(g)))),
                     "psi_double_prime": fraction_str(Fraction(value, g.order**2)),
                     "spectrum": {str(d): c for d, c in spectrum.entries},
                 }

@@ -1,11 +1,12 @@
 """Symbolic group descriptions and exact element-order sums.
 
 Groups are symbolic: cyclic, dihedral, the quaternion group of order 8, and
-direct products of those. An order spectrum is the map "element order -> count";
-it is always computed over the divisor lattice (never element lists), so huge
-cyclic factors stay cheap. A direct product counts, at each divisor d of its
-exponent, the solutions of x^d = 1 as the product of its factors' counts, and
-one Moebius inversion over that lattice turns the counts into the spectrum.
+direct products of those. An order spectrum is the map "element order -> count".
+order_spectrum is its one computation, for an atom and a product alike: it
+counts, at each divisor d of the exponent, the solutions of x^d = 1 as the
+product of the atoms' closed-form counts, and one Moebius inversion over that
+divisor lattice (never element lists) turns the counts into the spectrum, so
+huge cyclic factors stay cheap.
 
 psi(G) is the sum of element orders.
 """
@@ -13,25 +14,21 @@ psi(G) is the sum of element orders.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, lcm, prod
 from operator import mul, sub
 
-from .arith import (
-    DomainError,
-    Factorization,
-    _coerce,
-    divisor_totient_pairs,
-    factor,
-)
+from .arith import DomainError, Factorization, _coerce, factor
 
-# Most entries a spectrum may hold; read at call time, no option changes it.
+# Most divisors a group's exponent may have for its spectrum to be computed,
+# so most entries a spectrum holds; read at call time, no option changes it.
 SPECTRUM_LIMIT = 10_000_000
 
 
 class SpectrumLimitError(DomainError):
-    """Spectrum support size would exceed SPECTRUM_LIMIT."""
+    """The exponent has more divisors than SPECTRUM_LIMIT."""
 
 
 class GroupSpecSyntaxError(DomainError):
@@ -44,10 +41,10 @@ class GroupSpecSyntaxError(DomainError):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A group family: each gives order, is_cyclic, is_nilpotent,
-    spectrum_map() (element order -> count) and its DSL text as str(g).
-    Atoms carry a rank that orders equal-order atoms in products, their
-    exponent, and solutions(d), the number of elements x with x^d = 1."""
+    """A group family: each gives order, is_cyclic, is_nilpotent and its DSL
+    text as str(g). Atoms carry a rank that orders equal-order atoms in
+    products, their exponent, and solutions(d), the number of elements x with
+    x^d = 1: all that order_spectrum reads of them."""
 
 
 @dataclass(frozen=True)
@@ -70,11 +67,6 @@ class Cyclic(GroupSpec):
 
     def solutions(self, d: int) -> int:
         return gcd(self.n, d)
-
-    def spectrum_map(self) -> dict[int, int]:
-        f = factor(self.n)
-        _within(prod(a + 1 for _, a in f))  # count the divisors before building them
-        return dict(divisor_totient_pairs(f))
 
     def __str__(self) -> str:
         return f"C{self.n}"
@@ -121,12 +113,6 @@ class Dihedral(GroupSpec):
         m = self.m
         return gcd(m, d) if d % 2 else gcd(m, d) + m
 
-    def spectrum_map(self) -> dict[int, int]:
-        spec = Cyclic(self.m).spectrum_map()
-        spec[2] = spec.get(2, 0) + self.m  # the m reflections
-        _within(len(spec))
-        return spec
-
     def __str__(self) -> str:
         return f"D{self.order2m}"
 
@@ -142,18 +128,16 @@ class Quaternion8(GroupSpec):
     def solutions(self, d: int) -> int:
         return 1 if d % 2 else 2 if d % 4 else 8
 
-    def spectrum_map(self) -> dict[int, int]:
-        return {1: 1, 2: 1, 4: 6}
-
     def __str__(self) -> str:
         return "Q8"
 
 
 @dataclass(frozen=True)
 class Product(GroupSpec):
-    """Direct product; nilpotent iff every factor is, and cyclic iff every
-    factor is and the lcm of the factor orders equals the order (pairwise
-    coprime factor orders).
+    """Direct product of atoms; nilpotent iff every factor is, and cyclic iff
+    every factor is and the lcm of the factor orders equals the order
+    (pairwise coprime factor orders). Its spectrum is order_spectrum's, over
+    the factors.
     """
 
     factors: tuple[GroupSpec, ...]
@@ -171,67 +155,19 @@ class Product(GroupSpec):
     def is_nilpotent(self) -> bool:
         return all(f.is_nilpotent for f in self.factors)
 
-    def spectrum_map(self) -> dict[int, int]:
-        """Orders by Moebius inversion over the divisors of the exponent L,
-        the lcm of the factor exponents. The number d(L) of divisors is
-        counted from the factorization of L, the highest power of each prime
-        among the factored exponents, before any divisor is built. count(d) =
-        #{x : x^d = 1} is the product of the factors' solutions(d), and
-        subtracting count(d/p) from count(d), one prime p of L at a time,
-        leaves the number of elements of order exactly d.
-
-        This costs d(L) * (k + omega(L)) integer operations for k factors.
-        Factors that share primes keep the lattice small: C720720 x C720720
-        fills 240 entries. Coprime factors with many primes cost the most,
-        since the lattice is then the product of their supports:
-        C223092870 x C2756205443 fills 2^15.
-        """
-        powers: dict[int, int] = {}
-        # L is factored one distinct exponent at a time, so Brent rho never
-        # has to split primes of two factors
-        for e in {f.exponent for f in self.factors}:
-            for p, a in factor(e):
-                if powers.get(p, 0) < a:
-                    powers[p] = a
-        _within(prod([a + 1 for a in powers.values()]))
-        # mixed radix: the digit of each prime has for stride the product of
-        # the earlier primes' a + 1
-        divisors = [1]
-        for p, a in powers.items():
-            power = divisors
-            for _ in range(a):
-                power = [d * p for d in power]
-                divisors += power
-        first, *rest = self.factors
-        count = list(map(first.solutions, divisors))
-        for f in rest:
-            count = list(map(mul, count, map(f.solutions, divisors)))
-        size, stride = len(count), 1
-        for a in powers.values():
-            block = stride * (a + 1)
-            # each position whose digit j > 0 subtracts the count at digit
-            # j - 1 not yet inverted: a * stride slices of step `block` taken
-            # from the highest digit down, or one slice a block, whose right
-            # side is copied before it is written: take the fewer
-            if a * stride < size // block:
-                for lo in range(block - 1, stride - 1, -1):
-                    count[lo::block] = map(sub, count[lo::block], count[lo - stride::block])
-            else:
-                for lo in range(stride, size, block):
-                    hi = lo + block - stride
-                    count[lo:hi] = map(sub, count[lo:hi], count[lo - stride:hi - stride])
-            stride = block
-        return dict(compress(zip(divisors, count), count))
-
     def __str__(self) -> str:
         return " x ".join(map(str, self.factors))
+
+
+def _atoms(g: GroupSpec) -> tuple[GroupSpec, ...]:
+    return g.factors if isinstance(g, Product) else (g,)
 
 
 def product(factors) -> GroupSpec:
     """Canonical direct product: flattens nested products, drops trivial
     factors, sorts factors by (order, rank)."""
-    atoms = (a for g in factors for a in (g.factors if isinstance(g, Product) else (g,)))
-    flat = sorted((a for a in atoms if a.order > 1), key=lambda a: (a.order, a.rank))
+    flat = sorted((a for g in factors for a in _atoms(g) if a.order > 1),
+                  key=lambda a: (a.order, a.rank))
     if not flat:
         return Cyclic(1)
     if len(flat) == 1:
@@ -291,19 +227,74 @@ class OrderSpectrum:
         return sum(d * c for d, c in self.entries)
 
 
-def _within(support: int) -> None:
-    """SpectrumLimitError when a support of this size exceeds SPECTRUM_LIMIT."""
-    if support > SPECTRUM_LIMIT:
-        raise SpectrumLimitError(f"spectrum support exceeds the limit of {SPECTRUM_LIMIT} entries")
-
-
 def order_spectrum(g: GroupSpec) -> OrderSpectrum:
-    """Exact element-order spectrum. Cyclic groups contribute phi(d) elements
-    of order d per divisor d; a dihedral group adds m reflections of order 2;
-    a product inverts, over the divisors d of its exponent, the count of
-    solutions of x^d = 1, which is the product of its factors' counts.
+    """Exact element-order spectrum, by Moebius inversion over the divisors
+    of the exponent L of g, the lcm of its atoms' exponents. The number d(L)
+    of divisors is counted from the factorization of L, the highest power of
+    each prime among the factored exponents, and checked against
+    SPECTRUM_LIMIT before any divisor is built. count(d) = #{x : x^d = 1} is
+    the product of the atoms' solutions(d), and subtracting count(d/p) from
+    count(d), one prime p of L at a time, leaves the number of elements of
+    order exactly d.
+
+    This costs d(L) * (k + omega(L)) integer operations for k atoms. Atoms
+    that share primes keep the lattice small: C720720 x C720720 fills 240
+    entries. Coprime atoms with many primes cost the most, since the lattice
+    is then the product of their supports: C223092870 x C2756205443 fills
+    2^15. D<2m> with m > 1 odd has exponent 2m but only the d(m) divisors
+    of m and 2 for orders, so its lattice of 2d(m) divisors is nearly twice
+    its support.
     """
-    return OrderSpectrum(tuple(sorted(g.spectrum_map().items())))
+    atoms = _atoms(g)
+    powers: dict[int, int] = {}
+    # L is factored one distinct exponent at a time, so Brent rho never has
+    # to split primes of two atoms
+    for e in {a.exponent for a in atoms}:
+        for p, a in factor(e):
+            if powers.get(p, 0) < a:
+                powers[p] = a
+    size = prod([a + 1 for a in powers.values()])
+    if size > SPECTRUM_LIMIT:
+        raise SpectrumLimitError(f"the exponent's {size} divisors exceed the spectrum limit "
+                                 f"of {SPECTRUM_LIMIT}")
+    # mixed radix: the digit of each prime has for stride the product of the
+    # earlier primes' a + 1
+    divisors = [1]
+    for p, a in powers.items():
+        power = divisors
+        for _ in range(a):
+            power = [d * p for d in power]
+            divisors += power
+    first, *rest = atoms
+    count = list(map(first.solutions, divisors))
+    for f in rest:
+        count = list(map(mul, count, map(f.solutions, divisors)))
+    stride = 1
+    for a in powers.values():
+        block = stride * (a + 1)
+        # each position whose digit j > 0 subtracts the count at digit j - 1
+        # not yet inverted: a * stride slices of step `block` taken from the
+        # highest digit down, or one slice a block, whose right side is
+        # copied before it is written: take the fewer
+        if a * stride < size // block:
+            for lo in range(block - 1, stride - 1, -1):
+                count[lo::block] = map(sub, count[lo::block], count[lo - stride::block])
+        else:
+            for lo in range(stride, size, block):
+                hi = lo + block - stride
+                count[lo:hi] = map(sub, count[lo:hi], count[lo - stride:hi - stride])
+        stride = block
+    return OrderSpectrum(tuple(sorted(compress(zip(divisors, count), count))))
+
+
+def order_factorization(g: GroupSpec) -> Factorization:
+    """The factorization of |g|, one distinct atom order factored at a time,
+    so that Brent rho never has to split primes of two atoms."""
+    powers: Counter[int] = Counter()
+    for n, times in Counter(a.order for a in _atoms(g)).items():
+        for p, a in factor(n):
+            powers[p] += a * times
+    return Factorization._proven(g.order, tuple(sorted(powers.items())))
 
 
 def psi(g: GroupSpec) -> int:

@@ -2,9 +2,11 @@
 a numpy Korselt sieve, the abelian groups of each order, and brute-force
 group element enumeration. These deliberately avoid the package's
 divisor-lattice machinery so spectra and psi values are checked against
-actual group multiplication; lcm_convolution combines the atoms' spectra
-pairwise by "order of a tuple = lcm of component orders", sharing no code
-with the Moebius inversion of Product.spectrum_map. psi_prime and psi_double_prime are the
+actual group multiplication; divisor_totient_pairs lists (d, phi(d)) from a
+factorization, atom_spectrum gives an atom's spectrum by its closed form,
+and lcm_convolution combines the atoms' spectra pairwise by "order of a
+tuple = lcm of component orders", sharing no code with the Moebius
+inversion of order_spectrum. psi_prime and psi_double_prime are the
 normalized order sums psi' and psi'', by their definitions over the
 package's psi. exclusion_oracle rebuilds each excluded k's entry by the
 Fraction route, sharing no code with _World.chain_pair; swept_exclusions
@@ -78,6 +80,15 @@ def naive_sigma(n: int) -> int:
 
 def naive_divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def divisor_totient_pairs(f) -> list[tuple[int, int]]:
+    """(d, phi(d)) for every divisor d, sorted, built from the (p, a) pairs
+    of a factorization."""
+    pairs = [(1, 1)]
+    for p, a in f:
+        pairs += [(d * p**e, ph * p ** (e - 1) * (p - 1)) for d, ph in pairs for e in range(1, a + 1)]
+    return sorted(pairs)
 
 
 def naive_fermat(n: int) -> bool:
@@ -238,14 +249,27 @@ def brute_psi(g: GroupSpec) -> int:
     return sum(order * count for order, count in brute_spectrum(g).items())
 
 
+def atom_spectrum(a: GroupSpec) -> dict[int, int]:
+    """An atom's order spectrum by its closed form: phi(d) elements of order d
+    for each divisor d of n in C_n; the rotations' C_m spectrum plus m
+    reflections of order 2 in D_2m; and Q8's {1: 1, 2: 1, 4: 6}."""
+    if isinstance(a, Quaternion8):
+        return {1: 1, 2: 1, 4: 6}
+    if isinstance(a, Dihedral):
+        spec = atom_spectrum(Cyclic(a.m))
+        spec[2] = spec.get(2, 0) + a.m
+        return spec
+    return dict(divisor_totient_pairs(naive_factor(a.n)))
+
+
 def lcm_convolution(g: GroupSpec) -> dict[int, int]:
-    """Order spectrum of a product from its atoms' spectrum_map(): an
+    """Order spectrum of a product from its atoms' atom_spectrum: an
     element is a tuple whose order is the lcm of its components' orders."""
     acc = {1: 1}
     for f in getattr(g, "factors", (g,)):
         out: dict[int, int] = {}
         for d1, c1 in acc.items():
-            for d2, c2 in f.spectrum_map().items():
+            for d2, c2 in atom_spectrum(f).items():
                 d = lcm(d1, d2)
                 out[d] = out.get(d, 0) + c1 * c2
         acc = out

@@ -7,12 +7,11 @@ import sympy
 from hypothesis import example, given, strategies as st
 
 import lehmer_psi.sieve as sieve_module
-from conftest import naive_divisors, naive_factor, naive_phi, naive_sigma
+from conftest import divisor_totient_pairs, naive_divisors, naive_factor, naive_phi, naive_sigma
 from lehmer_psi.arith import (
     DomainError,
     approx_str,
     Factorization,
-    divisor_totient_pairs,
     euler_phi,
     factor,
     fraction_str,

@@ -99,19 +99,22 @@ class TestBasicCommands:
     @pytest.mark.parametrize("command", ["psi", "bounds"])
     def test_json_query_walks_the_spectrum_once(self, capsys, monkeypatch, command):
         walks = []
-        walk = groups.Product.spectrum_map
+        walk = groups.order_spectrum
 
-        def counted(self):
-            walks.append(self)
-            return walk(self)
+        def counted(g):
+            walks.append(g)
+            return walk(g)
 
-        monkeypatch.setattr(groups.Product, "spectrum_map", counted)
+        for module in (groups, cli):
+            monkeypatch.setattr(module, "order_spectrum", counted)
         code, _, _ = run(capsys, command, "--group", "C2 x C2 x C15", "--format", "json")
         assert code == 0
         assert len(walks) == 1
 
     def test_bounds_factors_the_order_once(self, capsys, monkeypatch):
-        # the odd part's factorization comes from the order's
+        # the order 60 is never factored whole: its factorization, whose odd
+        # part bounds reads, comes from the distinct atom orders 2 and 15,
+        # and the spectrum factors the distinct exponents, 2 and 15 again
         calls = []
         factor = bounds.factor
 
@@ -119,10 +122,31 @@ class TestBasicCommands:
             calls.append(n)
             return factor(n)
 
-        monkeypatch.setattr(bounds, "factor", counted)
+        for module in (groups, bounds):
+            monkeypatch.setattr(module, "factor", counted)
         code, _, _ = run(capsys, "bounds", "--group", "C2 x C2 x C15", "--format", "json")
         assert code == 0
-        assert calls == [60]
+        assert sorted(calls) == [2, 2, 15, 15]
+
+    def test_big_prime_product_is_factored_atom_by_atom(self, capsys):
+        # Brent rho cannot split p*q within its step budget; each atom order is
+        # factored alone, so psi JSON and bounds answer as fast as psi text
+        p, q = 10000000000000000051, 10000000000000000087
+        spec = f"C{p} x C{q}"
+        start = time.perf_counter()
+        code, text, _ = run(capsys, "psi", "--group", spec)
+        assert code == 0
+        code, out, _ = run(capsys, "psi", "--group", spec, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["psi_prime"] == "1/1"
+        assert str(doc["psi"]) == text.strip() == str((p * p - p + 1) * (q * q - q + 1))
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "bounds", "--group", spec, "--format", fmt)
+            assert code == 0
+        by_id = {b["bound_id"]: b for b in json.loads(out)["bounds"]}
+        assert by_id["cyclic-maximum"]["equality"] is True
+        assert time.perf_counter() - start < 0.5
 
 
 class TestLehmerCommands:
@@ -576,7 +600,8 @@ class TestCliContract:
 
     @pytest.mark.parametrize("spec", ["C14", "D14"])
     def test_spectrum_past_limit_exits_2(self, capsys, monkeypatch, spec):
-        # C14 has 4 orders and D14 has 3 (1, 2, 7): both exceed a limit of 2
+        # C14 and D14 both have exponent 14, whose 4 divisors exceed a limit
+        # of 2
         monkeypatch.setattr(groups, "SPECTRUM_LIMIT", 2)
         code, out, err = run(capsys, "psi", "--group", spec)
         assert code == 2

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     abelian_specs,
+    atom_spectrum,
     brute_psi,
     brute_spectrum,
+    divisor_totient_pairs,
     element_order,
     group_table,
     lcm_convolution,
@@ -18,7 +20,7 @@ from conftest import (
     psi_prime,
 )
 from lehmer_psi import groups
-from lehmer_psi.arith import Factorization, divisor_totient_pairs, factor
+from lehmer_psi.arith import Factorization, factor
 from lehmer_psi.groups import (
     Cyclic,
     Dihedral,
@@ -197,22 +199,25 @@ class TestSpectra:
     def test_product_spectrum_matches_lcm_convolution(self, factors):
         g = product(factors)
         assert isinstance(g, Product)
-        assert g.spectrum_map() == lcm_convolution(g), str(g)
+        assert dict(order_spectrum(g).entries) == lcm_convolution(g), str(g)
 
     def test_product_of_big_prime_cyclics_factors_each_exponent(self):
         # Brent rho cannot split the product of two 20-digit primes within
         # its step budget, so the exponent L = p*q is factored factor by factor
         p, q = 10000000000000000051, 10000000000000000087
         g = product([Cyclic(p), Cyclic(q)])
-        assert g.spectrum_map() == {1: 1, p: p - 1, q: q - 1, p * q: (p - 1) * (q - 1)}
+        spec = {1: 1, p: p - 1, q: q - 1, p * q: (p - 1) * (q - 1)}
+        assert dict(order_spectrum(g).entries) == spec
 
     def test_solutions_count_the_atom_spectrum(self):
         # solutions(d) counts the elements whose order divides d; the
-        # exponent is the lcm of the orders
+        # exponent is the lcm of the orders; order_spectrum inverts the
+        # counts back to the closed form
         atoms = [Cyclic(n) for n in range(1, 130)]
         atoms += [Dihedral(2 * m) for m in range(1, 130)] + [Quaternion8()]
         for a in atoms:
-            spec = a.spectrum_map()
+            spec = atom_spectrum(a)
+            assert dict(order_spectrum(a).entries) == spec, str(a)
             assert a.exponent == lcm(*spec), str(a)
             twice = 2 * a.exponent
             for d in (d for d in range(1, twice + 1) if twice % d == 0):
@@ -235,17 +240,20 @@ class TestSpectra:
             order_spectrum(Cyclic(720720))
 
     def test_cyclic_support_counted_before_it_is_built(self, monkeypatch):
-        # the product of the first 16 primes has 2^16 divisors: none is built
-        n = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53))
-        monkeypatch.setattr(groups, "SPECTRUM_LIMIT", 1000)
-        tracemalloc.start()
-        try:
-            with pytest.raises(SpectrumLimitError):
-                order_spectrum(Cyclic(n))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # the product of the first 16 primes has 2^16 divisors, and so has
+        # m = 3 * 5 * ... * 59, whose D<2m> has 2^17 divisors of its
+        # exponent 2m: none is built
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+        for g, limit in ((Cyclic(prod(primes[:-1])), 1000), (Dihedral(2 * prod(primes[1:])), 2**16)):
+            monkeypatch.setattr(groups, "SPECTRUM_LIMIT", limit)
+            tracemalloc.start()
+            try:
+                with pytest.raises(SpectrumLimitError):
+                    order_spectrum(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, str(g)
 
     def test_product_lattice_counted_before_it_is_built(self, monkeypatch):
         # two factors of 2^9 divisors each that share no prime: the product's
@@ -263,12 +271,14 @@ class TestSpectra:
 
     def test_limit_counts_the_lattice_of_an_odd_dihedral_product(self, monkeypatch):
         # D6 x C5 has 6 orders (1, 2, 3, 5, 10, 15) but 8 divisors of its
-        # exponent 30: the limit counts the lattice
-        g = parse_group_spec("D6 x C5")
-        assert len(order_spectrum(g).entries) == 6
-        monkeypatch.setattr(groups, "SPECTRUM_LIMIT", 7)
-        with pytest.raises(SpectrumLimitError):
-            order_spectrum(g)
+        # exponent 30, and a lone D6 3 orders (1, 2, 3) but 4 divisors of its
+        # exponent 6: the limit counts the lattice
+        for g, orders, lattice in ((parse_group_spec("D6 x C5"), 6, 8), (Dihedral(6), 3, 4)):
+            monkeypatch.setattr(groups, "SPECTRUM_LIMIT", lattice)
+            assert len(order_spectrum(g).entries) == orders
+            monkeypatch.setattr(groups, "SPECTRUM_LIMIT", lattice - 1)
+            with pytest.raises(SpectrumLimitError):
+                order_spectrum(g)
 
 
 class TestPsi:

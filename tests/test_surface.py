@@ -21,7 +21,7 @@ def test_public_names_are_pinned():
         "GENERIC_PROFILE", "GroupSpec", "LehmerProfile", "LehmerVerdict", "MinKResult",
         "OrderSpectrum", "PrimalityResult", "Product", "Quaternion8", "ScanCheckpoint",
         "abundancy_bound", "approx_str", "batch_verdicts", "carmichael_in_range",
-        "certified_close", "chain_upper", "check_bounds", "divisor_totient_pairs",
+        "certified_close", "chain_upper", "check_bounds",
         "euler_phi", "exclude_k", "factor",
         "fraction_str", "is_prime", "is_squarefree", "k_ladder", "korselt_check",
         "ladder_condition", "lehmer_check", "make_profile", "min_k", "nilpotent_lower_bound",
