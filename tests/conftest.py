@@ -87,7 +87,8 @@ def divisor_totient_pairs(f) -> list[tuple[int, int]]:
     of a factorization."""
     pairs = [(1, 1)]
     for p, a in f:
-        pairs += [(d * p**e, ph * p ** (e - 1) * (p - 1)) for d, ph in pairs for e in range(1, a + 1)]
+        pairs += [(d * p**e, ph * p ** (e - 1) * (p - 1))
+                  for d, ph in pairs for e in range(1, a + 1)]
     return sorted(pairs)
 
 
@@ -263,7 +264,7 @@ def atom_spectrum(a: GroupSpec) -> dict[int, int]:
 
 
 def lcm_convolution(g: GroupSpec) -> dict[int, int]:
-    """Order spectrum of a product from its atoms' atom_spectrum: an
+    """Order spectrum of a product from each atom's atom_spectrum: an
     element is a tuple whose order is the lcm of its components' orders."""
     acc = {1: 1}
     for f in getattr(g, "factors", (g,)):

@@ -244,7 +244,8 @@ class TestSpectra:
         # m = 3 * 5 * ... * 59, whose D<2m> has 2^17 divisors of its
         # exponent 2m: none is built
         primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
-        for g, limit in ((Cyclic(prod(primes[:-1])), 1000), (Dihedral(2 * prod(primes[1:])), 2**16)):
+        cases = ((Cyclic(prod(primes[:-1])), 1000), (Dihedral(2 * prod(primes[1:])), 2**16))
+        for g, limit in cases:
             monkeypatch.setattr(groups, "SPECTRUM_LIMIT", limit)
             tracemalloc.start()
             try:
