@@ -178,20 +178,21 @@ def cmd_lehmer_check(args) -> int:
 def cmd_min_k(args) -> int:
     profile = parse_profile_spec(args.profile)
     result = min_k(profile)
+    rules = result.rule_lines()  # a line per excluded k, as the digests pin; refused before any output
     if args.format == "json":
         head = json.dumps(
             {
                 "profile": profile.describe(),
                 "min_k": result.k,
                 "n_floor": str(result.n_floor_used),
-                "rules": list(result.applied_rules),
+                "rules": list(rules),
             }
         )
         _emit(f'{head[:-1]}, "excluded": {result.excluded_json()}}}')
     else:
         _emit(f"profile: {profile.describe()}")
         _emit(f"min_k = {result.k}")
-        for rule in result.applied_rules:
+        for rule in rules:
             _emit(f"  {rule}")
     return 0
 

@@ -10,9 +10,9 @@ floor((L - A)/B). With the classical congruence "3 | n forces k = 1 (mod 3)"
 each world solves for its floor, and min_k is the least of them, taken at
 n > 10**8171 for a symbolic profile once the universal floor k >= 3 holds.
 min_k checks it with no per-k loop, and each world's WorldBound, which the
-verdicts carry, states K* and the binding inequality. min-k --format json keeps
-a row per excluded k (MinKResult.excluded_json) while bench/reference.json pins
-those bytes.
+verdicts carry, states K* and the binding inequality. The excluded k take at
+most three range lines of the rule trace; only min-k, whose bytes
+bench/reference.json pins, prints a line and a row per k (MinKResult.rule_lines).
 For q >= 17 the k ladder's top rung is R = ceil(q/c - q) for its coefficient c.
 
 Caveat, surfaced in every trace that leans on a chain: the stated witness
@@ -36,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -364,15 +364,48 @@ class WorldBound(NamedTuple):
                 "congruence": 3 in self.world.divides, "k": self.k, "lhs": lhs, "rhs": rhs}
 
 
+def _range_lines(floor_k: int, kinds: tuple[str, ...], worlds: int) -> list[str]:
+    """k = 2 .. floor_k - 1 in one line per distinct kinds[k % 3], the rule
+    kinds that exclude k: its first k to its last, with its residues mod 3
+    where that span holds a k of another kind."""
+    heads, lines = {}, []  # per kind, the first k of each of its residues
+    for k in (2, 3, 4)[:floor_k - 2]:
+        heads.setdefault(kinds[k % 3], []).append(k)
+    for kind, own in heads.items():
+        lo, hi = own[0], max([k + (floor_k - 1 - k) // 3 * 3 for k in own])
+        span = f"k={lo}" if lo == hi else f"k={lo}..{hi}"
+        if len(own) < 3 and hi - lo >= len(own):  # some k of the span has another kind
+            span += f" (k = {lo % 3} mod 3)" if len(own) == 1 else f" (k != {3 - sum(k % 3 for k in own)} mod 3)"
+        lines.append(f"{span} excluded in all {worlds} worlds via {kind}")
+    return lines
+
+
 @dataclass(frozen=True)
 class MinKResult:
-    """The floor k, each world's bound, the rule trace and the profile solved."""
+    """The floor k, each world's bound, the rule trace (the excluded k as
+    _range_lines), the profile solved and the kinds of rule per k mod 3."""
 
     k: int
     worlds: tuple[WorldBound, ...]
     applied_rules: tuple[str, ...]
     n_floor_used: int
     profile: LehmerProfile
+    kinds: tuple[str, ...]
+
+    def _check_guard(self) -> None:
+        if self.k >= _SWEEP_GUARD:
+            raise DomainError(f"k floor {self.k} lies past the rule trace's guard of k < {_SWEEP_GUARD} "
+                              "(one applied rule per k below the floor)")
+
+    def rule_lines(self) -> tuple[str, ...]:
+        """applied_rules with its range lines expanded to a line per k below
+        the floor, as min-k prints them; refused at or past _SWEEP_GUARD."""
+        self._check_guard()
+        rules, ranges = self.applied_rules, _range_lines(self.k, self.kinds, len(self.worlds))
+        at = rules.index(ranges[0]) if ranges else 0
+        per_k = (f"k={k} excluded in all {len(self.worlds)} worlds via {self.kinds[k % 3]}"
+                 for k in range(2, self.k))
+        return (*rules[:at], *per_k, *rules[at + len(ranges):])
 
     def excluded_json(self) -> str:
         """The rows of every k below the floor as the JSON array json.dumps
@@ -385,14 +418,19 @@ class MinKResult:
         once. L/k is reduced by g, the gcd of k with L's numerator top (L is in
         lowest terms): top // g is rendered once per g, and the denominator
         bottom * (k // g), with bottom = cofactor * 10**z, as the small product
-        cofactor * (k // g) followed by z zeros."""
+        cofactor * (k // g) followed by z zeros, each converted when a chain
+        row first prints it. Refused at or past _SWEEP_GUARD."""
+        self._check_guard()
         esc = encode_basestring_ascii
         floor = self.profile.witness_floor
         top, bottom = floor.numerator, floor.denominator
-        tops = {1: str(top)}  # top // g in decimal, per gcd class g
-        bottom_text = str(bottom)
-        digits = bottom_text.rstrip("0")
-        cofactor, zeros = int(digits), "0" * (len(bottom_text) - len(digits))
+        tops = cache(lambda g: str(top // g))  # top // g in decimal, per gcd class g
+
+        @cache
+        def bottom_parts() -> tuple[int, str]:
+            text = str(bottom)
+            digits = text.rstrip("0")
+            return int(digits), "0" * (len(text) - len(digits))
         worlds = []
         for world in (bound.world for bound in self.worlds):
             label, rule, suffix = world._chain[:3]
@@ -402,17 +440,17 @@ class MinKResult:
                            3 in world.divides, world.chain_pair))
         docs, sep = [], "["  # the brackets go into the items: join makes the one copy
         for k in range(2, self.k):
-            g = math.gcd(top, k)
-            if g not in tops:
-                tops[g] = str(top // g)
-            lhs = f"{tops[g]}/{cofactor * (k // g)}{zeros}"
-            rows = []
+            lhs, rows = None, []
             for chain, tail, congruence, three, chain_pair in worlds:
                 if three and k % 3 != 1:
                     r = k % 3
                     rows.append(f'{congruence}{k} is {r} (mod 3), 1 required", "lhs": "{ratio_str(r, 1)}", '
                                 f'"rhs": "{ratio_str(1, 1)}", "excluded": true}}')
                 else:
+                    if lhs is None:
+                        g = math.gcd(top, k)
+                        cofactor, zeros = bottom_parts()
+                        lhs = f"{tops(g)}/{cofactor * (k // g)}{zeros}"
                     rows.append(f'{chain}{k}{tail}, "lhs": "{lhs}", "rhs": "{ratio_str(*chain_pair(k))}", '
                                 f'"excluded": true}}')
             docs.append(f'{sep}{{"k": {k}, "justifications": [{", ".join(rows)}]}}')
@@ -439,17 +477,14 @@ def min_k(profile: LehmerProfile) -> MinKResult:
     K* and not K* + 1; every world must then exclude each k below the floor
     and some world not the floor. A symbolic profile is solved at n > 10**8171
     alone once the universal floor reaches 3 (a higher n_floor excludes more).
-    Only min-k --format json renders a row per excluded k (excluded_json),
-    while its digests pin them."""
+    Only min-k renders a line and a JSON row per excluded k (rule_lines,
+    excluded_json), while its digests pin them."""
     rules = []
     if profile.n is None and profile.n_floor < N_FLOOR_RAISED and universal_k_floor() >= 3:
         profile = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
         # the "swept again" wording is kept: the min-k reference digests pin it
         rules.append("n-floor-escalation: universal k >= 3 implies n > 10^8171; swept again")
     floor_k = _k_floor(profile)
-    if floor_k >= _SWEEP_GUARD:
-        raise DomainError(f"k floor {floor_k} lies past the rule trace's guard of k < {_SWEEP_GUARD} "
-                          "(one applied rule per k below the floor)")
     lower, worlds = profile.witness_floor, profile.worlds
     bounds = tuple(WorldBound(w, lower, w.k_star(lower), w.last_chain_k(floor_k - 1)) for w in worlds)
     for b in bounds:
@@ -459,9 +494,9 @@ def min_k(profile: LehmerProfile) -> MinKResult:
             b.world.last_chain_k(floor_k) == floor_k > b.k_star for b in bounds):
         raise AssertionError(f"closed-form k floor {floor_k} is wrong for {profile.describe()}")
     # a world's rule kind depends on k only through k mod 3
-    kinds = [sorted({CONGRUENCE if 3 in w.divides and r != 1 else CHAIN for w in worlds}) for r in range(3)]
-    suffixes = [f" excluded in all {len(worlds)} worlds via {', '.join(kind)}" for kind in kinds]
-    rules += [f"k={k}{suffixes[k % 3]}" for k in range(2, floor_k)]
+    kinds = tuple(", ".join(sorted({CONGRUENCE if 3 in w.divides and r != 1 else CHAIN for w in worlds}))
+                  for r in range(3))
+    rules += _range_lines(floor_k, kinds, len(worlds))
     if any(b.k is not None for b in bounds):
         rules.append(
             "caveat: chain exclusions assume the stated witness floor phi(n)/(2n); "
@@ -474,7 +509,7 @@ def min_k(profile: LehmerProfile) -> MinKResult:
         printed = k_ladder(profile.q, mode="as-printed", R=4)
         if printed.k_floor is not None and printed.k_floor != ladder.k_floor:
             rules.append(f"ladder(as-printed, R=4) would claim k >= {printed.k_floor}; not applied")
-    return MinKResult(floor_k, bounds, tuple(rules), profile.n_floor, profile)
+    return MinKResult(floor_k, bounds, tuple(rules), profile.n_floor, profile, kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ inequality from that walk, as_json_dicts and verdict_as_dict give the dicts
 whose json.dumps the engine's JSON renderers must equal byte for byte, and
 chain_justification, uses_stated_floor and binding_inequality read an
 exclusion trace from its entries, as the engine's verdicts must.
+summarised_rules folds a trace's line per excluded k into the range lines a
+verdict carries, by listing the k of each kind of rule.
 json_row and csv_row render a report row cell by cell, as the cached row
 text of the scan's reports must.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from math import floor, isqrt, lcm
@@ -419,6 +422,42 @@ def binding_inequality(entries) -> tuple[str, str] | None:
         if j is not None:
             return _pq(j["lhs"]), _pq(j["rhs"])
     return None
+
+
+# --- the range lines of a rule trace ----------------------------------------
+
+_PER_K_RULE = re.compile(r"k=(\d+) (excluded in all \d+ worlds via .+)")
+
+
+def summarised_rules(rules) -> list[str]:
+    """rules with its lines "k=<k> excluded in all <n> worlds via <kinds>"
+    (one run of them) replaced by one line per distinct text after k, in the
+    order each first appears: "k=<lo>..<hi>" over the least and the greatest
+    of its k ("k=<lo>" when they are one), then, when some k between them
+    takes another text, the residues mod 3 of its k: " (k = r mod 3)" for one
+    residue, " (k != r mod 3)" for two, r the one left out."""
+    found = [(i, _PER_K_RULE.fullmatch(rule)) for i, rule in enumerate(rules)]
+    found = [(i, int(m[1]), m[2]) for i, m in found if m]
+    if not found:
+        return list(rules)
+    groups: dict[str, list[int]] = {}
+    for _, k, text in found:
+        groups.setdefault(text, []).append(k)
+    lines = []
+    for text, ks in groups.items():
+        lo, hi = min(ks), max(ks)
+        span = f"k={lo}" if lo == hi else f"k={lo}..{hi}"
+        if set(ks) != set(range(lo, hi + 1)):
+            residues = {k % 3 for k in ks}
+            if len(residues) == 1:
+                span += f" (k = {residues.pop()} mod 3)"
+            else:
+                (left_out,) = {0, 1, 2} - residues
+                span += f" (k != {left_out} mod 3)"
+        lines.append(f"{span} {text}")
+    first, last = found[0][0], found[-1][0]
+    assert last - first + 1 == len(found), "the per-k lines are one run"
+    return [*rules[:first], *lines, *rules[last + 1:]]
 
 
 # --- report rows, one cell at a time ----------------------------------------

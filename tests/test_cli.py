@@ -175,23 +175,47 @@ class TestLehmerCommands:
             assert f"no k floor derived: n is {why}" in out
 
     def test_sweep_guard_exits_2(self, capsys, monkeypatch):
-        # 211 * 421 * 631 has min_k 32, past a guard of 5
+        # the guard bounds min-k's line and row per excluded k alone: q = 101
+        # has min_k 16, past a guard of 5, in either format, while a verdict
+        # past the guard still answers
         monkeypatch.setattr(engine, "_SWEEP_GUARD", 5)
-        code, out, err = run(capsys, "lehmer-check", "56052361")
-        assert code == 2
-        assert err == "error: k floor 32 lies past the rule trace's guard of k < 5 (one applied rule per k below the floor)\n"
-        assert out == ""
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "min-k", "--profile", "q=101", "--format", fmt)
+            assert code == 2
+            assert err == "error: k floor 16 lies past the rule trace's guard of k < 5 (one applied rule per k below the floor)\n"
+            assert out == ""
+        code, out, _ = run(capsys, "lehmer-check", "56052361")  # 211 * 421 * 631, min_k 32
+        assert (code, json.loads(out)["min_k"]) == (0, 32)
 
     def test_floor_past_guard_exits_2_fast(self, capsys):
-        # 702067 * 1404133 * 2106199: its k floor (100297) lies past the
-        # guard, which the closed form sees without sweeping up to it
+        # q = 1000003: its k floor (142859) lies past the guard, which the
+        # closed form sees without sweeping up to it
         start = time.perf_counter()
-        code, out, err = run(capsys, "lehmer-check", "2076281376063705289")
+        code, out, err = run(capsys, "min-k", "--profile", "q=1000003")
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         guard = engine._SWEEP_GUARD
-        assert err == (f"error: k floor 100297 lies past the rule trace's guard of k < {guard} "
+        assert err == (f"error: k floor 142859 lies past the rule trace's guard of k < {guard} "
                        "(one applied rule per k below the floor)\n")
+
+    def test_verdict_past_the_guard_answers_fast(self, capsys):
+        # 702067 * 1404133 * 2106199, whose k floor 100297 lies past the guard
+        run(capsys, "lehmer-check", "561")  # the parser is built once
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lehmer-check", "2076281376063705289")
+        assert time.perf_counter() - start < 0.05
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["min_k"], doc["is_carmichael"], doc["counterexample"]) == (100297, True, False)
+
+    def test_verdict_size_does_not_depend_on_the_floor(self, capsys):
+        # q = 211, 100981 and 702067: floors 32, 14427 and 100297
+        sizes = []
+        for n in ("56052361", "6178246534322281", "2076281376063705289"):
+            code, out, _ = run(capsys, "lehmer-check", n)
+            assert code == 0
+            sizes.append(len(out))
+        assert max(sizes) - min(sizes) < 200, sizes
 
     def test_precision_option_is_gone(self, capsys):
         for argv in (

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from conftest import (
     excluded,
     exclusion_oracle,
     psi_double_prime,
+    summarised_rules,
     swept_exclusions,
     uses_stated_floor,
     verdict_as_dict,
@@ -84,7 +86,8 @@ def _rows(profile, k):
 
 def _swept_min_k(profile):
     """min_k built on the k-by-k sweep it used before its closed-form floor,
-    kept as the oracle: (k, applied_rules, n_floor_used, decisions)."""
+    kept as the oracle: (k, the rule trace with a line per excluded k, as
+    rule_lines() expands it, n_floor_used, decisions)."""
     rules = []
     if profile.n is None and profile.n_floor < N_FLOOR_RAISED and swept_exclusions(GENERIC_PROFILE)[0] >= 3:
         profile = dataclasses.replace(profile, n_floor=N_FLOOR_RAISED)
@@ -386,12 +389,15 @@ class TestMinK:
                 assert result.n_floor_used == N_FLOOR_RAISED
 
     def test_carmichael_floors_match_the_sweep(self):
+        # rule_lines() is the swept trace, and applied_rules its range lines
         profiles = _carmichael_profiles(10**7)
         assert len(profiles) == 105
         for profile in profiles:
             result = min_k(profile)
-            got = (result.k, result.applied_rules, result.n_floor_used, _decisions(_entries(result)))
-            assert got == _swept_min_k(profile), profile.n
+            got = (result.k, result.rule_lines(), result.n_floor_used, _decisions(_entries(result)))
+            swept = _swept_min_k(profile)
+            assert got == swept, profile.n
+            assert list(result.applied_rules) == summarised_rules(swept[1]), profile.n
 
     @pytest.mark.parametrize("n_floor", [N_FLOOR_BASE, N_FLOOR_RAISED], ids=["base", "raised"])
     def test_symbolic_floors_match_the_sweep(self, n_floor):
@@ -399,8 +405,10 @@ class TestMinK:
         assert len(profiles) > 100
         for profile in profiles:
             result = min_k(profile)
-            got = (result.k, result.applied_rules, result.n_floor_used, _decisions(_entries(result)))
-            assert got == _swept_min_k(profile), profile.describe()
+            got = (result.k, result.rule_lines(), result.n_floor_used, _decisions(_entries(result)))
+            swept = _swept_min_k(profile)
+            assert got == swept, profile.describe()
+            assert list(result.applied_rules) == summarised_rules(swept[1]), profile.describe()
 
     @pytest.mark.parametrize("n_floor", [N_FLOOR_BASE, N_FLOOR_RAISED], ids=["base", "raised"])
     def test_exclude_k_is_the_one_k_case_of_the_sweep(self, n_floor):
@@ -497,6 +505,68 @@ class TestMinK:
         assert (v.min_k, pairs) == (14427, [])
         assert json.loads(v.to_json())["worlds"][0]["k"] == 14426
         assert pairs == [14426]
+
+
+class TestRuleTrace:
+    """The excluded k of a trace are range lines, and rule_lines() expands
+    them to the line per k that min-k prints."""
+
+    def test_range_lines_summarise_the_per_k_lines(self):
+        # every assignment of kinds to k mod 3, including those min_k never
+        # makes (it gives k = 0 and k = 2 mod 3 the same kinds), at every
+        # floor up to a few periods
+        for kinds, floor_k, worlds in itertools.product(
+                itertools.product("abc", repeat=3), range(2, 15), (1, 24)):
+            ranges = engine_module._range_lines(floor_k, kinds, worlds)
+            result = MinKResult(floor_k, (None,) * worlds, ("head", *ranges, "tail"), 0, None, kinds)
+            per_k = [f"k={k} excluded in all {worlds} worlds via {kinds[k % 3]}" for k in range(2, floor_k)]
+            assert result.rule_lines() == ("head", *per_k, "tail"), (floor_k, kinds)
+            assert ["head", *ranges, "tail"] == summarised_rules(["head", *per_k, "tail"]), (floor_k, kinds)
+            assert len(ranges) == len(set(kinds[k % 3] for k in range(2, floor_k))) <= 3
+
+    def test_mixed_kinds_name_their_residues(self):
+        kinds = (CONGRUENCE, engine_module.CHAIN, CONGRUENCE)
+        assert engine_module._range_lines(12, kinds, 1) == [
+            "k=2..11 (k != 1 mod 3) excluded in all 1 worlds via k-congruence-3",
+            "k=4..10 (k = 1 mod 3) excluded in all 1 worlds via order-sum-chain",
+        ]
+        # 561: 3 | n and floor 4, so k = 2 and 3 fall to the congruence rule alone
+        assert lehmer_check(561).applied_rules == ("k=2..3 excluded in all 1 worlds via k-congruence-3",)
+
+    @pytest.mark.parametrize("n, floor_k", [(56052361, 32), (6178246534322281, 14427),
+                                            (2076281376063705289, 100297)])
+    def test_verdict_trace_does_not_grow_with_the_floor(self, n, floor_k):
+        v = lehmer_check(n)
+        assert v.min_k == floor_k
+        assert v.applied_rules[0] == f"k=2..{floor_k - 1} excluded in all 1 worlds via order-sum-chain"
+        assert sum(rule.startswith("k=") for rule in v.applied_rules) == 1 and len(v.applied_rules) == 4
+
+    def test_guard_bounds_the_min_k_renderers_alone(self):
+        # q = 1000003 has floor 142859: min_k and its range lines answer,
+        # while the per-k renderers refuse before rendering a row
+        result = min_k(make_profile(q=1000003))
+        assert result.k == 142859 >= engine_module._SWEEP_GUARD
+        assert sum(rule.startswith("k=") for rule in result.applied_rules) == 1
+        for render in (result.rule_lines, result.excluded_json):
+            with pytest.raises(DomainError, match="k floor 142859 lies past the rule trace's guard"):
+                render()
+
+    def test_congruence_rows_convert_no_big_decimal(self):
+        # the floor of a symbolic profile is a ratio of ~8172-digit integers;
+        # rows that are all congruence rows never print it, so they render
+        # under a digit limit that its conversion would break
+        specs = ("3|n", "3|n, 5|n", "q=3, 5!|n", "q=5")
+        results = {spec: min_k(parse_profile_spec(spec)) for spec in specs}
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for spec in specs[:3]:
+                rows = json.loads(results[spec].excluded_json())
+                assert rows and all(j["rule"].startswith(CONGRUENCE) for row in rows for j in row["justifications"])
+            with pytest.raises(ValueError):
+                results["q=5"].excluded_json()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestLadder:
@@ -809,7 +879,7 @@ def _results(draw):
                                 divides=(3,) if draw(st.booleans()) else (),
                                 chain_pair=lambda k, pairs=pairs: pairs[k % len(pairs)])
         worlds.append(WorldBound(world, floor, floor_k - 1, None))
-    return MinKResult(floor_k, tuple(worlds), (), 0, SimpleNamespace(witness_floor=floor))
+    return MinKResult(floor_k, tuple(worlds), (), 0, SimpleNamespace(witness_floor=floor), ())
 
 
 def _rows_as_dicts(result):
@@ -868,7 +938,7 @@ class TestJsonRendering:
                 "profile": spec,
                 "min_k": result.k,
                 "n_floor": str(result.n_floor_used),
-                "rules": list(result.applied_rules),
+                "rules": list(_swept_min_k(profile)[1]),
                 "excluded": as_json_dicts(swept_exclusions(solved)[1]),
             }
             assert capsys.readouterr().out == json.dumps(doc) + "\n", spec

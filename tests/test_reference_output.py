@@ -3,12 +3,14 @@ the stdout of every psi, bounds and min-k query the benchmark draws; checking
 them here catches a change to that output without a benchmark run. Regenerate
 the file with bench/record_reference.py only when the change is intended.
 
-The lehmer-check verdicts carry one rule line per excluded k and, per world,
-K* and the binding inequality; they, their per-k rows as the verdicts carried
-them before, and the batch_verdicts report are pinned here as well, as are
-the verify-constants table and the scan hit rows. Their digests are the
-sha256 of the output and change only with an intended change to it."""
+The lehmer-check verdicts carry the excluded k as range lines of their rule
+trace and, per world, K* and the binding inequality; they, the batch_verdicts
+report, and both as they were when a verdict carried a rule line (and before
+that a row) per excluded k, are pinned here as well, as are the
+verify-constants table and the scan hit rows. Their digests are the sha256 of
+the output and change only with an intended change to it."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -20,7 +22,7 @@ from lehmer_psi.arith import approx_str
 from lehmer_psi.engine import (
     PI2_HIGH, PI2_LOW, lehmer_check, min_k, profile_from_factorization,
 )
-from lehmer_psi.scan import batch_verdicts
+from lehmer_psi.scan import batch_verdicts, verdict_row, write_report
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 FLAG = {"psi": "--group", "bounds": "--group", "min-k": "--profile"}
@@ -41,12 +43,23 @@ def test_json_stdout_matches_recorded_digest(capsys, command, key, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-# sha256 of `lehmer-check N --format json` stdout: the Carmichael numbers
-# 561, 1105, 2465, 29341 = 13*37*61 (min_k 7), 41041 = 7*11*13*41 (min_k 6)
-# and 62745 = 3*5*47*89, and the Chernick numbers with q = 1171, q = 10177 and
+def _per_k_verdict(n):
+    """lehmer_check(n) with its range lines expanded to the rule line per
+    excluded k that verdicts carried before (MinKResult.rule_lines)."""
+    verdict = lehmer_check(n)
+    if not verdict.worlds:
+        return verdict
+    return dataclasses.replace(verdict, applied_rules=min_k(profile_from_factorization(n)).rule_lines())
+
+
+# sha256 of `lehmer-check N --format json` stdout when a verdict carried a
+# rule line per excluded k: the Carmichael numbers 561, 1105, 2465,
+# 29341 = 13*37*61 (min_k 7), 41041 = 7*11*13*41 (min_k 6) and
+# 62745 = 3*5*47*89, and the Chernick numbers with q = 1171, q = 10177 and
 # q = 100981, whose floors are k = 169, 1455 and 14427. The last is the
-# largest verdict the benchmark draws (0.80 MB of JSON, nearly all of it the
-# 14 425 rule lines).
+# largest verdict the benchmark draws; it was 0.80 MB of JSON, nearly all of
+# it the 14 425 rule lines. Each is checked on today's verdict with its range
+# lines expanded.
 LEHMER_CHECK_DIGESTS = {
     561: "d3856566e3b93d8e2de76618c21e037d8eb8e49a894f20f54751439c6f014af1",
     1105: "794078a47f608cd1272ad777e9818f802b97699680714f2638b7447e4cd0c9a9",
@@ -62,7 +75,33 @@ BATCH_1E5_DIGEST = "d85dd3cadd76304c5f8791b5fd07b008788e059801f4f9bb5ffa74080e50
 
 
 @pytest.mark.parametrize("n, digest", sorted(LEHMER_CHECK_DIGESTS.items()))
-def test_lehmer_check_worlds_json_matches_recorded_digest(capsys, n, digest):
+def test_lehmer_check_worlds_json_matches_recorded_digest(capsys, monkeypatch, n, digest):
+    monkeypatch.setattr(cli, "lehmer_check", _per_k_verdict)
+    assert cli.main(["lehmer-check", str(n), "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of `lehmer-check N --format json` stdout, the excluded k as range
+# lines: the numbers above and 2076281376063705289 = 702067 * 1404133 *
+# 2106199, whose floor 100297 lay past the guard of the rule line per k.
+# 1105 and 2465 exclude k = 2 alone, so their digests are the ones above.
+LEHMER_CHECK_RANGE_DIGESTS = {
+    561: "d367243a62027d3acb545c3d8efb2d004870af499687cdd0696314465243f587",
+    1105: "794078a47f608cd1272ad777e9818f802b97699680714f2638b7447e4cd0c9a9",
+    2465: "228d7146ddf625c72f31e4acc35504fbd89666522f4cac53d3cc09e2a2c9fe75",
+    29341: "4b989033093ad77b216890c6eb37274c0b0f3ec7bab1d261eeb6f6f6e5cb5187",
+    41041: "314515ae8807a3e283165dc81936886180bd13718e77cc08cd2b4f2bf83600da",
+    62745: "0cc9282f6c1df5db878ae2b77bdb7f1709aaea7e0b7d6cd005b9654e8bd8d88a",
+    9624742921: "c39c49c0a09c3e81a2d7a317ee4310ead4426eb527cacef79595984d2d999c7d",
+    6323547512449: "cdd1cd82e98c3371f1f89a4cdc2ba00346aef781a4bcbd51e7b2c196f7b66569",
+    6178246534322281: "440a2695aede915320af7e70e9289777737eb69a5457ff76511e6b1ddbcee10c",
+    2076281376063705289: "a9ce1e00ceba45ff2ff896a860c4851171f949a84ac377631aa8e1143eb70970",
+}
+BATCH_1E5_RANGE_DIGEST = "1b3eda1a641c07e569429986a417500927bb66913c12328ffe0b0677bb36985e"
+
+
+@pytest.mark.parametrize("n, digest", sorted(LEHMER_CHECK_RANGE_DIGESTS.items()))
+def test_lehmer_check_range_json_matches_recorded_digest(capsys, n, digest):
     assert cli.main(["lehmer-check", str(n), "--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -87,7 +126,7 @@ PER_K_VERDICT_DIGESTS = {
 
 @pytest.mark.parametrize("n, digest", sorted(PER_K_VERDICT_DIGESTS.items()))
 def test_lehmer_check_json_matches_recorded_digest(n, digest):
-    verdict = lehmer_check(n)
+    verdict = _per_k_verdict(n)
     worlds = json.dumps([bound.as_dict() for bound in verdict.worlds])
     head, sep, tail = verdict.to_json().partition(f'"worlds": {worlds}')
     assert sep
@@ -97,7 +136,8 @@ def test_lehmer_check_json_matches_recorded_digest(n, digest):
 
 
 # sha256 of `lehmer-check N --format text` stdout, which the JSON digests do
-# not cover: the floor label and the abundancy decimal c/pi^2
+# not cover: the floor label and the abundancy decimal c/pi^2; as above, with
+# a rule line per excluded k
 LEHMER_CHECK_TEXT_DIGESTS = {
     561: "ec9f0a9b1c717e6b528d04690612757c17231585233d8000de869060294dffae",
     1105: "0b48e4551fc40cf62aefa0b484e96b024ac94b32b71ca8d449ae4e5c822a7ae3",
@@ -110,7 +150,30 @@ LEHMER_CHECK_TEXT_DIGESTS = {
 
 
 @pytest.mark.parametrize("n, digest", sorted(LEHMER_CHECK_TEXT_DIGESTS.items()))
-def test_lehmer_check_text_matches_recorded_digest(capsys, n, digest):
+def test_lehmer_check_text_matches_recorded_digest(capsys, monkeypatch, n, digest):
+    monkeypatch.setattr(cli, "lehmer_check", _per_k_verdict)
+    assert cli.main(["lehmer-check", str(n), "--format", "text"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of `lehmer-check N --format text` stdout, the excluded k as range
+# lines, for the numbers of LEHMER_CHECK_RANGE_DIGESTS
+LEHMER_CHECK_TEXT_RANGE_DIGESTS = {
+    561: "4980eb9467cd3db64a6104f64ecf13f6ace897c896723b0753ba524a1e8fe819",
+    1105: "0b48e4551fc40cf62aefa0b484e96b024ac94b32b71ca8d449ae4e5c822a7ae3",
+    2465: "4602422f77c9c8b8a60613e4ed8f01e01bd6e2d13051b99b70a5b392354b9843",
+    29341: "6998642b6f55bade5db3855b19a45af1bae18e3dcbd4e79746a02b979749e508",
+    41041: "21618e51ca36ca41312e634a0da335d058772e53a06ca42e2aa1b701451c4b62",
+    62745: "e0d936f707f08875a2fe0097f10cf43e02867071b383e044e4e77bc0b999838d",
+    9624742921: "5f12c8f16459c8de020e68d91b133683d68d58dc59e34875e4f941b0d948383e",
+    6323547512449: "4e4f0f1db1b12f8b4f90684ce7699d720a6140c02717ece496d0c944df20b098",
+    6178246534322281: "a0103fa2c1f8b42f1858166d7cb95674dc6cac008ae64cca546ab83188856c6f",
+    2076281376063705289: "ae18fe6968c1e7b81c129cdc4c44990f5c727b7be282aa25a479bbcc92568b7f",
+}
+
+
+@pytest.mark.parametrize("n, digest", sorted(LEHMER_CHECK_TEXT_RANGE_DIGESTS.items()))
+def test_lehmer_check_range_text_matches_recorded_digest(capsys, n, digest):
     assert cli.main(["lehmer-check", str(n), "--format", "text"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -160,9 +223,17 @@ def test_scan_to_1e6_matches_recorded_digest(capsys, fmt, digest):
 
 
 def test_batch_verdicts_report_matches_recorded_digest(tmp_path):
+    # the report as it was with a rule line per excluded k
+    path = tmp_path / "verdicts.jsonl"
+    verdicts, _ = batch_verdicts(10**5)
+    write_report((verdict_row(_per_k_verdict(v.n)) for v in verdicts), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BATCH_1E5_DIGEST
+
+
+def test_batch_verdicts_range_report_matches_recorded_digest(tmp_path):
     path = tmp_path / "verdicts.jsonl"
     batch_verdicts(10**5, path=str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == BATCH_1E5_DIGEST
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BATCH_1E5_RANGE_DIGEST
 
 
 # sha256 of `verify-constants` stdout in each format.
